@@ -15,7 +15,7 @@ the usual GAN/MSE training losses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -136,30 +136,30 @@ def _conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - k) // stride + 1
 
 
-def _im2col(a: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """(n, c, h, w) -> (n, c*kh*kw, oh*ow) patch matrix."""
+def _im2col(a: np.ndarray, kh: int, kw: int, stride: int, ph: int, pw: int) -> np.ndarray:
+    """(n, c, h, w) -> (n, c*kh*kw, oh*ow) patch matrix; ph/pw pad rows/columns."""
     n, c, h, w = a.shape
-    if pad:
-        a = np.pad(a, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    oh = _conv_out_size(h, kh, stride, pad)
-    ow = _conv_out_size(w, kw, stride, pad)
+    if ph or pw:
+        a = np.pad(a, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    oh = _conv_out_size(h, kh, stride, ph)
+    ow = _conv_out_size(w, kw, stride, pw)
     s0, s1, s2, s3 = a.strides
     view = np.lib.stride_tricks.as_strided(
         a, (n, c, kh, kw, oh, ow), (s0, s1, s2, s3, s2 * stride, s3 * stride))
     return view.reshape(n, c * kh * kw, oh * ow)  # reshape copies out of the view
 
 
-def _col2im(cols: np.ndarray, shape: tuple[int, int, int, int],
-            kh: int, kw: int, stride: int, pad: int, oh: int, ow: int) -> np.ndarray:
+def _col2im(cols: np.ndarray, shape: tuple[int, int, int, int], kh: int, kw: int,
+            stride: int, ph: int, pw: int, oh: int, ow: int) -> np.ndarray:
     """Adjoint of _im2col: scatter-add patches back onto an (n, c, h, w) canvas."""
     n, c, h, w = shape
-    buf = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    buf = np.zeros((n, c, h + 2 * ph, w + 2 * pw))
     cols = cols.reshape(n, c, kh, kw, oh, ow)
     for i in range(kh):
         for j in range(kw):
             buf[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, :, i, j]
-    if pad:
-        buf = np.ascontiguousarray(buf[:, :, pad:pad + h, pad:pad + w])
+    if ph or pw:
+        buf = np.ascontiguousarray(buf[:, :, ph:ph + h, pw:pw + w])
     return buf
 
 
@@ -188,7 +188,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
             f"conv2d: kernel {kh}x{kw} stride {stride} pad {padding} gives empty output "
             f"for input {h}x{w}")
 
-    cols = _im2col(x.data, kh, kw, stride, padding)      # (n, ic*kh*kw, L)
+    cols = _im2col(x.data, kh, kw, stride, padding, padding)  # (n, ic*kh*kw, L)
     kmat = kernel.data.reshape(oc, -1)
     out = np.matmul(kmat, cols).reshape(n, oc, oh, ow)
     out += bias.data
@@ -198,7 +198,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
         dx = dk = db = None
         if x.requires_grad:
             dcols = np.matmul(kmat.T, gmat)
-            dx = _col2im(dcols, x.shape, kh, kw, stride, padding, oh, ow)
+            dx = _col2im(dcols, x.shape, kh, kw, stride, padding, padding, oh, ow)
         if kernel.requires_grad:
             dk = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
         if bias.requires_grad:
@@ -234,12 +234,12 @@ def deconv2d(x: Tensor, kernel: Tensor, bias: Tensor, factor: int = 1) -> Tensor
     kmat = kernel.data.reshape(ic, -1)                   # (ic, oc*kh*kw)
     z = x.data.reshape(n, ic, h * w)
     cols = np.matmul(kmat.T, z)                          # (n, oc*kh*kw, h*w)
-    out = _col2im_rect(cols, out_shape, kh, kw, factor, ph, pw, h, w)
+    out = _col2im(cols, out_shape, kh, kw, factor, ph, pw, h, w)
     out += bias.data
 
     def backward(gout: np.ndarray):
         dx = dk = db = None
-        gcols = _im2col_rect(gout, kh, kw, factor, ph, pw)   # (n, oc*kh*kw, h*w)
+        gcols = _im2col(gout, kh, kw, factor, ph, pw)   # (n, oc*kh*kw, h*w)
         if x.requires_grad:
             dx = np.matmul(kmat, gcols).reshape(x.shape)
         if kernel.requires_grad:
@@ -249,30 +249,6 @@ def deconv2d(x: Tensor, kernel: Tensor, bias: Tensor, factor: int = 1) -> Tensor
         return dx, dk, db
 
     return _record("deconv2d", (x, kernel, bias), out, backward)
-
-
-def _im2col_rect(a, kh, kw, stride, ph, pw):
-    n, c, h, w = a.shape
-    if ph or pw:
-        a = np.pad(a, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    oh = _conv_out_size(h, kh, stride, ph)
-    ow = _conv_out_size(w, kw, stride, pw)
-    s0, s1, s2, s3 = a.strides
-    view = np.lib.stride_tricks.as_strided(
-        a, (n, c, kh, kw, oh, ow), (s0, s1, s2, s3, s2 * stride, s3 * stride))
-    return view.reshape(n, c * kh * kw, oh * ow)
-
-
-def _col2im_rect(cols, shape, kh, kw, stride, ph, pw, oh, ow):
-    n, c, h, w = shape
-    buf = np.zeros((n, c, h + 2 * ph, w + 2 * pw))
-    cols = cols.reshape(n, c, kh, kw, oh, ow)
-    for i in range(kh):
-        for j in range(kw):
-            buf[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, :, i, j]
-    if ph or pw:
-        buf = np.ascontiguousarray(buf[:, :, ph:ph + h, pw:pw + w])
-    return buf
 
 
 # ---------------------------------------------------------------------------
@@ -304,18 +280,6 @@ def tanh(x: Tensor) -> Tensor:
     return _record("tanh", (x,), out, lambda g: (g * (1.0 - out * out),))
 
 
-_ACTIVATIONS = {"relu": relu, "lrelu": lrelu, "sigmoid": sigmoid, "tanh": tanh}
-
-
-def activation(kind: str, x: Tensor, alpha: float = 0.2) -> Tensor:
-    """Dispatch on kind: relu | lrelu | sigmoid | tanh."""
-    if kind not in _ACTIVATIONS:
-        raise ConfigError(f"unknown activation '{kind}' (expected one of {sorted(_ACTIVATIONS)})")
-    if kind == "lrelu":
-        return lrelu(x, alpha)
-    return _ACTIVATIONS[kind](x)
-
-
 def _check_same_shape(op: str, a: Tensor, b: Tensor) -> None:
     if a.shape != b.shape:
         raise ConfigError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
@@ -334,15 +298,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape("mul", a, b)
     return _record("mul", (a, b), a.data * b.data, lambda g: (g * b.data, g * a.data))
-
-
-def elementwise(kind: str, a: Tensor, b: Tensor) -> Tensor:
-    """Dispatch on kind: add | mul."""
-    if kind == "add":
-        return add(a, b)
-    if kind == "mul":
-        return mul(a, b)
-    raise ConfigError(f"unknown elementwise kind '{kind}' (expected 'add' or 'mul')")
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:

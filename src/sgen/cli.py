@@ -24,11 +24,11 @@ from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 from .config import RunConfig, build_run_config  # noqa: E402
-from .data import degrade, load_image, read_netpbm, save_image, to_unit  # noqa: E402
+from .data import degrade, load_image, read_netpbm, save_image  # noqa: E402
 from .errors import (CheckpointError, ConfigError, ImageFormatError,  # noqa: E402
                      SgenError, UsageError)
-from .metrics import eval_model, model_restorer  # noqa: E402
-from .model import COMBINERS, dump_gates, load_checkpoint  # noqa: E402
+from .metrics import eval_model, model_restorer, pad_to_divisor  # noqa: E402
+from .model import COMBINERS, DISC_MIN_HW, dump_gates, load_checkpoint  # noqa: E402
 from .train import train  # noqa: E402
 from .autodiff import Tensor  # noqa: E402
 
@@ -99,13 +99,13 @@ def _run_config(args) -> RunConfig:
     return build_run_config(args.config, overrides)
 
 
-def _check_scales(run: RunConfig, scales, adversarial: bool):
+def _check_scales(scales, adversarial: bool):
     if adversarial:
         for h, w in scales:
-            if h < 16 or w < 16:
+            if h < DISC_MIN_HW or w < DISC_MIN_HW:
                 raise ConfigError(
-                    f"scale {h}x{w} is below the discriminator minimum 16x16; "
-                    f"use --mse-only or larger scales")
+                    f"scale {h}x{w} is below the discriminator minimum "
+                    f"{DISC_MIN_HW}x{DISC_MIN_HW}; use --mse-only or larger scales")
     return scales
 
 
@@ -117,15 +117,6 @@ def _match_channels(img: np.ndarray, channels: int) -> np.ndarray:
     return np.broadcast_to(img, (channels,) + img.shape[1:]).copy()
 
 
-def _pad_to(img: np.ndarray, divisor: int) -> np.ndarray:
-    _, h, w = img.shape
-    ph = (divisor - h % divisor) % divisor
-    pw = (divisor - w % divisor) % divisor
-    if ph or pw:
-        img = np.pad(img, ((0, 0), (0, ph), (0, pw)), mode="edge")
-    return img
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -135,7 +126,7 @@ def cmd_train(args) -> int:
     mcfg = run.sgen_config()
     tcfg = run.train_config()
     spec = run.degradation_spec()
-    scales = _check_scales(run, run.scale_list(), adversarial=not tcfg.mse_only)
+    scales = _check_scales(run.scale_list(), adversarial=not tcfg.mse_only)
     train_corpus, val_corpus = run.corpora()
     state = train(tcfg, mcfg, train_corpus, scales, spec, run.out,
                   val_corpus=val_corpus, verbose=True)
@@ -147,7 +138,7 @@ def cmd_eval(args) -> int:
     run = _run_config(args)
     params, mcfg = load_checkpoint(args.checkpoint)
     spec = run.degradation_spec()
-    scales = _check_scales(run, run.scale_list(), adversarial=False)
+    scales = run.scale_list()
     corpus = run.eval_corpus()
     report = eval_model(model_restorer(params, mcfg), corpus, scales, spec, seed=run.seed)
     csv_text = report.to_csv()
@@ -184,7 +175,7 @@ def cmd_gates(args) -> int:
     run = _run_config(args)
     params, mcfg = load_checkpoint(args.checkpoint)
     img = _match_channels(load_image(args.image), mcfg.image_channels)
-    s = Tensor(_pad_to(img, mcfg.divisor)[None])
+    s = Tensor(pad_to_divisor(img, mcfg.divisor)[None])
     stats = dump_gates(params, mcfg, s, run.out)
     for junction in sorted(stats):
         print(f"{junction}: mean(ga + gp) = {stats[junction]:.4f}")
@@ -225,7 +216,7 @@ def cmd_ablate(args) -> int:
             sgu_mse = (state.params, mcfg, val_corpus)
         print(f"trained {comb} variant ({tcfg.steps} steps)", flush=True)
 
-    _check_scales(run, scales, adversarial=True)
+    _check_scales(scales, adversarial=True)
     mcfg = run.sgen_config()
     tcfg = replace(run.train_config(), mse_only=False)
     state, val_corpus = one_run("ablate_sgu_adv", mcfg, tcfg)

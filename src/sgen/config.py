@@ -9,43 +9,19 @@ offending line number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, make_dataclass, replace
 from pathlib import Path
 
-from .data import DiskCorpus, SyntheticCorpus, split_corpus
+from .data import DegradationSpec, DiskCorpus, SyntheticCorpus, split_corpus
 from .errors import ConfigError
 from .model import SgenConfig
 from .train import TrainConfig
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    # model
-    levels: int = 3
-    base_channels: int = 8
-    combiner: str = "sgu"
-    lrelu_alpha: float = 0.2
-    image_channels: int = 1
-    disc_channels: int = 8
-    # trainer
-    steps: int = 2000
-    batch_size: int = 8
-    lr: float = 1e-4
-    lam: float = 10.0
-    loss_variant: str = "minimax"
-    mse_only: bool = False
-    seed: int = 0
-    val_every: int = 200
-    val_count: int = 8
-    grid_every: int = 0
-    divergence_limit: float = 1e6
-    # degradation
-    down_factor: int = 4
-    noise: str = "gaussian"
-    sigma: float = 30.0
-    uniform_lo: float = 0.0
-    uniform_hi: float = 30.0
-    # data
+class _RunKeys:
+    """Run-level keys and methods; RunConfig adds every field of the parts."""
+
     scales: str = "48x32,64x48,80x64"
     corpus: str = ""
     val_corpus: str = ""
@@ -53,31 +29,7 @@ class RunConfig:
     synthetic: int = 0
     synthetic_offset: int = 0
     val_images: int = 200
-    # artifacts
     out: str = "sgen_out"
-
-    # -- derived objects -------------------------------------------------
-
-    def sgen_config(self) -> SgenConfig:
-        return SgenConfig(levels=self.levels, base_channels=self.base_channels,
-                          combiner=self.combiner, lrelu_alpha=self.lrelu_alpha,
-                          image_channels=self.image_channels,
-                          disc_channels=self.disc_channels, seed=self.seed)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(steps=self.steps, batch_size=self.batch_size, lr=self.lr,
-                           lam=self.lam, loss_variant=self.loss_variant,
-                           mse_only=self.mse_only, seed=self.seed,
-                           val_every=self.val_every, val_count=self.val_count,
-                           grid_every=self.grid_every,
-                           divergence_limit=self.divergence_limit)
-
-    def degradation_spec(self):
-        from .data import DegradationSpec
-
-        return DegradationSpec(down_factor=self.down_factor, noise=self.noise,
-                               sigma=self.sigma, uniform_lo=self.uniform_lo,
-                               uniform_hi=self.uniform_hi)
 
     def scale_list(self) -> list:
         """Parse "HxW,HxW,..." and check divisibility for model and degradation."""
@@ -142,6 +94,26 @@ class RunConfig:
             raise ConfigError(f"split needs three ratios (train,val,test), got {self.split!r}")
         return ratios
 
+
+def _builder(part):
+    def build(self):
+        return part(**{f.name: getattr(self, f.name) for f in fields(part)})
+    build.__doc__ = f"The {part.__name__} named by this run's keys."
+    return build
+
+
+# each method builds its part from the same-named keys; `seed` feeds both
+# the model and the trainer
+_PARTS = {"sgen_config": SgenConfig, "train_config": TrainConfig,
+          "degradation_spec": DegradationSpec}
+_PART_FIELDS = {f.name: f for part in _PARTS.values() for f in fields(part)}
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [(f.name, f.type, field(default=f.default)) for f in _PART_FIELDS.values()],
+    bases=(_RunKeys,), frozen=True,
+    namespace={"__module__": __name__,
+               **{name: _builder(part) for name, part in _PARTS.items()}})
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,

@@ -118,6 +118,16 @@ class MetricReport:
         return "\n".join(lines) + "\n"
 
 
+def pad_to_divisor(img: np.ndarray, divisor: int) -> np.ndarray:
+    """Edge-pad a (c, h, w) image at the bottom and right to multiples of `divisor`."""
+    _, h, w = img.shape
+    ph = (divisor - h % divisor) % divisor
+    pw = (divisor - w % divisor) % divisor
+    if ph or pw:
+        img = np.pad(img, ((0, 0), (0, ph), (0, pw)), mode="edge")
+    return img
+
+
 def model_restorer(params: dict, config) -> callable:
     """Wrap generator parameters as a restore function over single images.
 
@@ -125,18 +135,13 @@ def model_restorer(params: dict, config) -> callable:
     restored version, edge-padding to the generator divisor and cropping
     back, so any size at or above the divisor works.
     """
-    d = config.divisor
-
     def restore(s):
         arr = np.asarray(s, dtype=np.float64)
         if arr.ndim != 3:
             raise ConfigError(f"restore expects a (c, h, w) image, got shape {arr.shape}")
         _, h, w = arr.shape
-        ph = (d - h % d) % d
-        pw = (d - w % d) % d
-        if ph or pw:
-            arr = np.pad(arr, ((0, 0), (0, ph), (0, pw)), mode="edge")
-        out, _ = generator_forward(Tensor(arr[None]), params, config)
+        out, _ = generator_forward(Tensor(pad_to_divisor(arr, config.divisor)[None]),
+                                   params, config)
         return out.data[0, :, :h, :w]
 
     return restore

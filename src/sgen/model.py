@@ -112,38 +112,26 @@ def _check_finite(t: Tensor, path: str) -> Tensor:
 # combiners
 
 
-def _sgu(x_a, x_p, gates, force=None):
-    """SGU core; returns (output, active gate map, passive gate map)."""
-    if x_a.shape != x_p.shape:
-        raise ConfigError(f"sgu inputs must share a shape, got {x_a.shape} and {x_p.shape}")
-    if force is None:
-        ga = sigmoid(conv2d(x_a, gates["ga.w"], gates["ga.b"], stride=1, padding=1))
-        gp = sigmoid(conv2d(x_a, gates["gp.w"], gates["gp.b"], stride=1, padding=1))
-    else:
-        # replace the sigmoid outputs with constants (degeneracy probes)
-        ca, cp = force
-        ga = Tensor(np.full(x_a.shape, float(ca)))
-        gp = Tensor(np.full(x_a.shape, float(cp)))
-    return add(mul(ga, x_a), mul(gp, x_p)), ga, gp
+def combine(kind, a, b, gates=None, force=None):
+    """Combine active input `a` with passive input `b` per the named variant.
 
-
-def sgu(x_a, x_p, gates, force=None) -> Tensor:
-    """Sequential gating unit: both gates are computed from the active input.
-
-    `gates` maps "ga.w"/"ga.b"/"gp.w"/"gp.b" to the two gate convolutions'
-    parameters (stride 1, same padding, channel-preserving).  `force`, when
-    given, is a (ga, gp) constant pair substituted for the sigmoid outputs.
+    Returns (output, ga, gp), where ga and gp are the gate-map arrays for
+    "sgu" and None for the other kinds.  The sequential gating unit computes
+    both gates from the active input: `gates` maps "ga.w"/"ga.b"/"gp.w"/"gp.b"
+    to the two gate convolutions' parameters (stride 1, same padding,
+    channel-preserving), and `force`, when given, is a (ga, gp) constant pair
+    substituted for the sigmoid outputs.  "concat" reads "cat.w"/"cat.b".
     """
-    return _sgu(x_a, x_p, gates, force)[0]
-
-
-def _combine(kind, a, b, gates=None, force=None):
-    """Dispatch to one combiner; returns (output, ga map or None, gp map or None)."""
     if a.shape != b.shape:
         raise ConfigError(f"combiner inputs must share a shape, got {a.shape} and {b.shape}")
     if kind == "sgu":
-        out, ga, gp = _sgu(a, b, gates, force)
-        return out, ga.data, gp.data
+        if force is None:
+            ga = sigmoid(conv2d(a, gates["ga.w"], gates["ga.b"], stride=1, padding=1))
+            gp = sigmoid(conv2d(a, gates["gp.w"], gates["gp.b"], stride=1, padding=1))
+        else:
+            # replace the sigmoid outputs with constants (degeneracy probes)
+            ga, gp = (Tensor(np.full(a.shape, float(v))) for v in force)
+        return add(mul(ga, a), mul(gp, b)), ga.data, gp.data
     if kind == "max":
         return maximum(a, b), None, None
     if kind == "avg":
@@ -155,52 +143,39 @@ def _combine(kind, a, b, gates=None, force=None):
     raise ConfigError(f"unknown combiner kind {kind!r}")
 
 
-def combine(kind, a, b, gates=None, force=None) -> Tensor:
-    """Combine active input `a` with passive input `b` per the named variant."""
-    return _combine(kind, a, b, gates, force)[0]
-
-
 # ---------------------------------------------------------------------------
 # parameter initialization
 
 
-def _conv_param(rng, oc, ic, k, gain):
-    fan_in = ic * k * k
-    fan_out = oc * k * k
-    if gain == "he":
-        bound = math.sqrt(6.0 / fan_in)
-    else:  # xavier, for layers feeding sigmoid/tanh
-        bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(oc, ic, k, k))
+def param_layout(config: SgenConfig) -> dict:
+    """Name -> (shape, init bound) of every parameter, in init draw order.
 
-
-def _deconv_param(rng, ic, oc, factor):
-    k = 2 * factor
-    # each output pixel sees ic * k^2 / factor^2 contributing inputs
-    fan_in = ic * k * k / (factor * factor)
-    bound = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=(ic, oc, k, k))
-
-
-def init_params(config: SgenConfig, seed: int | None = None) -> dict:
-    """Build all generator ("gen.*") and discriminator ("disc.*") parameters.
-
-    Deterministic given the seed (defaults to config.seed).  Weight draws are
-    uniform He for layers feeding relu/lrelu and uniform Xavier for layers
-    feeding sigmoid or tanh; all biases start at zero.
+    Weights are drawn uniform in [-bound, bound]: He bounds for layers feeding
+    relu/lrelu, Xavier bounds for layers feeding sigmoid or tanh.  Biases have
+    bound None and start at zero.
     """
-    rng = np.random.default_rng(config.seed if seed is None else seed)
     n, c, ic = config.levels, config.base_channels, config.image_channels
     bneck = config.bottleneck_channels
-    params: dict[str, Tensor] = {}
+    layout: dict[str, tuple] = {}
+
+    def put(path, shape, bound, oc_):
+        layout[path + ".w"] = (shape, bound)
+        layout[path + ".b"] = ((1, oc_, 1, 1), None)
 
     def put_conv(path, oc_, ic_, k, gain="he"):
-        params[path + ".w"] = Tensor(_conv_param(rng, oc_, ic_, k, gain), requires_grad=True)
-        params[path + ".b"] = Tensor(np.zeros((1, oc_, 1, 1)), requires_grad=True)
+        fan_in = ic_ * k * k
+        fan_out = oc_ * k * k
+        if gain == "he":
+            bound = math.sqrt(6.0 / fan_in)
+        else:  # xavier, for layers feeding sigmoid/tanh
+            bound = math.sqrt(6.0 / (fan_in + fan_out))
+        put(path, (oc_, ic_, k, k), bound, oc_)
 
     def put_deconv(path, ic_, oc_, factor):
-        params[path + ".w"] = Tensor(_deconv_param(rng, ic_, oc_, factor), requires_grad=True)
-        params[path + ".b"] = Tensor(np.zeros((1, oc_, 1, 1)), requires_grad=True)
+        k = 2 * factor
+        # each output pixel sees ic * k^2 / factor^2 contributing inputs
+        fan_in = ic_ * k * k / (factor * factor)
+        put(path, (ic_, oc_, k, k), math.sqrt(6.0 / fan_in), oc_)
 
     put_conv("gen.enc.stem1", c, ic, 3)
     put_conv("gen.enc.stem2", c, c, 3)
@@ -233,6 +208,20 @@ def init_params(config: SgenConfig, seed: int | None = None) -> dict:
     for i in range(1, 5):
         put_conv(f"disc.conv{i}", widths[i], widths[i - 1], 4)
     put_conv("disc.fc", 1, 8 * w, 1, gain="xavier")
+    return layout
+
+
+def init_params(config: SgenConfig, seed: int | None = None) -> dict:
+    """Build all generator ("gen.*") and discriminator ("disc.*") parameters.
+
+    Deterministic given the seed (defaults to config.seed); see param_layout
+    for the shapes and weight draws.
+    """
+    rng = np.random.default_rng(config.seed if seed is None else seed)
+    params: dict[str, Tensor] = {}
+    for name, (shape, bound) in param_layout(config).items():
+        data = np.zeros(shape) if bound is None else rng.uniform(-bound, bound, size=shape)
+        params[name] = Tensor(data, requires_grad=True)
     return params
 
 
@@ -309,9 +298,9 @@ def generator_forward(s: Tensor, params: dict, config: SgenConfig,
     # bottom-up combination; higher level is the active input
     acts.enc_combined.append(acts.enc_base[0])
     for k in range(2, n + 1):
-        out, ga, gp = _combine(config.combiner, acts.enc_base[k - 1], acts.enc_combined[-1],
-                               _junction_gates(params, "enc", k, config.combiner),
-                               force_for("enc"))
+        out, ga, gp = combine(config.combiner, acts.enc_base[k - 1], acts.enc_combined[-1],
+                              _junction_gates(params, "enc", k, config.combiner),
+                              force_for("enc"))
         _check_finite(out, f"gen.enc.junction{k}")
         if ga is not None:
             acts.enc_gates[f"enc.sgu{k}"] = (ga, gp)
@@ -327,9 +316,9 @@ def generator_forward(s: Tensor, params: dict, config: SgenConfig,
     y = relu(deconv2d(acts.dec_base[0], p("dec.merge1.w"), p("dec.merge1.b"), factor=2))
     acts.dec_combined.append(_check_finite(y, "gen.dec.merge1"))
     for k in range(2, n + 1):
-        out, ga, gp = _combine(config.combiner, acts.dec_base[k - 1], acts.dec_combined[-1],
-                               _junction_gates(params, "dec", k, config.combiner),
-                               force_for("dec"))
+        out, ga, gp = combine(config.combiner, acts.dec_base[k - 1], acts.dec_combined[-1],
+                              _junction_gates(params, "dec", k, config.combiner),
+                              force_for("dec"))
         _check_finite(out, f"gen.dec.junction{k}")
         if ga is not None:
             acts.dec_gates[f"dec.sgu{k}"] = (ga, gp)
@@ -407,7 +396,8 @@ def load_checkpoint(path) -> tuple[dict, SgenConfig]:
 
     Layout: 4-byte magic "SGEN", u32 version, u32 JSON length + config JSON,
     u32 tensor count, then per tensor a u16-length utf-8 path, u8 ndim,
-    ndim u32 dims, and raw little-endian float64 values.
+    ndim u32 dims, and raw little-endian float64 values.  The tensor names
+    and shapes must be exactly those of param_layout(config).
     """
     raw = Path(path).read_bytes()
     r = _Reader(raw)
@@ -423,18 +413,31 @@ def load_checkpoint(path) -> tuple[dict, SgenConfig]:
         config = SgenConfig(**json.loads(blob))
     except (ValueError, TypeError) as exc:
         raise CheckpointError(f"invalid config block: {exc}") from exc
+    expected = {name: shape for name, (shape, _) in param_layout(config).items()}
     params: dict[str, Tensor] = {}
     count = r.u32("tensor count")
     for i in range(count):
         name_len = struct.unpack("<H", r.take(2, f"tensor {i} name length"))[0]
-        name = r.take(name_len, f"tensor {i} name").decode()
+        try:
+            name = r.take(name_len, f"tensor {i} name").decode()
+        except UnicodeDecodeError:
+            raise CheckpointError(f"tensor {i} name is not valid UTF-8") from None
+        if name in params:
+            raise CheckpointError(f"duplicate tensor {name!r}")
         ndim = r.take(1, f"{name} ndim")[0]
         dims = struct.unpack(f"<{ndim}I", r.take(4 * ndim, f"{name} dims"))
-        size = int(np.prod(dims)) if ndim else 1
-        values = np.frombuffer(r.take(8 * size, f"{name} values"), dtype="<f8")
+        if name not in expected:
+            raise CheckpointError(f"unexpected tensor {name!r} for this config")
+        if dims != expected[name]:
+            raise CheckpointError(
+                f"tensor {name!r} has shape {dims}, config needs {expected[name]}")
+        values = np.frombuffer(r.take(8 * math.prod(dims), f"{name} values"), dtype="<f8")
         params[name] = Tensor(values.reshape(dims).astype(np.float64), requires_grad=True)
     if r.pos != len(raw):
         raise CheckpointError(f"trailing bytes after tensor table (offset {r.pos})")
+    missing = sorted(expected.keys() - params.keys())
+    if missing:
+        raise CheckpointError(f"checkpoint lacks {len(missing)} tensors: {missing[:4]}")
     return params, config
 
 

@@ -17,7 +17,7 @@ from .autodiff import (AdamState, Graph, Tensor, add, affine, collect_grads,
                        adam_step, log_clamped, mean_all, mul, sub)
 from .data import degrade_pair, make_batch, to_bytes, write_netpbm
 from .errors import ConfigError, DivergenceError, NumericsError
-from .metrics import psnr
+from .metrics import eval_model, model_restorer
 from .model import (SgenConfig, discriminator_forward, generator_forward,
                     init_params, save_checkpoint, split_params)
 
@@ -27,7 +27,7 @@ LOSS_VARIANTS = ("minimax", "nonsaturating")
 @dataclass(frozen=True)
 class TrainConfig:
     steps: int = 2000
-    batch_size: int = 64
+    batch_size: int = 8
     lr: float = 1e-4
     lam: float = 10.0
     loss_variant: str = "minimax"
@@ -43,6 +43,8 @@ class TrainConfig:
             raise ConfigError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.val_count < 1:
+            raise ConfigError(f"val_count must be >= 1, got {self.val_count}")
         if self.lr < 0:
             raise ConfigError(f"lr must be >= 0, got {self.lr}")
         if self.lam < 0:
@@ -161,19 +163,6 @@ def train_step(batch, state: TrainState, cfg: TrainConfig) -> dict:
 # full runs
 
 
-def _val_psnr(state: TrainState, corpus, scales, spec, count, seed) -> float:
-    """Mean restored PSNR over the first `count` held-out images per scale."""
-    vals = []
-    for si, scale in enumerate(scales):
-        for i in range(min(count, len(corpus))):
-            rng = np.random.default_rng([seed, 1000 + si, i])
-            pair = degrade_pair(corpus.image(i, *scale), spec, rng, scale)
-            out, _ = generator_forward(Tensor(pair.s[None]), state.params, state.model_config)
-            vals.append(psnr(to_bytes(out.data[0]).astype(np.float64),
-                             to_bytes(pair.t).astype(np.float64)))
-    return float(np.mean(vals))
-
-
 def write_grid(state: TrainState, corpus, scale, spec, path, count: int = 4, seed: int = 0):
     """PPM mosaic of rows [clean | degraded | restored] for the first images."""
     rows = []
@@ -226,7 +215,8 @@ def train(cfg: TrainConfig, model_cfg: SgenConfig, corpus, scales, spec,
         val = None
         if val_corpus is not None and cfg.val_every and (
                 state.step % cfg.val_every == 0 or state.step == cfg.steps):
-            val = _val_psnr(state, val_corpus, scales, spec, cfg.val_count, cfg.seed)
+            val = eval_model(model_restorer(state.params, state.model_config), val_corpus,
+                             scales, spec, seed=cfg.seed, limit=cfg.val_count).mean_psnr
             state.history[-1]["val_psnr"] = val
         if verbose and (val is not None or state.step == cfg.steps):
             parts = [f"step {state.step}/{cfg.steps}"]

@@ -2,15 +2,17 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from sgen.cli import main
 from sgen.config import RunConfig, build_run_config, parse_config_file
-from sgen.data import read_netpbm, synth_face, write_netpbm
+from sgen.data import DegradationSpec, read_netpbm, synth_face, write_netpbm
 from sgen.errors import ConfigError
-from sgen.model import SgenConfig, load_checkpoint, init_params
+from sgen.model import SgenConfig, init_params, load_checkpoint, save_checkpoint
+from sgen.train import TrainConfig
 
 TINY_KEYS = {"levels": 2, "base_channels": 2, "steps": 2, "batch_size": 2,
              "mse_only": True, "scales": "32x32", "synthetic": 4,
@@ -80,6 +82,18 @@ def test_build_run_config_precedence(tmp_path):
     assert build_run_config(None, None) == RunConfig()
     with pytest.raises(ConfigError, match="unknown"):
         build_run_config(None, {"depth": 3})
+
+
+def test_run_config_matches_library_defaults(tmp_path):
+    run = RunConfig()
+    assert run.sgen_config() == SgenConfig()
+    assert run.train_config() == TrainConfig()
+    assert run.degradation_spec() == DegradationSpec()
+    # every library field is a config-file key
+    defaults = {**asdict(SgenConfig()), **asdict(TrainConfig()), **asdict(DegradationSpec())}
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in defaults.items()))
+    assert parse_config_file(path) == defaults
 
 
 def test_scale_list_parsing():
@@ -169,6 +183,17 @@ def test_restore_missing_checkpoint_exits_2(tmp_path, capsys):
     assert main(["restore", "--checkpoint", str(tmp_path / "no.ckpt"),
                  str(src), str(tmp_path / "out.pgm")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_restore_incomplete_checkpoint_exits_2(trained, tmp_path, capsys):
+    params, mcfg = load_checkpoint(trained["ckpt"])
+    del params["gen.out.conv.w"]
+    save_checkpoint(params, mcfg, tmp_path / "bad.ckpt")
+    src = tmp_path / "in.pgm"
+    write_netpbm(synth_face(0, 32, 32), src)
+    assert main(["restore", "--checkpoint", str(tmp_path / "bad.ckpt"),
+                 str(src), str(tmp_path / "out.pgm")]) == 2
+    assert "sgen: error:" in capsys.readouterr().err
 
 
 def test_degrade_identity_settings(tmp_path):

@@ -5,7 +5,7 @@ from sgen.autodiff import Graph, Tensor, mean_all, mul, sub, sum_all
 from sgen.errors import CheckpointError, ConfigError, NumericsError
 from sgen.model import (COMBINERS, SgenConfig, combine, discriminator_forward,
                         dump_gates, generator_forward, init_params,
-                        load_checkpoint, save_checkpoint, sgu, split_params)
+                        load_checkpoint, save_checkpoint, split_params)
 
 from oracles import numeric_grad, rel_err
 from refnets import reference_forward
@@ -101,29 +101,30 @@ def test_sgu_forced_selection_identities():
     xa = Tensor(rng.normal(size=(2, 3, 4, 4)))
     xp = Tensor(rng.normal(size=(2, 3, 4, 4)))
     gates = _zero_gates(3)
-    np.testing.assert_array_equal(sgu(xa, xp, gates, force=(1.0, 0.0)).data, xa.data)
-    np.testing.assert_array_equal(sgu(xa, xp, gates, force=(0.0, 1.0)).data, xp.data)
+    np.testing.assert_array_equal(combine("sgu", xa, xp, gates, force=(1.0, 0.0))[0].data, xa.data)
+    np.testing.assert_array_equal(combine("sgu", xa, xp, gates, force=(0.0, 1.0))[0].data, xp.data)
 
 
 def test_sgu_zero_preactivation_averages():
     # sigmoid(0) = 0.5 on both gates: f = 0.5*2 + 0.5*4 = 3
     xa = Tensor(np.full((1, 1, 2, 2), 2.0))
     xp = Tensor(np.full((1, 1, 2, 2), 4.0))
-    out = sgu(xa, xp, _zero_gates(1))
+    out = combine("sgu", xa, xp, _zero_gates(1))[0]
     np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2), 3.0))
 
 
 def test_sgu_shape_mismatch():
     with pytest.raises(ConfigError):
-        sgu(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 2, 3))), _zero_gates(1))
+        combine("sgu", Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 2, 3))),
+                _zero_gates(1))
 
 
 def test_combine_max_and_avg():
     a = Tensor(np.array([1.0, 5.0]).reshape(1, 1, 1, 2))
     b = Tensor(np.array([4.0, 2.0]).reshape(1, 1, 1, 2))
-    np.testing.assert_array_equal(combine("max", a, b).data.reshape(-1), [4.0, 5.0])
+    np.testing.assert_array_equal(combine("max", a, b)[0].data.reshape(-1), [4.0, 5.0])
     x = Tensor(np.random.default_rng(1).normal(size=(1, 2, 3, 3)))
-    np.testing.assert_array_equal(combine("avg", x, x).data, x.data)
+    np.testing.assert_array_equal(combine("avg", x, x)[0].data, x.data)
 
 
 def test_combine_concat_identity_kernel():
@@ -133,7 +134,7 @@ def test_combine_concat_identity_kernel():
     for i in range(c):  # pick the first (active) half of the stack
         w[i, i, 0, 0] = 1.0
     gates = {"cat.w": Tensor(w), "cat.b": Tensor(np.zeros((1, c, 1, 1)))}
-    out = combine("concat", a, a, gates)
+    out = combine("concat", a, a, gates)[0]
     np.testing.assert_array_equal(out.data, np.ones((1, c, 4, 4)))
 
 
@@ -334,6 +335,54 @@ def test_checkpoint_trailing_garbage(tmp_path):
     save_checkpoint(init_params(TINY), TINY, path)
     path.write_bytes(path.read_bytes() + b"xx")
     with pytest.raises(CheckpointError, match="trailing"):
+        load_checkpoint(path)
+
+
+def _save_renamed(path, params, name, raw_name):
+    """Save `params` with tensor `name` stored under the name bytes `raw_name`."""
+    placeholder = name[:-1] + "~"  # same length as `name`, sorts after its neighbours
+    assert len(raw_name) == len(placeholder.encode())
+    params = dict(params)
+    params[placeholder] = params.pop(name)
+    save_checkpoint(params, TINY, path)
+    path.write_bytes(path.read_bytes().replace(placeholder.encode(), raw_name))
+
+
+def test_checkpoint_missing_tensor(tmp_path):
+    params = init_params(TINY)
+    del params["gen.out.conv.b"]
+    save_checkpoint(params, TINY, tmp_path / "m.ckpt")
+    with pytest.raises(CheckpointError, match="lacks.*gen.out.conv.b"):
+        load_checkpoint(tmp_path / "m.ckpt")
+
+
+def test_checkpoint_extra_tensor(tmp_path):
+    params = init_params(TINY)
+    params["gen.extra.w"] = Tensor(np.zeros((1, 1, 1, 1)))
+    save_checkpoint(params, TINY, tmp_path / "m.ckpt")
+    with pytest.raises(CheckpointError, match="unexpected.*gen.extra.w"):
+        load_checkpoint(tmp_path / "m.ckpt")
+
+
+def test_checkpoint_misshaped_tensor(tmp_path):
+    params = init_params(TINY)
+    params["gen.out.conv.w"] = Tensor(np.zeros((1, 2, 5, 5)))
+    save_checkpoint(params, TINY, tmp_path / "m.ckpt")
+    with pytest.raises(CheckpointError, match="gen.out.conv.w.*shape"):
+        load_checkpoint(tmp_path / "m.ckpt")
+
+
+def test_checkpoint_duplicate_name(tmp_path):
+    path = tmp_path / "m.ckpt"
+    _save_renamed(path, init_params(TINY), "gen.out.conv.b", b"gen.out.conv.w")
+    with pytest.raises(CheckpointError, match="duplicate.*gen.out.conv.w"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_undecodable_name(tmp_path):
+    path = tmp_path / "m.ckpt"
+    _save_renamed(path, init_params(TINY), "gen.out.conv.b", b"gen.out.conv\xff\xfe")
+    with pytest.raises(CheckpointError, match="UTF-8"):
         load_checkpoint(path)
 
 

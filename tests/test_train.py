@@ -27,7 +27,7 @@ def snapshot(params):
 
 
 def test_train_config_validation():
-    for kwargs in ({"steps": -1}, {"batch_size": 0}, {"lr": -1e-4},
+    for kwargs in ({"steps": -1}, {"batch_size": 0}, {"val_count": 0}, {"lr": -1e-4},
                    {"lam": -1.0}, {"loss_variant": "wasserstein"}):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
