@@ -20,11 +20,11 @@ _bound_threads()
 
 import numpy as np  # noqa: E402  (after the thread bound on purpose)
 
-from dataclasses import replace  # noqa: E402
+from dataclasses import fields, replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 from .config import RunConfig, build_run_config  # noqa: E402
-from .data import degrade, load_image, read_netpbm, save_image  # noqa: E402
+from .data import degrade, load_image, read_image, save_image  # noqa: E402
 from .errors import (CheckpointError, ConfigError, ImageFormatError,  # noqa: E402
                      SgenError, UsageError)
 from .metrics import eval_model, model_restorer, pad_to_divisor  # noqa: E402
@@ -36,67 +36,65 @@ _USAGE_ERRORS = (ConfigError, UsageError, ImageFormatError, CheckpointError,
                  FileNotFoundError, NotADirectoryError)
 
 
+# every argument a subcommand may take; flags that set a config key are named
+# after it (`--factor` sets down_factor)
+_ARGS = {
+    "--config": dict(metavar="PATH", help="key = value config file"),
+    "--steps": dict(type=int, help="training steps"),
+    "--combiner": dict(choices=COMBINERS, help="junction combiner variant"),
+    "--mse-only": dict(action="store_true", default=None,
+                       help="train with the MSE loss only (no discriminator)"),
+    "--levels": dict(type=int, help="encoder/decoder level count"),
+    "--sigma": dict(type=float, help="gaussian noise std, 8-bit units"),
+    "--noise": dict(choices=("gaussian", "uniform", "none"), help="degradation noise kind"),
+    "--scales": dict(metavar="HxW,...", help="comma-separated scales"),
+    "--seed": dict(type=int, help="run seed"),
+    "--out": dict(metavar="DIR", help="output directory"),
+    "--synthetic": dict(type=int, metavar="COUNT", help="use COUNT procedural training images"),
+    "--checkpoint": dict(required=True, metavar="PATH"),
+    "--factor": dict(type=int, dest="down_factor", help="downsampling factor override"),
+    "--noise-sweep": dict(metavar="S1,S2,...", help="also evaluate under these gaussian sigmas"),
+    "input": dict(metavar="IN.pgm"),
+    "output": dict(metavar="OUT.pgm"),
+}
+_TRAIN_ARGS = ("--config", "--steps", "--combiner", "--mse-only", "--levels", "--sigma",
+               "--noise", "--scales", "--seed", "--out", "--synthetic")
+
+# subcommand -> (help, the arguments it reads)
+_SUBCOMMANDS = {
+    "train": ("train a model, write checkpoint + logs", _TRAIN_ARGS),
+    "eval": ("per-scale PSNR/SSIM table for a checkpoint",
+             ("--config", "--sigma", "--noise", "--scales", "--seed", "--out",
+              "--synthetic", "--checkpoint")),
+    "restore": ("restore one image through a checkpoint", ("--checkpoint", "input", "output")),
+    "degrade": ("apply the degradation model to one image",
+                ("--config", "--sigma", "--noise", "--seed", "--factor", "input", "output")),
+    "gates": ("dump per-junction gate maps as PGM files",
+              ("--config", "--out", "--checkpoint", "input")),
+    "ablate": ("train/evaluate all combiner and loss variants",
+               tuple(a for a in _TRAIN_ARGS if a not in ("--combiner", "--mse-only"))
+               + ("--noise-sweep",)),
+}
+
+_RUN_KEYS = {f.name for f in fields(RunConfig)}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sgen",
         description="Multi-scale noise-robust face restoration with a "
                     "sequentially gated encoder-decoder GAN.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", metavar="PATH", help="key = value config file")
-        p.add_argument("--steps", type=int, help="training steps")
-        p.add_argument("--combiner", choices=COMBINERS, help="junction combiner variant")
-        p.add_argument("--mse-only", action="store_true", default=None,
-                       help="train with the MSE loss only (no discriminator)")
-        p.add_argument("--levels", type=int, help="encoder/decoder level count")
-        p.add_argument("--sigma", type=float, help="gaussian noise std, 8-bit units")
-        p.add_argument("--noise", choices=("gaussian", "uniform", "none"),
-                       help="degradation noise kind")
-        p.add_argument("--scales", metavar="HxW,...", help="comma-separated scales")
-        p.add_argument("--seed", type=int, help="run seed")
-        p.add_argument("--out", metavar="DIR", help="output directory")
-        p.add_argument("--synthetic", type=int, metavar="COUNT",
-                       help="use COUNT procedural training images")
-        return p
-
-    common(sub.add_parser("train", help="train a model, write checkpoint + logs"))
-
-    p = common(sub.add_parser("eval", help="per-scale PSNR/SSIM table for a checkpoint"))
-    p.add_argument("--checkpoint", required=True, metavar="PATH")
-
-    p = common(sub.add_parser("restore", help="restore one image through a checkpoint"))
-    p.add_argument("--checkpoint", required=True, metavar="PATH")
-    p.add_argument("input", metavar="IN.pgm")
-    p.add_argument("output", metavar="OUT.pgm")
-
-    p = common(sub.add_parser("degrade", help="apply the degradation model to one image"))
-    p.add_argument("--factor", type=int, help="downsampling factor override")
-    p.add_argument("input", metavar="IN.pgm")
-    p.add_argument("output", metavar="OUT.pgm")
-
-    p = common(sub.add_parser("gates", help="dump per-junction gate maps as PGM files"))
-    p.add_argument("--checkpoint", required=True, metavar="PATH")
-    p.add_argument("image", metavar="IN.pgm")
-
-    p = common(sub.add_parser("ablate", help="train/evaluate all combiner and loss variants"))
-    p.add_argument("--noise-sweep", metavar="S1,S2,...",
-                   help="also evaluate under these gaussian sigmas")
+    for command, (help_text, names) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in names:
+            p.add_argument(name, **_ARGS[name])
     return parser
 
 
 def _run_config(args) -> RunConfig:
-    overrides = {}
-    for flag, key in (("steps", "steps"), ("combiner", "combiner"),
-                      ("mse_only", "mse_only"), ("levels", "levels"),
-                      ("sigma", "sigma"), ("noise", "noise"), ("scales", "scales"),
-                      ("seed", "seed"), ("out", "out"), ("synthetic", "synthetic")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "factor", None) is not None:
-        overrides["down_factor"] = args.factor
-    return build_run_config(args.config, overrides)
+    return build_run_config(args.config, {k: v for k, v in vars(args).items()
+                                          if k in _RUN_KEYS and v is not None})
 
 
 def _check_scales(scales, adversarial: bool):
@@ -107,14 +105,6 @@ def _check_scales(scales, adversarial: bool):
                     f"scale {h}x{w} is below the discriminator minimum "
                     f"{DISC_MIN_HW}x{DISC_MIN_HW}; use --mse-only or larger scales")
     return scales
-
-
-def _match_channels(img: np.ndarray, channels: int) -> np.ndarray:
-    if img.shape[0] == channels:
-        return img
-    if channels == 1:
-        return img.mean(axis=0, keepdims=True)
-    return np.broadcast_to(img, (channels,) + img.shape[1:]).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +141,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_restore(args) -> int:
-    run = _run_config(args)
     params, mcfg = load_checkpoint(args.checkpoint)
-    img = _match_channels(load_image(args.input), mcfg.image_channels)
-    restored = model_restorer(params, mcfg)(img)
+    restored = model_restorer(params, mcfg)(load_image(args.input, mcfg.image_channels))
     save_image(restored, args.output)
     print(f"restored {args.input} -> {args.output}")
     return 0
@@ -163,10 +151,8 @@ def cmd_restore(args) -> int:
 def cmd_degrade(args) -> int:
     run = _run_config(args)
     spec = run.degradation_spec()
-    raster = read_netpbm(args.input).astype(np.float64)
-    img8 = raster[None] if raster.ndim == 2 else np.moveaxis(raster, -1, 0)
     rng = np.random.default_rng(run.seed)
-    save_image(degrade(img8, spec, rng), args.output)
+    save_image(degrade(read_image(args.input), spec, rng), args.output)
     print(f"degraded {args.input} -> {args.output}")
     return 0
 
@@ -174,7 +160,7 @@ def cmd_degrade(args) -> int:
 def cmd_gates(args) -> int:
     run = _run_config(args)
     params, mcfg = load_checkpoint(args.checkpoint)
-    img = _match_channels(load_image(args.image), mcfg.image_channels)
+    img = load_image(args.input, mcfg.image_channels)
     s = Tensor(pad_to_divisor(img, mcfg.divisor)[None])
     stats = dump_gates(params, mcfg, s, run.out)
     for junction in sorted(stats):
@@ -187,52 +173,43 @@ def cmd_ablate(args) -> int:
     run = _run_config(args)
     spec = run.degradation_spec()
     scales = run.scale_list()
+    train_corpus, val_corpus = run.corpora()
     out = Path(run.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    def one_run(name, mcfg, tcfg):
-        train_corpus, val_corpus = run.corpora()
-        state = train(tcfg, mcfg, train_corpus, scales, spec, out / name,
+    def one_run(name, mcfg, mse_only):
+        tcfg = replace(run.train_config(), mse_only=mse_only)
+        state = train(tcfg, mcfg, train_corpus, scales, spec, out / f"ablate_{name}",
                       val_corpus=val_corpus)
-        return state, val_corpus
+        print(f"trained {name} variant ({tcfg.steps} steps)", flush=True)
+        return state.params
 
-    def report_rows(name, params, mcfg, val_corpus, eval_spec):
+    def report_rows(name, params, mcfg, eval_spec):
         report = eval_model(model_restorer(params, mcfg), val_corpus, scales,
                             eval_spec, seed=run.seed)
-        rows = [f"{name},{r.scale[0]}x{r.scale[1]},{r.psnr:.4f},{r.ssim:.6f},{r.count}"
-                for r in report.rows]
-        total = sum(r.count for r in report.rows)
-        rows.append(f"{name},all,{report.mean_psnr:.4f},{report.mean_ssim:.6f},{total}")
-        return rows
+        return [f"{name},{line}" for line in report.to_csv().splitlines()[1:]]
 
     lines = ["variant,scale,psnr,ssim,n"]
-    sgu_mse = None
     for comb in COMBINERS:
         mcfg = replace(run.sgen_config(), combiner=comb)
-        tcfg = replace(run.train_config(), mse_only=True)
-        state, val_corpus = one_run(f"ablate_{comb}", mcfg, tcfg)
-        lines.extend(report_rows(comb, state.params, mcfg, val_corpus, spec))
+        params = one_run(comb, mcfg, mse_only=True)
+        lines.extend(report_rows(comb, params, mcfg, spec))
         if comb == "sgu":
-            sgu_mse = (state.params, mcfg, val_corpus)
-        print(f"trained {comb} variant ({tcfg.steps} steps)", flush=True)
+            sgu_mse = (params, mcfg)
 
     _check_scales(scales, adversarial=True)
-    mcfg = run.sgen_config()
-    tcfg = replace(run.train_config(), mse_only=False)
-    state, val_corpus = one_run("ablate_sgu_adv", mcfg, tcfg)
-    lines.extend(report_rows("sgu_adv", state.params, mcfg, val_corpus, spec))
-    print(f"trained sgu_adv variant ({tcfg.steps} steps)", flush=True)
+    mcfg = replace(run.sgen_config(), combiner="sgu")
+    params = one_run("sgu_adv", mcfg, mse_only=False)
+    lines.extend(report_rows("sgu_adv", params, mcfg, spec))
 
     if args.noise_sweep:
         try:
             sigmas = [float(v) for v in args.noise_sweep.split(",")]
         except ValueError:
             raise ConfigError(f"bad --noise-sweep {args.noise_sweep!r}") from None
-        params, mcfg, val_corpus = sgu_mse
         for sg in sigmas:
             sweep_spec = replace(spec, noise="gaussian", sigma=sg)
-            lines.extend(report_rows(f"sgu@sigma{sg:g}", params, mcfg,
-                                     val_corpus, sweep_spec))
+            lines.extend(report_rows(f"sgu@sigma{sg:g}", *sgu_mse, sweep_spec))
 
     (out / "ablation.csv").write_text("\n".join(lines) + "\n")
     print(f"wrote {out / 'ablation.csv'}")

@@ -73,17 +73,11 @@ class _RunKeys:
             "or pass --synthetic COUNT")
 
     def eval_corpus(self):
-        """The held-out corpus used by eval: explicit val_corpus, synthetic ids
-        starting at synthetic_offset, or the val split of the corpus directory."""
+        """The held-out corpus eval scores: val_corpus when set, else the
+        validation part of corpora(), the images training validates on."""
         if self.val_corpus:
             return DiskCorpus(self.val_corpus, channels=self.image_channels)
-        if self.synthetic > 0:
-            return SyntheticCorpus(self.synthetic, offset=self.synthetic_offset,
-                                   channels=self.image_channels)
-        if self.corpus:
-            return self.corpora()[1]
-        raise ConfigError(
-            "no evaluation data: set 'val_corpus' or 'corpus', or pass --synthetic COUNT")
+        return self.corpora()[1]
 
     def _split_ratios(self):
         try:

@@ -52,15 +52,6 @@ class DegradationSpec:
 
 
 @dataclass
-class ImagePair:
-    """One degraded/clean pair, both as float64 arrays in [-1, 1]."""
-
-    s: np.ndarray
-    t: np.ndarray
-    scale: tuple
-
-
-@dataclass
 class Batch:
     """A stacked minibatch of pairs at one spatial scale."""
 
@@ -220,21 +211,12 @@ class DiskCorpus:
         return len(self.paths)
 
     def image(self, i, h, w) -> np.ndarray:
-        raster = read_netpbm(self.paths[i])
-        if raster.ndim == 2:
-            chans = np.broadcast_to(raster, (self.channels,) + raster.shape)
-        else:  # (h, w, 3)
-            chans = np.moveaxis(raster, -1, 0)
-            if self.channels == 1:
-                chans = chans.mean(axis=0, keepdims=True)
-            elif chans.shape[0] != self.channels:
-                raise ConfigError(
-                    f"{self.paths[i]} has {chans.shape[0]} channels, need {self.channels}")
-        ch, cw = chans.shape[-2:]
+        img = read_image(self.paths[i], self.channels)
+        ch, cw = img.shape[-2:]
         if ch < h or cw < w:
             raise ConfigError(f"{self.paths[i]} is {ch}x{cw}, smaller than requested {h}x{w}")
         top, left = (ch - h) // 2, (cw - w) // 2
-        return chans[:, top:top + h, left:left + w].astype(np.float64)
+        return img[:, top:top + h, left:left + w]
 
 
 class Subset:
@@ -265,11 +247,6 @@ def split_corpus(corpus, ratios):
 
 # ---------------------------------------------------------------------------
 # batching
-
-
-def degrade_pair(img8, spec, rng, scale) -> ImagePair:
-    """Pair a clean 8-bit-units image with its degraded version."""
-    return ImagePair(s=degrade(img8, spec, rng), t=to_unit(img8), scale=scale)
 
 
 def make_batch(corpus, scale, k, spec: DegradationSpec, rng) -> Batch:
@@ -359,12 +336,24 @@ def write_netpbm(raster: np.ndarray, path) -> None:
         fh.write(raster.tobytes())
 
 
-def load_image(path) -> np.ndarray:
-    """Read an image as float64 (c, h, w) in [-1, 1]; c is 1 or 3."""
-    raster = read_netpbm(path)
-    if raster.ndim == 2:
-        return to_unit(raster[None])
-    return to_unit(np.moveaxis(raster, -1, 0))
+def read_image(path, channels=None) -> np.ndarray:
+    """Read a PGM/PPM file as float64 (c, h, w) in 8-bit units.
+
+    With `channels` given, color is averaged to gray or gray is repeated to
+    color; otherwise c is 1 for PGM and 3 for PPM.
+    """
+    raster = read_netpbm(path).astype(np.float64)
+    img = raster[None] if raster.ndim == 2 else np.moveaxis(raster, -1, 0)
+    if channels is None or img.shape[0] == channels:
+        return img
+    if channels == 1:
+        return img.mean(axis=0, keepdims=True)
+    return np.broadcast_to(img, (channels,) + img.shape[1:]).copy()
+
+
+def load_image(path, channels=None) -> np.ndarray:
+    """read_image mapped to [-1, 1]."""
+    return to_unit(read_image(path, channels))
 
 
 def save_image(img, path) -> None:

@@ -9,7 +9,7 @@ import numpy as np
 from scipy import ndimage
 
 from .autodiff import Tensor
-from .data import degrade_pair, to_bytes
+from .data import degrade, to_bytes, to_unit
 from .errors import ConfigError
 from .model import generator_forward
 
@@ -163,10 +163,10 @@ def eval_model(restore, corpus, scales, spec, seed: int = 0, limit: int | None =
         psnrs, ssims = [], []
         for i in range(count):
             rng = np.random.default_rng([seed, si, i])
-            pair = degrade_pair(corpus.image(i, *scale), spec, rng, scale)
-            out = np.asarray(restore(pair.s), dtype=np.float64)
+            img8 = corpus.image(i, *scale)
+            out = np.asarray(restore(degrade(img8, spec, rng)), dtype=np.float64)
             a = to_bytes(out).astype(np.float64)
-            b = to_bytes(pair.t).astype(np.float64)
+            b = to_bytes(to_unit(img8)).astype(np.float64)
             psnrs.append(psnr(a, b))
             ssims.append(ssim(a, b))
         rows.append(ScaleRow(scale, float(np.mean(psnrs)), float(np.mean(ssims)), count))

@@ -50,8 +50,10 @@ class SgenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.levels < 2:
-            raise ConfigError(f"levels must be >= 2, got {self.levels}")
+        # the cap (divisor 512, above every size in use) keeps a checkpoint's
+        # config from asking for a huge parameter layout
+        if not 2 <= self.levels <= 8:
+            raise ConfigError(f"levels must be in [2, 8], got {self.levels}")
         if self.base_channels < 1:
             raise ConfigError(f"base_channels must be >= 1, got {self.base_channels}")
         if self.combiner not in COMBINERS:
@@ -411,7 +413,7 @@ def load_checkpoint(path) -> tuple[dict, SgenConfig]:
     blob = r.take(r.u32("config length"), "config JSON")
     try:
         config = SgenConfig(**json.loads(blob))
-    except (ValueError, TypeError) as exc:
+    except (ConfigError, ValueError, TypeError) as exc:
         raise CheckpointError(f"invalid config block: {exc}") from exc
     expected = {name: shape for name, (shape, _) in param_layout(config).items()}
     params: dict[str, Tensor] = {}

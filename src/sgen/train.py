@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import (AdamState, Graph, Tensor, add, affine, collect_grads,
                        adam_step, log_clamped, mean_all, mul, sub)
-from .data import degrade_pair, make_batch, to_bytes, write_netpbm
+from .data import degrade, make_batch, save_image, to_unit
 from .errors import ConfigError, DivergenceError, NumericsError
 from .metrics import eval_model, model_restorer
 from .model import (SgenConfig, discriminator_forward, generator_forward,
@@ -165,16 +165,15 @@ def train_step(batch, state: TrainState, cfg: TrainConfig) -> dict:
 
 def write_grid(state: TrainState, corpus, scale, spec, path, count: int = 4, seed: int = 0):
     """PPM mosaic of rows [clean | degraded | restored] for the first images."""
+    restore = model_restorer(state.params, state.model_config)
     rows = []
     for i in range(min(count, len(corpus))):
         rng = np.random.default_rng([seed, 2000, i])
-        pair = degrade_pair(corpus.image(i, *scale), spec, rng, scale)
-        out, _ = generator_forward(Tensor(pair.s[None]), state.params, state.model_config)
-        rows.append(np.concatenate([pair.t, pair.s, out.data[0]], axis=-1))
-    mosaic = to_bytes(np.concatenate(rows, axis=-2))
-    if mosaic.shape[0] == 1:
-        mosaic = np.broadcast_to(mosaic, (3,) + mosaic.shape[1:])
-    write_netpbm(np.moveaxis(mosaic, 0, -1), path)
+        img8 = corpus.image(i, *scale)
+        s = degrade(img8, spec, rng)
+        rows.append(np.concatenate([to_unit(img8), s, restore(s)], axis=-1))
+    mosaic = np.concatenate(rows, axis=-2)
+    save_image(np.broadcast_to(mosaic, (3,) + mosaic.shape[1:]), path)
 
 
 def _fmt(v) -> str:

@@ -96,6 +96,20 @@ def test_run_config_matches_library_defaults(tmp_path):
     assert parse_config_file(path) == defaults
 
 
+def test_eval_corpus_is_held_out(tmp_path):
+    def ids(corpus):
+        return set(range(corpus.offset, corpus.offset + len(corpus)))
+
+    run = RunConfig(synthetic=50, synthetic_offset=7, val_images=20)
+    assert ids(run.corpora()[0]) == set(range(7, 57))
+    assert ids(run.eval_corpus()) == set(range(57, 77))
+    for i in range(10):
+        write_netpbm(synth_face(i, 16, 16), tmp_path / f"{i:02d}.pgm")
+    run = RunConfig(corpus=str(tmp_path), split="0.6,0.2,0.2")
+    assert run.corpora()[0].indices == [0, 1, 2, 3, 4, 5]
+    assert run.eval_corpus().indices == [6, 7]
+
+
 def test_scale_list_parsing():
     run = RunConfig(scales="48x32, 64x48")
     assert run.scale_list() == [(48, 32), (64, 48)]
@@ -240,7 +254,7 @@ def test_gates_dumps_maps_and_stats(trained, tmp_path, capsys):
 
 
 def test_ablate_compares_variants(tmp_path, capsys):
-    cfg = write_config(tmp_path / "run.cfg", val_images=2)
+    cfg = write_config(tmp_path / "run.cfg", val_images=2, combiner="max")
     out = tmp_path / "ab"
     assert main(["ablate", "--config", cfg, "--out", str(out),
                  "--noise-sweep", "20"]) == 0
@@ -251,6 +265,8 @@ def test_ablate_compares_variants(tmp_path, capsys):
     assert len(lines) == 1 + 6 * 2  # per-scale row + all row for each variant
     for comb in ("sgu", "max", "avg", "concat", "sgu_adv"):
         assert (out / f"ablate_{comb}" / "sgen.ckpt").is_file()
+    # the adversarial variant is SGU whatever the config's combiner says
+    assert load_checkpoint(out / "ablate_sgu_adv" / "sgen.ckpt")[1].combiner == "sgu"
 
 
 def test_bad_noise_sweep_exits_2(tmp_path, capsys):
@@ -258,6 +274,20 @@ def test_bad_noise_sweep_exits_2(tmp_path, capsys):
     assert main(["ablate", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--noise-sweep", "low,high"]) == 2
     assert "noise-sweep" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["restore", "--levels", "2", "--checkpoint", "m.ckpt", "in.pgm", "out.pgm"],
+    ["degrade", "--scales", "32x32", "in.pgm", "out.pgm"],
+    ["gates", "--steps", "1", "--checkpoint", "m.ckpt", "in.pgm"],
+    ["eval", "--combiner", "max", "--checkpoint", "m.ckpt"],
+    ["ablate", "--mse-only"],
+], ids=["restore", "degrade", "gates", "eval", "ablate"])
+def test_subcommand_rejects_flags_it_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_invalid_sgen_threads_exits_2(monkeypatch, capsys):

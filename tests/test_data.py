@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sgen.data import (Batch, DegradationSpec, DiskCorpus, SyntheticCorpus,
-                       degrade, degrade_pair, load_image, make_batch,
+                       degrade, load_image, make_batch,
                        read_netpbm, sample_scales, save_image, split_corpus,
                        synth_face, to_bytes, to_unit, write_netpbm)
 from sgen.errors import ConfigError, ImageFormatError
@@ -235,13 +235,6 @@ def test_make_batch_rejects_bad_k():
         make_batch(SyntheticCorpus(5), (32, 32), 0, CLEAN1, np.random.default_rng(0))
 
 
-def test_degrade_pair_fields():
-    img = SyntheticCorpus(1).image(0, 32, 32)
-    pair = degrade_pair(img, CLEAN1, np.random.default_rng(0), (32, 32))
-    np.testing.assert_array_equal(pair.s, pair.t)
-    assert pair.scale == (32, 32)
-
-
 # ---------------------------------------------------------------------------
 # netpbm I/O
 
@@ -302,10 +295,14 @@ def test_save_load_image_roundtrip(tmp_path):
     path = tmp_path / "r.pgm"
     save_image(img, path)
     np.testing.assert_array_equal(load_image(path), img)
-    color = to_unit(rng.integers(0, 256, (3, 8, 8)))
+    raw = rng.integers(0, 256, (3, 8, 8))
+    color = to_unit(raw)
     cpath = tmp_path / "r.ppm"
     save_image(color, cpath)
     np.testing.assert_array_equal(load_image(cpath), color)
+    # a model's channel count: color averages to gray, gray repeats to color
+    np.testing.assert_array_equal(load_image(cpath, 1), to_unit(raw.mean(axis=0, keepdims=True)))
+    np.testing.assert_array_equal(load_image(path, 3), np.repeat(img, 3, axis=0))
 
 
 def test_save_image_gate_value_mapping(tmp_path):

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -32,6 +35,8 @@ def test_config_validation():
         SgenConfig(combiner="mean")
     with pytest.raises(ConfigError):
         SgenConfig(image_channels=4)
+    with pytest.raises(ConfigError):
+        SgenConfig(levels=9)
 
 
 def test_config_channel_plan():
@@ -376,6 +381,15 @@ def test_checkpoint_duplicate_name(tmp_path):
     path = tmp_path / "m.ckpt"
     _save_renamed(path, init_params(TINY), "gen.out.conv.b", b"gen.out.conv.w")
     with pytest.raises(CheckpointError, match="duplicate.*gen.out.conv.w"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_hostile_levels_rejected(tmp_path):
+    # a tensor-less file whose config asks for an enormous layout
+    blob = json.dumps({"levels": 30000}).encode()
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(b"SGEN" + struct.pack("<II", 1, len(blob)) + blob + struct.pack("<I", 0))
+    with pytest.raises(CheckpointError, match="invalid config block.*levels"):
         load_checkpoint(path)
 
 
