@@ -256,9 +256,9 @@ def deconv2d(x: Tensor, kernel: Tensor, bias: Tensor, factor: int = 1) -> Tensor
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    out = np.where(mask, x.data, 0.0)
-    return _record("relu", (x,), out, lambda g: (g * mask,))
+    # NaN fails `<= 0` and passes through, where `> 0` would zero it unseen
+    out = np.where(x.data <= 0, 0.0, x.data)
+    return _record("relu", (x,), out, lambda g: (g * (x.data > 0),))
 
 
 def lrelu(x: Tensor, alpha: float = 0.2) -> Tensor:

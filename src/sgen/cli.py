@@ -127,6 +127,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     run = _run_config(args)
     params, mcfg = load_checkpoint(args.checkpoint)
+    # the scale divisor and the corpus channels are the model's
+    run = replace(run, levels=mcfg.levels, image_channels=mcfg.image_channels)
     spec = run.degradation_spec()
     scales = run.scale_list()
     corpus = run.eval_corpus()

@@ -22,13 +22,14 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import (Tensor, add, affine, concat_channels, conv2d, deconv2d,
                        global_avg_pool, lrelu, maximum, mul, relu, sigmoid, tanh)
+from .data import save_image
 from .errors import CheckpointError, ConfigError, NumericsError
 
 COMBINERS = ("sgu", "max", "avg", "concat")
@@ -62,7 +63,7 @@ class SgenConfig:
             raise ConfigError(f"image_channels must be 1 or 3, got {self.image_channels}")
         if self.disc_channels < 1:
             raise ConfigError(f"disc_channels must be >= 1, got {self.disc_channels}")
-        if self.lrelu_alpha < 0.0 or self.lrelu_alpha >= 1.0:
+        if not 0.0 <= self.lrelu_alpha < 1.0:  # also rejects NaN
             raise ConfigError(f"lrelu_alpha must be in [0, 1), got {self.lrelu_alpha}")
 
     @property
@@ -86,24 +87,6 @@ class SgenConfig:
         return self.trunk_channels(self.levels + 1 - k)
 
 
-@dataclass
-class LevelActivations:
-    """Intermediate feature maps from one generator forward pass.
-
-    Lists are level-indexed (element 0 is level 1).  Gate dicts map junction
-    names like "enc.sgu2" to (active-gate, passive-gate) sigmoid maps; they
-    stay empty for non-SGU combiners.
-    """
-
-    trunk: list = field(default_factory=list)
-    enc_base: list = field(default_factory=list)
-    enc_combined: list = field(default_factory=list)
-    dec_base: list = field(default_factory=list)
-    dec_combined: list = field(default_factory=list)
-    enc_gates: dict = field(default_factory=dict)
-    dec_gates: dict = field(default_factory=dict)
-
-
 def _check_finite(t: Tensor, path: str) -> Tensor:
     if not np.isfinite(t.data).all():
         raise NumericsError(f"non-finite activation after layer {path!r}")
@@ -114,33 +97,28 @@ def _check_finite(t: Tensor, path: str) -> Tensor:
 # combiners
 
 
-def combine(kind, a, b, gates=None, force=None):
+def combine(kind, a, b, params=None, path=""):
     """Combine active input `a` with passive input `b` per the named variant.
 
-    Returns (output, ga, gp), where ga and gp are the gate-map arrays for
+    Returns (output, ga, gp), where ga and gp are the gate-map tensors for
     "sgu" and None for the other kinds.  The sequential gating unit computes
-    both gates from the active input: `gates` maps "ga.w"/"ga.b"/"gp.w"/"gp.b"
-    to the two gate convolutions' parameters (stride 1, same padding,
-    channel-preserving), and `force`, when given, is a (ga, gp) constant pair
-    substituted for the sigmoid outputs.  "concat" reads "cat.w"/"cat.b".
+    both gates from the active input through the convolutions `path + ".ga"`
+    and `path + ".gp"` in `params` (stride 1, same padding,
+    channel-preserving); "concat" reads `path + ".w"` and `path + ".b"`.
     """
     if a.shape != b.shape:
         raise ConfigError(f"combiner inputs must share a shape, got {a.shape} and {b.shape}")
     if kind == "sgu":
-        if force is None:
-            ga = sigmoid(conv2d(a, gates["ga.w"], gates["ga.b"], stride=1, padding=1))
-            gp = sigmoid(conv2d(a, gates["gp.w"], gates["gp.b"], stride=1, padding=1))
-        else:
-            # replace the sigmoid outputs with constants (degeneracy probes)
-            ga, gp = (Tensor(np.full(a.shape, float(v))) for v in force)
-        return add(mul(ga, a), mul(gp, b)), ga.data, gp.data
+        ga = sigmoid(conv2d(a, params[path + ".ga.w"], params[path + ".ga.b"], stride=1, padding=1))
+        gp = sigmoid(conv2d(a, params[path + ".gp.w"], params[path + ".gp.b"], stride=1, padding=1))
+        return add(mul(ga, a), mul(gp, b)), ga, gp
     if kind == "max":
         return maximum(a, b), None, None
     if kind == "avg":
         return affine(add(a, b), 0.5, 0.0), None, None
     if kind == "concat":
         # 1x1 conv halves the channel count so downstream shapes match
-        out = conv2d(concat_channels(a, b), gates["cat.w"], gates["cat.b"])
+        out = conv2d(concat_channels(a, b), params[path + ".w"], params[path + ".b"])
         return out, None, None
     raise ConfigError(f"unknown combiner kind {kind!r}")
 
@@ -238,24 +216,15 @@ def split_params(params: dict) -> tuple[dict, dict]:
 # forward passes
 
 
-def _junction_gates(params, stage, k, combiner):
-    if combiner == "sgu":
-        pre = f"gen.{stage}.sgu{k}."
-        return {s: params[pre + s] for s in ("ga.w", "ga.b", "gp.w", "gp.b")}
-    if combiner == "concat":
-        pre = f"gen.{stage}.cat{k}."
-        return {"cat.w": params[pre + "w"], "cat.b": params[pre + "b"]}
-    return None
-
-
-def generator_forward(s: Tensor, params: dict, config: SgenConfig,
-                      gate_override: dict | None = None):
-    """Run the generator; returns (output tensor, LevelActivations).
+def generator_forward(s: Tensor, params: dict, config: SgenConfig):
+    """Run the generator; returns (output tensor, activations).
 
     `s` must have spatial dims divisible by 2^(levels+1); callers pad and
-    crop otherwise.  `gate_override` maps "enc"/"dec" to constant (ga, gp)
-    pairs substituted for every sigmoid gate output in that stage; it
-    requires the sgu combiner.
+    crop otherwise.  The activations dict maps layer paths, the ones a
+    non-finite activation is reported under, to their outputs in forward
+    order: "gen.enc.stem2", "gen.enc.trunk{k}", "gen.{enc,dec}.base{k}",
+    "gen.{enc,dec}.junction{k}" and "gen.dec.merge{k}", plus the gate maps
+    "gen.{enc,dec}.sgu{k}.ga" and ".gp" of the sgu combiner.
     """
     n_, c_in, h, w = s.shape
     if c_in != config.image_channels:
@@ -266,68 +235,59 @@ def generator_forward(s: Tensor, params: dict, config: SgenConfig,
         raise ConfigError(
             f"input spatial dims {h}x{w} must be divisible by {d}; "
             f"pad the input to the next multiple and crop the output back")
-    if gate_override is not None and config.combiner != "sgu":
-        raise ConfigError("gate_override requires the sgu combiner")
 
     n = config.levels
     al = config.lrelu_alpha
-    acts = LevelActivations()
+    acts: dict[str, Tensor] = {}
 
-    def p(name):
-        return params["gen." + name]
+    def keep(path, t):
+        acts[path] = _check_finite(t, path)
+        return t
 
-    def conv_block(t, name, stride, pad):
-        out = lrelu(conv2d(t, p(name + ".w"), p(name + ".b"), stride, pad), al)
-        return _check_finite(out, "gen." + name)
+    def conv(t, path, stride, pad):
+        return lrelu(conv2d(t, params[path + ".w"], params[path + ".b"], stride, pad), al)
 
-    def force_for(stage):
-        if gate_override is None:
-            return None
-        return gate_override.get(stage)
+    def deconv(t, path, factor):
+        return relu(deconv2d(t, params[path + ".w"], params[path + ".b"], factor=factor))
 
-    # encoder trunk: one stride-2 step per level
-    t = conv_block(s, "enc.stem1", 1, 1)
-    t = conv_block(t, "enc.stem2", 2, 1)
-    acts.trunk.append(t)
+    def junction(stage, k, active, passive):
+        sgu = f"gen.{stage}.sgu{k}"
+        out, ga, gp = combine(config.combiner, active, passive, params,
+                              f"gen.{stage}.cat{k}" if config.combiner == "concat" else sgu)
+        if ga is not None:
+            acts[sgu + ".ga"], acts[sgu + ".gp"] = ga, gp
+        return keep(f"gen.{stage}.junction{k}", out)
+
+    # encoder trunk: one stride-2 step per level; the full-resolution stem1
+    # output is checked but not kept
+    t = _check_finite(conv(s, "gen.enc.stem1", 1, 1), "gen.enc.stem1")
+    trunk = [keep("gen.enc.stem2", conv(t, "gen.enc.stem2", 2, 1))]
+    del t
     for k in range(2, n + 1):
-        acts.trunk.append(conv_block(acts.trunk[-1], f"enc.trunk{k}", 2, 1))
+        trunk.append(keep(f"gen.enc.trunk{k}", conv(trunk[-1], f"gen.enc.trunk{k}", 2, 1)))
 
     # base-encoders: pool every level to the shared deepest scale
+    base = []
     for k in range(1, n + 1):
         j = n - k + 1
-        acts.enc_base.append(conv_block(acts.trunk[k - 1], f"enc.base{k}", 2 ** j, j))
+        base.append(keep(f"gen.enc.base{k}", conv(trunk[k - 1], f"gen.enc.base{k}", 2 ** j, j)))
 
     # bottom-up combination; higher level is the active input
-    acts.enc_combined.append(acts.enc_base[0])
+    combined = [base[0]]
     for k in range(2, n + 1):
-        out, ga, gp = combine(config.combiner, acts.enc_base[k - 1], acts.enc_combined[-1],
-                              _junction_gates(params, "enc", k, config.combiner),
-                              force_for("enc"))
-        _check_finite(out, f"gen.enc.junction{k}")
-        if ga is not None:
-            acts.enc_gates[f"enc.sgu{k}"] = (ga, gp)
-        acts.enc_combined.append(out)
+        combined.append(junction("enc", k, base[k - 1], combined[-1]))
 
     # base-decoders: level k restores from the (N-k+1)-th combined feature
-    for k in range(1, n + 1):
-        src = acts.enc_combined[n - k]
-        out = relu(deconv2d(src, p(f"dec.base{k}.w"), p(f"dec.base{k}.b"), factor=2 ** k))
-        acts.dec_base.append(_check_finite(out, f"gen.dec.base{k}"))
+    dec = [keep(f"gen.dec.base{k}", deconv(combined[n - k], f"gen.dec.base{k}", 2 ** k))
+           for k in range(1, n + 1)]
 
     # top-down combination; lower level is the active input
-    y = relu(deconv2d(acts.dec_base[0], p("dec.merge1.w"), p("dec.merge1.b"), factor=2))
-    acts.dec_combined.append(_check_finite(y, "gen.dec.merge1"))
+    y = keep("gen.dec.merge1", deconv(dec[0], "gen.dec.merge1", 2))
     for k in range(2, n + 1):
-        out, ga, gp = combine(config.combiner, acts.dec_base[k - 1], acts.dec_combined[-1],
-                              _junction_gates(params, "dec", k, config.combiner),
-                              force_for("dec"))
-        _check_finite(out, f"gen.dec.junction{k}")
-        if ga is not None:
-            acts.dec_gates[f"dec.sgu{k}"] = (ga, gp)
-        y = relu(deconv2d(out, p(f"dec.merge{k}.w"), p(f"dec.merge{k}.b"), factor=2))
-        acts.dec_combined.append(_check_finite(y, f"gen.dec.merge{k}"))
+        y = junction("dec", k, dec[k - 1], y)
+        y = keep(f"gen.dec.merge{k}", deconv(y, f"gen.dec.merge{k}", 2))
 
-    out = tanh(conv2d(acts.dec_combined[-1], p("out.conv.w"), p("out.conv.b"), 1, 1))
+    out = tanh(conv2d(y, params["gen.out.conv.w"], params["gen.out.conv.b"], 1, 1))
     return _check_finite(out, "gen.out.conv"), acts
 
 
@@ -412,8 +372,16 @@ def load_checkpoint(path) -> tuple[dict, SgenConfig]:
             f"unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})")
     blob = r.take(r.u32("config length"), "config JSON")
     try:
-        config = SgenConfig(**json.loads(blob))
-    except (ConfigError, ValueError, TypeError) as exc:
+        block = json.loads(blob)
+        if not isinstance(block, dict):
+            raise TypeError(f"expected a JSON object, got {type(block).__name__}")
+        for f in fields(SgenConfig):
+            # a JSON integer may stand for a float; a bool is no int here
+            want, got = type(f.default), type(block.get(f.name, f.default))
+            if got is not want and (want, got) != (float, int):
+                raise TypeError(f"{f.name} must be {want.__name__}, got {got.__name__}")
+        config = SgenConfig(**block)
+    except (ConfigError, ValueError, TypeError, RecursionError) as exc:
         raise CheckpointError(f"invalid config block: {exc}") from exc
     expected = {name: shape for name, (shape, _) in param_layout(config).items()}
     params: dict[str, Tensor] = {}
@@ -452,18 +420,20 @@ def dump_gates(params: dict, config: SgenConfig, s: Tensor, out_dir) -> dict:
 
     One file per (junction, gate, channel) from the first batch item, named
     like "enc_sgu2_ga_ch03.pgm", with gate value 0 mapped to byte 0 and 1 to
-    byte 255.  Returns {junction: mean(ga + gp)} so callers can report how
-    complementary the two gates are.
+    byte 255.  Returns {junction: mean(ga + gp)}, keyed like "enc.sgu2", so
+    callers can report how complementary the two gates are.
     """
-    from .data import save_image
-
     if config.combiner != "sgu":
         raise ConfigError("gate maps exist only for the sgu combiner")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _, acts = generator_forward(s, params, config)
     stats = {}
-    for junction, (ga, gp) in {**acts.enc_gates, **acts.dec_gates}.items():
+    for path, ga in acts.items():
+        if not path.endswith(".ga"):
+            continue
+        junction = path.removeprefix("gen.").removesuffix(".ga")
+        ga, gp = ga.data, acts[f"gen.{junction}.gp"].data
         stem = junction.replace(".", "_")
         for label, gmap in (("ga", ga), ("gp", gp)):
             for ch in range(gmap.shape[1]):

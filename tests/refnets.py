@@ -3,9 +3,38 @@
 These rebuild the generator wiring explicitly from the same parameter dict,
 with the junctions replaced by the plain skip (pass the active input) or
 residual (sum both inputs) forms, never calling the gated combiner code.
+`force_gates` makes the real gated generator degenerate to them through its
+parameters alone.
 """
 
-from sgen.autodiff import add, conv2d, deconv2d, lrelu, relu, tanh
+import numpy as np
+
+from sgen.autodiff import Tensor, add, conv2d, deconv2d, lrelu, relu, tanh
+
+# with a zero gate kernel, the bias for which the float64 sigmoid returns
+# exactly this gate value
+FORCING_BIAS = {1.0: 1000.0, 0.0: -1000.0, 0.5: 0.0}
+
+
+def gate_params(path, c, ga, gp):
+    """Zero-kernel gate convolutions for one c-channel SGU at `path` whose
+    sigmoid outputs are the constants ga and gp (keys of FORCING_BIAS)."""
+    out = {}
+    for gate, value in (("ga", ga), ("gp", gp)):
+        out[f"{path}.{gate}.w"] = Tensor(np.zeros((c, c, 3, 3)))
+        out[f"{path}.{gate}.b"] = Tensor(np.full((1, c, 1, 1), FORCING_BIAS[value]))
+    return out
+
+
+def force_gates(params, cfg, enc, dec):
+    """Copy of `params` whose encoder SGUs output the gate pair enc = (ga, gp)
+    and whose decoder SGUs output dec = (ga, gp) at every position."""
+    forced = dict(params)
+    for stage, pair in (("enc", enc), ("dec", dec)):
+        for k in range(2, cfg.levels + 1):
+            path = f"gen.{stage}.sgu{k}"
+            forced.update(gate_params(path, params[path + ".ga.b"].shape[1], *pair))
+    return forced
 
 
 def reference_forward(s, params, cfg, mode):

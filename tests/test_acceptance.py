@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from oracles import numeric_grad, nudge_off_kinks, rel_err, ssim_windowed_naive
-from refnets import reference_forward
+from refnets import force_gates, reference_forward
 from sgen.autodiff import (Graph, Tensor, add, affine, collect_grads,
                            concat_channels, conv2d, deconv2d, global_avg_pool,
                            log_clamped, lrelu, maximum, mean_all, mul, relu,
@@ -168,7 +168,7 @@ def test_criterion_02_gate_degeneracy():
     for seed in range(5):
         s = Tensor(np.random.default_rng(seed).uniform(-1, 1, (1, 1, 48, 32)))
         for mode, override in cases:
-            forced, _ = generator_forward(s, params, cfg, gate_override=override)
+            forced, _ = generator_forward(s, force_gates(params, cfg, **override), cfg)
             ref = reference_forward(s, params, cfg, mode)
             assert np.array_equal(forced.data, ref.data), (mode, seed)
 

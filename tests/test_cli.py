@@ -60,6 +60,9 @@ def test_parse_config_bad_value_type(tmp_path):
     path.write_text("mse_only = maybe\n")
     with pytest.raises(ConfigError, match="true/false"):
         parse_config_file(path)
+    path.write_bytes(b"# caf\xe9 (Latin-1)\nsteps = 2\n")
+    with pytest.raises(ConfigError, match=r"run\.cfg is not UTF-8"):
+        parse_config_file(path)
 
 
 def test_parse_config_missing_file(tmp_path):
@@ -180,6 +183,21 @@ def test_eval_writes_metrics_and_is_deterministic(trained, capsys):
     lines = csv1.strip().split("\n")
     assert lines[1].startswith("32x32,")
     assert lines[-1].startswith("all,")
+
+
+def test_eval_takes_levels_and_channels_from_checkpoint(tmp_path):
+    # one model differs from the run-config defaults in levels, one in image_channels
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("val_images = 2\n")
+    for i, mcfg in enumerate([SgenConfig(levels=2, base_channels=2),
+                              SgenConfig(base_channels=2, image_channels=3)]):
+        ckpt = tmp_path / f"m{i}.ckpt"
+        save_checkpoint(init_params(mcfg), mcfg, ckpt)
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--scales", "40x40" if mcfg.levels == 2 else "32x32",
+                     "--synthetic", "4", "--out", str(tmp_path / f"e{i}")]) == 0
+        lines = (tmp_path / f"e{i}" / "metrics.csv").read_text().strip().split("\n")
+        assert lines[-1].startswith("all,") and lines[-1].endswith(",2")
 
 
 def test_restore_pads_odd_sizes(trained, tmp_path):

@@ -11,7 +11,7 @@ from sgen.model import (COMBINERS, SgenConfig, combine, discriminator_forward,
                         load_checkpoint, save_checkpoint, split_params)
 
 from oracles import numeric_grad, rel_err
-from refnets import reference_forward
+from refnets import force_gates, gate_params, reference_forward
 
 TINY = SgenConfig(levels=2, base_channels=2, seed=7)
 DESK = SgenConfig()
@@ -96,32 +96,28 @@ def test_combiner_specific_params():
 # sgu / combine
 
 
-def _zero_gates(c):
-    return {"ga.w": Tensor(np.zeros((c, c, 3, 3))), "ga.b": Tensor(np.zeros((1, c, 1, 1))),
-            "gp.w": Tensor(np.zeros((c, c, 3, 3))), "gp.b": Tensor(np.zeros((1, c, 1, 1)))}
-
-
 def test_sgu_forced_selection_identities():
     rng = np.random.default_rng(0)
     xa = Tensor(rng.normal(size=(2, 3, 4, 4)))
     xp = Tensor(rng.normal(size=(2, 3, 4, 4)))
-    gates = _zero_gates(3)
-    np.testing.assert_array_equal(combine("sgu", xa, xp, gates, force=(1.0, 0.0))[0].data, xa.data)
-    np.testing.assert_array_equal(combine("sgu", xa, xp, gates, force=(0.0, 1.0))[0].data, xp.data)
+    out = combine("sgu", xa, xp, gate_params("j", 3, 1.0, 0.0), "j")[0]
+    np.testing.assert_array_equal(out.data, xa.data)
+    out = combine("sgu", xa, xp, gate_params("j", 3, 0.0, 1.0), "j")[0]
+    np.testing.assert_array_equal(out.data, xp.data)
 
 
 def test_sgu_zero_preactivation_averages():
     # sigmoid(0) = 0.5 on both gates: f = 0.5*2 + 0.5*4 = 3
     xa = Tensor(np.full((1, 1, 2, 2), 2.0))
     xp = Tensor(np.full((1, 1, 2, 2), 4.0))
-    out = combine("sgu", xa, xp, _zero_gates(1))[0]
+    out = combine("sgu", xa, xp, gate_params("j", 1, 0.5, 0.5), "j")[0]
     np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2), 3.0))
 
 
 def test_sgu_shape_mismatch():
     with pytest.raises(ConfigError):
         combine("sgu", Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 2, 3))),
-                _zero_gates(1))
+                gate_params("j", 1, 0.5, 0.5), "j")
 
 
 def test_combine_max_and_avg():
@@ -138,8 +134,8 @@ def test_combine_concat_identity_kernel():
     w = np.zeros((c, 2 * c, 1, 1))
     for i in range(c):  # pick the first (active) half of the stack
         w[i, i, 0, 0] = 1.0
-    gates = {"cat.w": Tensor(w), "cat.b": Tensor(np.zeros((1, c, 1, 1)))}
-    out = combine("concat", a, a, gates)[0]
+    params = {"j.w": Tensor(w), "j.b": Tensor(np.zeros((1, c, 1, 1)))}
+    out = combine("concat", a, a, params, "j")[0]
     np.testing.assert_array_equal(out.data, np.ones((1, c, 4, 4)))
 
 
@@ -174,11 +170,21 @@ def test_generator_output_shape_and_range():
 def test_generator_level_shapes():
     params = init_params(DESK)
     _, acts = generator_forward(rand_input(DESK, 48, 32), params, DESK)
-    assert [a.shape for a in acts.enc_base] == [(1, 32, 3, 2)] * 3
-    assert [a.shape for a in acts.enc_combined] == [(1, 32, 3, 2)] * 3
-    assert acts.dec_combined[-1].shape == (1, 8, 48, 32)
-    assert set(acts.enc_gates) == {"enc.sgu2", "enc.sgu3"}
-    assert set(acts.dec_gates) == {"dec.sgu2", "dec.sgu3"}
+    assert list(acts) == [
+        "gen.enc.stem2", "gen.enc.trunk2", "gen.enc.trunk3",
+        "gen.enc.base1", "gen.enc.base2", "gen.enc.base3",
+        "gen.enc.sgu2.ga", "gen.enc.sgu2.gp", "gen.enc.junction2",
+        "gen.enc.sgu3.ga", "gen.enc.sgu3.gp", "gen.enc.junction3",
+        "gen.dec.base1", "gen.dec.base2", "gen.dec.base3", "gen.dec.merge1",
+        "gen.dec.sgu2.ga", "gen.dec.sgu2.gp", "gen.dec.junction2", "gen.dec.merge2",
+        "gen.dec.sgu3.ga", "gen.dec.sgu3.gp", "gen.dec.junction3", "gen.dec.merge3"]
+    for path in ("gen.enc.base1", "gen.enc.base3", "gen.enc.junction3", "gen.enc.sgu2.ga"):
+        assert acts[path].shape == (1, 32, 3, 2), path
+    assert acts["gen.dec.merge3"].shape == (1, 8, 48, 32)
+    cfg = SgenConfig(combiner="concat")
+    _, acts = generator_forward(rand_input(cfg, 48, 32), init_params(cfg), cfg)
+    assert not any(".sgu" in path for path in acts)
+    assert acts["gen.dec.junction3"].shape == (1, 8, 24, 16)
 
 
 def test_generator_rejects_indivisible_input():
@@ -195,17 +201,14 @@ def test_generator_rejects_wrong_channels():
 
 
 def test_generator_nan_abort_names_layer():
-    params = init_params(DESK)
-    params["gen.enc.trunk2.w"].data[0, 0, 0, 0] = np.nan
-    with pytest.raises(NumericsError, match="gen.enc.trunk2"):
-        generator_forward(rand_input(DESK, 48, 32), params, DESK)
-
-
-def test_gate_override_requires_sgu():
-    cfg = SgenConfig(combiner="max")
-    with pytest.raises(ConfigError):
-        generator_forward(rand_input(cfg, 48, 32), init_params(cfg), cfg,
-                          gate_override={"enc": (1.0, 0.0)})
+    # a NaN weight is reported under the first activation it reaches
+    cases = {"gen.enc.trunk2.w": "gen.enc.trunk2", "gen.dec.merge1.w": "gen.dec.merge1",
+             "gen.enc.sgu2.ga.w": "gen.enc.junction2"}
+    for param, layer in cases.items():
+        params = init_params(DESK)
+        params[param].data[0, 0, 0, 0] = np.nan
+        with pytest.raises(NumericsError, match=f"'{layer}'"):
+            generator_forward(rand_input(DESK, 48, 32), params, DESK)
 
 
 @pytest.mark.parametrize("mode,override", [
@@ -214,9 +217,10 @@ def test_gate_override_requires_sgu():
 ])
 def test_gate_degeneracy_bitwise(mode, override):
     params = init_params(DESK)
+    forced_params = force_gates(params, DESK, **override)
     for seed in range(2):
         s = rand_input(DESK, 48, 32, seed=seed)
-        forced, _ = generator_forward(s, params, DESK, gate_override=override)
+        forced, _ = generator_forward(s, forced_params, DESK)
         ref = reference_forward(s, params, DESK, mode)
         assert np.array_equal(forced.data, ref.data)
 
@@ -385,12 +389,16 @@ def test_checkpoint_duplicate_name(tmp_path):
 
 
 def test_checkpoint_hostile_levels_rejected(tmp_path):
-    # a tensor-less file whose config asks for an enormous layout
-    blob = json.dumps({"levels": 30000}).encode()
+    # tensor-less files whose config asks for an enormous layout, passes
+    # validation with a value param_layout cannot use, or nests too deep to parse
     path = tmp_path / "m.ckpt"
-    path.write_bytes(b"SGEN" + struct.pack("<II", 1, len(blob)) + blob + struct.pack("<I", 0))
-    with pytest.raises(CheckpointError, match="invalid config block.*levels"):
-        load_checkpoint(path)
+    cases = [(json.dumps(b).encode(), "levels")
+             for b in ({"levels": 30000}, {"levels": 3.0}, {"levels": True})]
+    cases.append((b"[" * 100000 + b"]" * 100000, "recursion"))
+    for blob, what in cases:
+        path.write_bytes(b"SGEN" + struct.pack("<II", 1, len(blob)) + blob + struct.pack("<I", 0))
+        with pytest.raises(CheckpointError, match=f"invalid config block.*{what}"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_undecodable_name(tmp_path):
