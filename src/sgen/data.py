@@ -9,6 +9,7 @@ upsampling back to the original size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,8 +46,11 @@ class DegradationSpec:
             raise ConfigError(f"down_factor must be >= 1, got {self.down_factor}")
         if self.noise not in NOISE_KINDS:
             raise ConfigError(f"noise must be one of {NOISE_KINDS}, got {self.noise!r}")
-        if self.sigma < 0:
-            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if not (math.isfinite(self.uniform_lo) and math.isfinite(self.uniform_hi)):
+            raise ConfigError(
+                f"uniform_lo and uniform_hi must be finite, got {self.uniform_lo}, {self.uniform_hi}")
         if self.uniform_hi < self.uniform_lo:
             raise ConfigError("uniform_hi must be >= uniform_lo")
 
@@ -236,8 +240,8 @@ class Subset:
 def split_corpus(corpus, ratios):
     """Split into contiguous subsets by ratio, in the corpus's own order."""
     total = len(corpus)
-    if any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"split ratios must be nonnegative and sum to 1, got {ratios}")
+    if not all(math.isfinite(r) and r >= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise ConfigError(f"split ratios must be finite, nonnegative and sum to 1, got {ratios}")
     bounds = [0]
     for r in ratios[:-1]:
         bounds.append(bounds[-1] + int(round(r * total)))

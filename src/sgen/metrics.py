@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .autodiff import Tensor
 from .data import degrade, to_bytes, to_unit
@@ -43,15 +42,31 @@ def _as_gray(img) -> np.ndarray:
     raise ConfigError(f"ssim expects (h, w) or (c, h, w), got shape {img.shape}")
 
 
-def _gaussian_window() -> np.ndarray:
+def _gaussian_taps() -> np.ndarray:
     half = SSIM_WINDOW // 2
     coords = np.arange(SSIM_WINDOW) - half
     g = np.exp(-(coords ** 2) / (2.0 * SSIM_SIGMA ** 2))
-    win = np.outer(g, g)
-    return win / win.sum()
+    return g / g.sum()
 
 
-_WINDOW = _gaussian_window()
+_TAPS = _gaussian_taps()  # the normalized 11x11 window is outer(_TAPS, _TAPS)
+
+
+def _window_means(maps: np.ndarray) -> np.ndarray:
+    """Gaussian-weighted means of (k, h, w) maps over every fully valid window.
+
+    The window is separable, so one pass of shifted-slice multiply-adds runs
+    down the rows and one along the columns.
+    """
+    _, h, w = maps.shape
+    oh, ow = h - SSIM_WINDOW + 1, w - SSIM_WINDOW + 1
+    rows = _TAPS[0] * maps[:, :oh]
+    for u in range(1, SSIM_WINDOW):
+        rows += _TAPS[u] * maps[:, u:u + oh]
+    out = _TAPS[0] * rows[:, :, :ow]
+    for v in range(1, SSIM_WINDOW):
+        out += _TAPS[v] * rows[:, :, v:v + ow]
+    return out
 
 
 def ssim(a, b) -> float:
@@ -66,16 +81,10 @@ def ssim(a, b) -> float:
     h, w = a.shape
     if h < SSIM_WINDOW or w < SSIM_WINDOW:
         raise ConfigError(f"ssim: image {h}x{w} is smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window")
-    half = SSIM_WINDOW // 2
-    crop = (slice(half, -half), slice(half, -half))
-
-    def filt(x):
-        return ndimage.correlate(x, _WINDOW, mode="constant")[crop]
-
-    mu_a, mu_b = filt(a), filt(b)
-    var_a = filt(a * a) - mu_a * mu_a
-    var_b = filt(b * b) - mu_b * mu_b
-    cov = filt(a * b) - mu_a * mu_b
+    mu_a, mu_b, e_aa, e_bb, e_ab = _window_means(np.stack([a, b, a * a, b * b, a * b]))
+    var_a = e_aa - mu_a * mu_a
+    var_b = e_bb - mu_b * mu_b
+    cov = e_ab - mu_a * mu_b
     c1 = (SSIM_K1 * SSIM_L) ** 2
     c2 = (SSIM_K2 * SSIM_L) ** 2
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)

@@ -8,6 +8,7 @@ MSE-only mode skips the discriminator entirely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,10 +46,12 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.val_count < 1:
             raise ConfigError(f"val_count must be >= 1, got {self.val_count}")
-        if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
-        if self.lam < 0:
-            raise ConfigError(f"lam must be >= 0, got {self.lam}")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
+        if not (math.isfinite(self.divergence_limit) and self.divergence_limit > 0):
+            raise ConfigError(f"divergence_limit must be finite and > 0, got {self.divergence_limit}")
         if self.loss_variant not in LOSS_VARIANTS:
             raise ConfigError(
                 f"loss_variant must be one of {LOSS_VARIANTS}, got {self.loss_variant!r}")

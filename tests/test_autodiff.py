@@ -190,6 +190,91 @@ def test_deconv2d_bad_kernel_factor_combo():
 
 
 # ---------------------------------------------------------------------------
+# the stride-1 kernels, each called directly
+
+
+STRIDE1_CASES = [  # (n, ic, oc, h, w, k, pad)
+    (2, 3, 2, 5, 6, 3, 1), (1, 4, 4, 7, 5, 3, 0), (2, 3, 3, 4, 4, 1, 1),
+    (1, 2, 1, 6, 6, 5, 2), (1, 1, 1, 4, 5, 3, 1), (1, 3, 5, 4, 4, 3, 1)]
+
+
+@pytest.mark.parametrize("case", STRIDE1_CASES, ids=lambda c: "x".join(map(str, c)))
+def test_stride1_kernels_match_naive(case):
+    n, ic, oc, h, w, k, pad = case
+    rng = np.random.default_rng(sum(case))
+    xd = rng.normal(size=(n, ic, h, w))
+    kd = rng.normal(size=(oc, ic, k, k))
+    ref = conv2d_naive(xd, kd, np.zeros(oc), stride=1, pad=pad)
+    shifted = ad._conv_shifted(xd, kd, pad, pad)
+    gemm, cols = ad._correlate(xd, kd, 1, pad, pad)  # im2col at these sizes
+    assert cols is not None
+    assert np.abs(shifted - ref).max() < 1e-10
+    assert np.abs(gemm - ref).max() < 1e-10
+    # kernel gradient: the same contraction as the im2col path's
+    gout = rng.normal(size=ref.shape)
+    dk_ref = np.matmul(gout.reshape(n, oc, -1), cols.transpose(0, 2, 1)).sum(axis=0)
+    dk = ad._conv_shifted_kernel_grad(xd, gout, k, k, pad, pad)
+    assert np.abs(dk - dk_ref.reshape(kd.shape)).max() < 1e-10
+
+
+def test_correlate_negative_padding_crops():
+    # the input gradient of a conv whose padding exceeds k - 1 crops gout
+    rng = np.random.default_rng(41)
+    gd = rng.normal(size=(1, 2, 7, 7))
+    kd = rng.normal(size=(3, 2, 1, 1))
+    out, _ = ad._correlate(gd, kd, 1, -2, -2)
+    ref = conv2d_naive(gd[:, :, 2:5, 2:5], kd, np.zeros(3))
+    assert np.abs(out - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("kernel", ["im2col", "shifted"])
+def test_deconv2d_phases_match_adjoint_reference(kernel):
+    rng = np.random.default_rng(43)
+    zd = rng.normal(size=(2, 3, 3, 4))
+    for kshape, factor in [((3, 2, 4, 4), 2), ((3, 2, 4, 2), 2), ((3, 2, 8, 8), 4),
+                           ((3, 2, 16, 16), 8), ((3, 2, 1, 1), 1), ((3, 2, 5, 3), 3)]:
+        kd = rng.normal(size=kshape)
+        phases, dh, dw = ad._phase_kernel(kd, factor)
+        if kernel == "shifted":
+            y = ad._conv_shifted(zd, phases, dh, dw)
+        else:
+            y, cols = ad._correlate(zd, phases, 1, dh, dw)
+            assert cols is not None
+        oc, f = kshape[1], factor
+        out = ad._col2im(y, (2, oc, 3 * f, 4 * f), f, f, f, 0, 0, 3, 4)  # depth-to-space
+        assert np.abs(out - deconv2d_adjoint_naive(zd, kd, factor)).max() < 1e-10
+
+
+@pytest.mark.parametrize("h", [6, 7], ids=["tiling", "overlap-free-margin"])
+def test_col2im_is_im2col_adjoint_for_disjoint_windows(h):
+    # k == stride: at h = 6 the windows tile the canvas (the transposed-copy
+    # branch), at h = 7 a row is left over (the scatter-add loop)
+    rng = np.random.default_rng(53)
+    a = rng.normal(size=(2, 3, h, 4))
+    cols = rng.normal(size=ad._im2col(a, 2, 2, 2, 0, 0).shape)
+    back = ad._col2im(cols, a.shape, 2, 2, 2, 0, 0, 3, 2)
+    assert back.shape == a.shape and back.flags.c_contiguous
+    lhs = float((ad._im2col(a, 2, 2, 2, 0, 0) * cols).sum())
+    assert abs(lhs - float((a * back).sum())) < 1e-12 * max(1.0, abs(lhs))
+
+
+def test_grad_conv2d_shifted_kernel(monkeypatch):
+    # every stride-1 correlation takes the shifted GEMM, forward and backward
+    monkeypatch.setattr(ad, "SHIFTED_MIN_BYTES", 0)
+    calls = []
+    real = ad._conv_shifted
+    monkeypatch.setattr(ad, "_conv_shifted", lambda *a: calls.append(1) or real(*a))
+    rng = np.random.default_rng(47)
+    for ic, oc, k in [(3, 2, 3), (3, 3, 3), (2, 1, 3), (2, 2, 1)]:
+        x = rng.normal(size=(2, ic, 5, 4))
+        kd = rng.normal(size=(oc, ic, k, k))
+        b = rng.normal(size=(1, oc, 1, 1))
+        _gradcheck(lambda xs, ks, bs, p=k // 2: conv2d(xs, ks, bs, stride=1, padding=p),
+                   [x, kd, b])
+    assert calls
+
+
+# ---------------------------------------------------------------------------
 # pointwise ops
 
 
@@ -204,6 +289,8 @@ def test_sigmoid_at_zero():
 
 def test_lrelu_definition():
     assert lrelu(t4([-5.0]), alpha=0.2).item() == pytest.approx(-1.0)
+    out = lrelu(t4([np.nan, 3.0, -0.0]), alpha=0.2).data.reshape(-1)
+    assert np.isnan(out[0]) and out[1] == 3.0 and out[2] == 0.0
 
 
 def test_elementwise_identities():
@@ -272,13 +359,18 @@ def test_grad_conv2d(seed):
 
 def test_grad_conv2d_stride1_same():
     rng = np.random.default_rng(31)
-    x = rng.normal(size=(1, 3, 4, 4))
-    k = rng.normal(size=(2, 3, 3, 3))
-    b = rng.normal(size=(1, 2, 1, 1))
-    _gradcheck(lambda xs, ks, bs: conv2d(xs, ks, bs, stride=1, padding=1), [x, k, b])
+    # (ic, oc, k): the input gradient is a correlation with the flipped,
+    # transposed kernel, also for one output channel, one input channel and
+    # a 1x1 kernel
+    for ic, oc, k in [(3, 2, 3), (3, 1, 3), (1, 2, 3), (3, 2, 1)]:
+        x = rng.normal(size=(1, ic, 4, 4))
+        kd = rng.normal(size=(oc, ic, k, k))
+        b = rng.normal(size=(1, oc, 1, 1))
+        _gradcheck(lambda xs, ks, bs, p=k // 2: conv2d(xs, ks, bs, stride=1, padding=p),
+                   [x, kd, b])
 
 
-@pytest.mark.parametrize("factor,k", [(1, 1), (2, 4), (4, 8),
+@pytest.mark.parametrize("factor,k", [(1, 1), (2, 4), (4, 8), (8, 16),
                                       pytest.param(2, (4, 2), id="2-4x2")])
 def test_grad_deconv2d(factor, k):
     rng = np.random.default_rng(factor)

@@ -255,6 +255,15 @@ def test_degrade_rejects_bad_factor(tmp_path, capsys):
     assert "down_factor" in capsys.readouterr().err
 
 
+def test_degrade_rejects_non_finite_sigma(tmp_path, capsys):
+    src = tmp_path / "in.pgm"
+    write_netpbm(synth_face(0, 32, 32), src)
+    dst = tmp_path / "o.pgm"
+    assert main(["degrade", "--sigma", "nan", str(src), str(dst)]) == 2
+    assert "sigma" in capsys.readouterr().err
+    assert not dst.exists()
+
+
 def test_gates_dumps_maps_and_stats(trained, tmp_path, capsys):
     src = tmp_path / "in.pgm"
     write_netpbm(synth_face(1, 32, 32), src)
@@ -324,3 +333,11 @@ def test_module_invocation_subprocess(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "wrote checkpoint" in proc.stdout
     assert (out / "sgen.ckpt").is_file()
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, sgen.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

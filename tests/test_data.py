@@ -27,6 +27,10 @@ def test_degradation_spec_validation():
         DegradationSpec(sigma=-1)
     with pytest.raises(ConfigError):
         DegradationSpec(uniform_lo=5, uniform_hi=1)
+    for kwargs in ({"sigma": float("nan")}, {"sigma": float("inf")},
+                   {"uniform_lo": float("nan")}, {"uniform_hi": float("inf")}):
+        with pytest.raises(ConfigError):
+            DegradationSpec(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +209,9 @@ def test_split_corpus_partitions():
     train, val, test = split_corpus(c, (0.8, 0.1, 0.1))
     assert (len(train), len(val), len(test)) == (8, 1, 1)
     np.testing.assert_array_equal(val.image(0, 16, 16), c.image(8, 16, 16))
-    with pytest.raises(ConfigError):
-        split_corpus(c, (0.5, 0.2, 0.2))
+    for ratios in [(0.5, 0.2, 0.2), (float("nan"),) * 3]:
+        with pytest.raises(ConfigError):
+            split_corpus(c, ratios)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import struct
 import numpy as np
 import pytest
 
+import sgen.autodiff as ad
+import sgen.model as model
 from sgen.autodiff import Graph, Tensor, mean_all, mul, sub, sum_all
 from sgen.errors import CheckpointError, ConfigError, NumericsError
 from sgen.model import (COMBINERS, SgenConfig, combine, discriminator_forward,
@@ -431,3 +433,46 @@ def test_dump_gates_requires_sgu(tmp_path):
     cfg = SgenConfig(combiner="avg")
     with pytest.raises(ConfigError):
         dump_gates(init_params(cfg), cfg, rand_input(cfg, 48, 32), tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# convolution kernel choice
+
+
+# layers of the default model whose forward correlation takes the shifted
+# GEMM; every other conv2d/deconv2d layer builds an im2col patch matrix
+SHIFTED_LAYERS = {
+    (1, 48, 32): set(),
+    (8, 80, 64): {"gen.dec.sgu2.ga", "gen.dec.sgu2.gp", "gen.dec.sgu3.ga",
+                  "gen.dec.sgu3.gp", "gen.out.conv"},
+    (1, 384, 384): {"gen.dec.sgu2.ga", "gen.dec.sgu2.gp", "gen.dec.sgu3.ga",
+                    "gen.dec.sgu3.gp", "gen.out.conv"},
+}
+
+
+@pytest.mark.parametrize("n,h,w", list(SHIFTED_LAYERS))
+def test_kernel_choice_per_layer(monkeypatch, n, h, w):
+    params = init_params(DESK)
+    names = {id(t): path[:-2] for path, t in params.items() if path.endswith(".w")}
+    current, seen, shifted = [None], set(), set()
+
+    def named(op):
+        def run(x, kernel, *args, **kwargs):
+            current[0] = names[id(kernel)]
+            seen.add(current[0])
+            return op(x, kernel, *args, **kwargs)
+        return run
+
+    real_shifted = ad._conv_shifted
+
+    def spy(*args):
+        shifted.add(current[0])
+        return real_shifted(*args)
+
+    monkeypatch.setattr(model, "conv2d", named(model.conv2d))
+    monkeypatch.setattr(model, "deconv2d", named(model.deconv2d))
+    monkeypatch.setattr(ad, "_conv_shifted", spy)
+    out, _ = generator_forward(rand_input(DESK, h, w, n=n), params, DESK)
+    discriminator_forward(out, params, DESK)
+    assert seen == set(names.values())
+    assert shifted == SHIFTED_LAYERS[(n, h, w)]
