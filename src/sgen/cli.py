@@ -24,7 +24,7 @@ from dataclasses import fields, replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 from .config import RunConfig, build_run_config  # noqa: E402
-from .data import degrade, load_image, read_image, save_image  # noqa: E402
+from .data import atomic_write, degrade, load_image, read_image, save_image  # noqa: E402
 from .errors import (CheckpointError, ConfigError, ImageFormatError,  # noqa: E402
                      SgenError, UsageError)
 from .metrics import eval_model, model_restorer, pad_to_divisor  # noqa: E402
@@ -136,7 +136,8 @@ def cmd_eval(args) -> int:
     csv_text = report.to_csv()
     out = Path(run.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "metrics.csv").write_text(csv_text)
+    with atomic_write(out / "metrics.csv") as fh:
+        fh.write(csv_text.encode())
     print(csv_text, end="")
     print(f"wrote {out / 'metrics.csv'}")
     return 0
@@ -144,8 +145,8 @@ def cmd_eval(args) -> int:
 
 def cmd_restore(args) -> int:
     params, mcfg = load_checkpoint(args.checkpoint)
-    restored = model_restorer(params, mcfg)(load_image(args.input, mcfg.image_channels))
-    save_image(restored, args.output)
+    img = load_image(args.input, mcfg.image_channels)
+    save_image(model_restorer(params, mcfg)(img[None])[0], args.output)
     print(f"restored {args.input} -> {args.output}")
     return 0
 
@@ -163,7 +164,7 @@ def cmd_gates(args) -> int:
     run = _run_config(args)
     params, mcfg = load_checkpoint(args.checkpoint)
     img = load_image(args.input, mcfg.image_channels)
-    s = Tensor(pad_to_divisor(img, mcfg.divisor)[None])
+    s = Tensor(pad_to_divisor(img[None], mcfg.divisor))
     stats = dump_gates(params, mcfg, s, run.out)
     for junction in sorted(stats):
         print(f"{junction}: mean(ga + gp) = {stats[junction]:.4f}")
@@ -213,7 +214,8 @@ def cmd_ablate(args) -> int:
             sweep_spec = replace(spec, noise="gaussian", sigma=sg)
             lines.extend(report_rows(f"sgu@sigma{sg:g}", *sgu_mse, sweep_spec))
 
-    (out / "ablation.csv").write_text("\n".join(lines) + "\n")
+    with atomic_write(out / "ablation.csv") as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
     print(f"wrote {out / 'ablation.csv'}")
     return 0
 

@@ -31,6 +31,14 @@ class _RunKeys:
     val_images: int = 200
     out: str = "sgen_out"
 
+    def __post_init__(self):
+        if self.synthetic_offset < 0:  # procedural ids seed numpy generators
+            raise ConfigError(f"synthetic_offset must be >= 0, got {self.synthetic_offset}")
+        # every part checks its own keys, so a bad value fails here, before
+        # any subcommand uses it
+        for build in _PARTS:
+            getattr(self, build)()
+
     def scale_list(self) -> list:
         """Parse "HxW,HxW,..." and check divisibility for model and degradation."""
         out = []

@@ -10,6 +10,8 @@ upsampling back to the original size.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -266,6 +268,29 @@ def make_batch(corpus, scale, k, spec: DegradationSpec, rng) -> Batch:
 
 
 # ---------------------------------------------------------------------------
+# artifact files
+
+
+@contextmanager
+def atomic_write(path):
+    """Open `path` for binary writing so that it appears whole or not at all.
+
+    The block writes a temp file in the same directory, which os.replace
+    moves over `path` when the block ends; if the block raises, the temp file
+    is removed and any old file at `path` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+# ---------------------------------------------------------------------------
 # netpbm I/O
 
 
@@ -335,7 +360,7 @@ def write_netpbm(raster: np.ndarray, path) -> None:
         h, w = raster.shape[:2]
     else:
         raise ConfigError(f"raster shape {raster.shape} is not (h, w) or (h, w, 3)")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(magic + b"\n%d %d\n255\n" % (w, h))
         fh.write(raster.tobytes())
 

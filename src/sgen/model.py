@@ -29,7 +29,7 @@ import numpy as np
 
 from .autodiff import (Tensor, add, affine, concat_channels, conv2d, deconv2d,
                        global_avg_pool, lrelu, maximum, mul, relu, sigmoid, tanh)
-from .data import save_image
+from .data import atomic_write, save_image
 from .errors import CheckpointError, ConfigError, NumericsError
 
 COMBINERS = ("sgu", "max", "avg", "concat")
@@ -65,6 +65,8 @@ class SgenConfig:
             raise ConfigError(f"disc_channels must be >= 1, got {self.disc_channels}")
         if not 0.0 <= self.lrelu_alpha < 1.0:  # also rejects NaN
             raise ConfigError(f"lrelu_alpha must be in [0, 1), got {self.lrelu_alpha}")
+        if self.seed < 0:  # numpy seeds are non-negative
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def divisor(self) -> int:
@@ -317,7 +319,7 @@ def discriminator_forward(img: Tensor, params: dict, config: SgenConfig) -> Tens
 def save_checkpoint(params: dict, config: SgenConfig, path) -> None:
     """Serialize parameters and config; see load_checkpoint for the layout."""
     blob = json.dumps(asdict(config), sort_keys=True).encode()
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(blob)))

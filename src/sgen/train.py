@@ -16,7 +16,7 @@ import numpy as np
 
 from .autodiff import (AdamState, Graph, Tensor, add, affine, collect_grads,
                        adam_step, log_clamped, mean_all, mul, sub)
-from .data import degrade, make_batch, save_image, to_unit
+from .data import atomic_write, degrade, make_batch, save_image, to_unit
 from .errors import ConfigError, DivergenceError, NumericsError
 from .metrics import eval_model, model_restorer
 from .model import (SgenConfig, discriminator_forward, generator_forward,
@@ -44,6 +44,8 @@ class TrainConfig:
             raise ConfigError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:  # numpy seeds are non-negative
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.val_count < 1:
             raise ConfigError(f"val_count must be >= 1, got {self.val_count}")
         if not (math.isfinite(self.lr) and self.lr >= 0):
@@ -168,13 +170,12 @@ def train_step(batch, state: TrainState, cfg: TrainConfig) -> dict:
 
 def write_grid(state: TrainState, corpus, scale, spec, path, count: int = 4, seed: int = 0):
     """PPM mosaic of rows [clean | degraded | restored] for the first images."""
-    restore = model_restorer(state.params, state.model_config)
-    rows = []
-    for i in range(min(count, len(corpus))):
-        rng = np.random.default_rng([seed, 2000, i])
-        img8 = corpus.image(i, *scale)
-        s = degrade(img8, spec, rng)
-        rows.append(np.concatenate([to_unit(img8), s, restore(s)], axis=-1))
+    clean = [corpus.image(i, *scale) for i in range(min(count, len(corpus)))]
+    s = np.stack([degrade(img8, spec, np.random.default_rng([seed, 2000, i]))
+                  for i, img8 in enumerate(clean)])
+    restored = model_restorer(state.params, state.model_config)(s)
+    rows = [np.concatenate([to_unit(img8), si, ri], axis=-1)
+            for img8, si, ri in zip(clean, s, restored)]
     mosaic = np.concatenate(rows, axis=-2)
     save_image(np.broadcast_to(mosaic, (3,) + mosaic.shape[1:]), path)
 
@@ -234,7 +235,8 @@ def train(cfg: TrainConfig, model_cfg: SgenConfig, corpus, scales, spec,
             write_grid(state, grid_corpus, scales[0], spec,
                        out_dir / f"grid_step{state.step:06d}.ppm", seed=cfg.seed)
 
-    (out_dir / "loss_log.csv").write_text("\n".join(csv_rows) + "\n")
+    with atomic_write(out_dir / "loss_log.csv") as fh:
+        fh.write(("\n".join(csv_rows) + "\n").encode())
     save_checkpoint(state.params, model_cfg, out_dir / "sgen.ckpt")
     write_grid(state, grid_corpus, scales[0], spec, out_dir / "grid_final.ppm", seed=cfg.seed)
     return state

@@ -303,6 +303,22 @@ def test_bad_noise_sweep_exits_2(tmp_path, capsys):
     assert "noise-sweep" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["train", "--synthetic", "4", "--steps", "1", "--mse-only", "--seed", "-1",
+      "--out", "DIR"], "seed"),
+    (["degrade", "--seed", "-1", "IN", "OUT"], "seed"),
+    (["train", "--config", "CFG", "--steps", "1", "--out", "DIR"], "synthetic_offset"),
+], ids=["train-seed", "degrade-seed", "config-offset"])
+def test_negative_seeds_exit_2(argv, key, tmp_path, capsys):
+    src, dst, out = tmp_path / "in.pgm", tmp_path / "out.pgm", tmp_path / "o"
+    write_netpbm(synth_face(0, 32, 32), src)
+    subst = {"IN": str(src), "OUT": str(dst), "DIR": str(out),
+             "CFG": write_config(tmp_path / "run.cfg", synthetic_offset=-5)}
+    assert main([subst.get(a, a) for a in argv]) == 2
+    assert key in capsys.readouterr().err
+    assert not dst.exists() and not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["restore", "--levels", "2", "--checkpoint", "m.ckpt", "in.pgm", "out.pgm"],
     ["degrade", "--scales", "32x32", "in.pgm", "out.pgm"],

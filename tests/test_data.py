@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sgen.data import (Batch, DegradationSpec, DiskCorpus, SyntheticCorpus,
-                       degrade, load_image, make_batch,
+                       atomic_write, degrade, load_image, make_batch,
                        read_netpbm, sample_scales, save_image, split_corpus,
                        synth_face, to_bytes, to_unit, write_netpbm)
 from sgen.errors import ConfigError, ImageFormatError
@@ -316,3 +316,18 @@ def test_save_image_gate_value_mapping(tmp_path):
     path = tmp_path / "g.pgm"
     save_image(g * 2.0 - 1.0, path)
     np.testing.assert_array_equal(read_netpbm(path), [[0, 255], [128, 64]])
+
+
+def test_atomic_write_failing_midway_keeps_old_file(tmp_path):
+    path = tmp_path / "a.pgm"
+    write_netpbm(np.zeros((4, 4), dtype=np.uint8), path)
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError):
+        with atomic_write(path) as fh:
+            fh.write(b"P5\n4 4\n255\n" + bytes(3))
+            raise RuntimeError("disk full")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["a.pgm"]
+    with atomic_write(tmp_path / "new.csv") as fh:
+        fh.write(b"x\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pgm", "new.csv"]

@@ -67,6 +67,43 @@ def test_checkpoint_config_block_fuzz(block, scratch, tiny_checkpoint):
     assert params.keys() == param_layout(config).keys()
 
 
+# edits of a real checkpoint: (offset, cut) truncates, (offset, mask) flips
+# bits of one byte, (offset, length, bytes) replaces a span; offsets wrap
+# around the file, so every byte is in reach, the tensor table included
+EDITS = st.lists(st.one_of(
+    st.tuples(st.just("cut"), st.integers(0, 2**32)),
+    st.tuples(st.just("flip"), st.integers(0, 2**32), st.integers(1, 255)),
+    st.tuples(st.just("splice"), st.integers(0, 2**32), st.integers(0, 16),
+              st.binary(max_size=16))), min_size=1, max_size=4)
+
+
+def _edit(raw: bytes, edits) -> bytes:
+    for kind, at, *rest in edits:
+        at %= len(raw) + 1
+        if kind == "cut":
+            raw = raw[:at]
+        elif kind == "flip" and at < len(raw):
+            raw = raw[:at] + bytes([raw[at] ^ rest[0]]) + raw[at + 1:]
+        elif kind == "splice":
+            length, new = rest
+            raw = raw[:at] + new + raw[at + length:]
+    return raw
+
+
+@FUZZ
+@given(edits=EDITS)
+def test_checkpoint_bytes_fuzz(edits, scratch, tiny_checkpoint):
+    path = scratch / "edited.ckpt"
+    path.write_bytes(_edit(tiny_checkpoint, edits))
+    try:
+        params, config = load_checkpoint(path)
+    except CheckpointError:
+        return
+    layout = param_layout(config)
+    assert params.keys() == layout.keys()
+    assert all(params[name].shape == shape for name, (shape, _) in layout.items())
+
+
 @FUZZ
 @given(raw=fragments(b"levels", b"sigma", b"mse_only", b"scales", b" = ", b"=", b"\n",
                      b"#", b"3", b"2.5", b"true", b"48x32", b"\xe9", b"\xff"))

@@ -3,7 +3,8 @@ import pytest
 
 from sgen.data import DegradationSpec, SyntheticCorpus, to_unit
 from sgen.errors import ConfigError
-from sgen.metrics import (MetricReport, ScaleRow, eval_model, model_restorer,
+import sgen.metrics as metrics
+from sgen.metrics import (MetricReport, ScaleRow, eval_batch, eval_model, model_restorer,
                           psnr, ssim)
 from sgen.model import SgenConfig, init_params
 
@@ -131,11 +132,53 @@ def test_eval_identity_baseline_is_degraded_quality():
     assert rep.rows[0].ssim < 0.99
 
 
+def test_eval_rejects_a_restore_of_the_wrong_shape():
+    with pytest.raises(ConfigError, match="restore returned"):
+        eval_model(lambda s: s[:1], SyntheticCorpus(4), [(48, 32)], DegradationSpec())
+
+
+def test_eval_batch_sizes():
+    # the default scales restore 6, 3 and 2 images per call; 128x128 stays at 1
+    assert [eval_batch(h, w) for h, w in ((48, 32), (64, 48), (80, 64), (128, 128))] \
+        == [6, 3, 2, 1]
+
+
+def test_eval_report_does_not_depend_on_batching(monkeypatch):
+    cfg = SgenConfig(levels=2, base_channels=2)
+    restore = model_restorer(init_params(cfg, seed=0), cfg)
+    scales = [(48, 32), (80, 64)]
+
+    def report():
+        return eval_model(restore, SyntheticCorpus(7), scales, DegradationSpec(), seed=5)
+
+    batched = report()
+    monkeypatch.setattr(metrics, "BATCH_PIXELS", 1)
+    assert eval_batch(48, 32) == 1
+    single = report()
+    for b, s in zip(batched.rows, single.rows):
+        assert b.scale == s.scale and b.count == s.count == 7
+        assert abs(b.psnr - s.psnr) <= 1e-6
+        assert abs(b.ssim - s.ssim) <= 1e-8
+
+
 def test_model_restorer_pads_odd_sizes():
     cfg = SgenConfig(levels=2, base_channels=2)
     params = init_params(cfg, seed=0)
     restore = model_restorer(params, cfg)
-    out = restore(to_unit(SyntheticCorpus(1).image(0, 50, 34)))
-    assert out.shape == (1, 50, 34)
+    out = restore(to_unit(SyntheticCorpus(1).image(0, 50, 34))[None])
+    assert out.shape == (1, 1, 50, 34)
     assert np.all(np.isfinite(out))
     assert out.min() >= -1.0 and out.max() <= 1.0
+    with pytest.raises(ConfigError, match="batch"):
+        restore(np.zeros((1, 50, 34)))
+
+
+def test_batch_restore_matches_single_restores():
+    cfg = SgenConfig(levels=2, base_channels=2)
+    restore = model_restorer(init_params(cfg, seed=0), cfg)
+    corpus = SyntheticCorpus(3)
+    batch = np.stack([to_unit(corpus.image(i, 50, 34)) for i in range(3)])
+    out = restore(batch)
+    assert out.shape == batch.shape
+    for img, restored in zip(batch, out):
+        np.testing.assert_allclose(restored, restore(img[None])[0], rtol=0, atol=1e-12)

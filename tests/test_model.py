@@ -39,6 +39,8 @@ def test_config_validation():
         SgenConfig(image_channels=4)
     with pytest.raises(ConfigError):
         SgenConfig(levels=9)
+    with pytest.raises(ConfigError, match="seed"):
+        SgenConfig(seed=-1)
 
 
 def test_config_channel_plan():
@@ -392,15 +394,29 @@ def test_checkpoint_duplicate_name(tmp_path):
 
 def test_checkpoint_hostile_levels_rejected(tmp_path):
     # tensor-less files whose config asks for an enormous layout, passes
-    # validation with a value param_layout cannot use, or nests too deep to parse
+    # validation with a value param_layout cannot use, holds a seed numpy
+    # refuses, or nests too deep to parse
     path = tmp_path / "m.ckpt"
     cases = [(json.dumps(b).encode(), "levels")
              for b in ({"levels": 30000}, {"levels": 3.0}, {"levels": True})]
+    cases.append((json.dumps({"seed": -1}).encode(), "seed"))
     cases.append((b"[" * 100000 + b"]" * 100000, "recursion"))
     for blob, what in cases:
         path.write_bytes(b"SGEN" + struct.pack("<II", 1, len(blob)) + blob + struct.pack("<I", 0))
         with pytest.raises(CheckpointError, match=f"invalid config block.*{what}"):
             load_checkpoint(path)
+
+
+def test_checkpoint_write_failing_midway_keeps_old_file(tmp_path):
+    path = tmp_path / "m.ckpt"
+    params = init_params(TINY)
+    save_checkpoint(params, TINY, path)
+    before = path.read_bytes()
+    broken = dict(params, **{"gen.zz": None})  # sorts after every real tensor
+    with pytest.raises(AttributeError):
+        save_checkpoint(broken, TINY, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 
 def test_checkpoint_undecodable_name(tmp_path):

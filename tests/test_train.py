@@ -30,7 +30,8 @@ def test_train_config_validation():
     nan, inf = float("nan"), float("inf")
     for kwargs in ({"steps": -1}, {"batch_size": 0}, {"val_count": 0}, {"lr": -1e-4},
                    {"lam": -1.0}, {"loss_variant": "wasserstein"}, {"lr": nan},
-                   {"lam": inf}, {"divergence_limit": nan}, {"divergence_limit": 0.0}):
+                   {"lam": inf}, {"divergence_limit": nan}, {"divergence_limit": 0.0},
+                   {"seed": -1}):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
 
