@@ -33,10 +33,22 @@ the two tied at 1.3-1.4 MiB and the shifted GEMM won from 1.7 MiB on.
 The deconv2d forward then places the phases by depth-to-space, which is
 col2im with non-overlapping factor x factor windows and so one transposed
 copy.  deconv2d's backward gathers through im2col.
+
+The tape rule.  A conv2d or deconv2d node keeps its input, its kernel and
+its activated output, and no patch matrix.  The activation that follows a
+layer (`act`: relu, lrelu, sigmoid or tanh) runs on the layer's fresh
+output, in place except for sigmoid, and its gradient is read from the
+activated output, so the pre-activation array is never kept.  The kernel
+gradient of a layer whose forward built an im2col matrix gathers the
+patches again, one image at a time, so that each image's matrix is still in
+cache when its GEMM reads it.  In the adversarial batch-8 benchmark
+(2-core Xeon VM, one BLAS thread) this cost less step time than gathering
+the whole batch again or in 2 MiB chunks.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -279,15 +291,33 @@ def _correlate(a: np.ndarray, kernel: np.ndarray, stride: int, ph: int, pw: int)
     return np.matmul(kernel.reshape(oc, -1), cols).reshape(n, oc, oh, ow), cols
 
 
-def _phase_span(k: int, factor: int, pad: int, d: int, u: int) -> tuple[int, int, int]:
-    """Phases r in [lo, hi) that phase-kernel tap u reads, and the kernel tap of r = lo.
+def _phase_taps(k: int, factor: int, pad: int, d: int) -> np.ndarray:
+    """(2d + 1, factor) kernel tap that phase-kernel tap u reads for phase r; k for none.
 
     Output pixel factor*q + r of a transposed convolution sums input q - d'
     times kernel tap factor*d' + r + pad; tap u of the phase kernel is d' = d - u.
     """
-    t0 = factor * (d - u) + pad
-    lo, hi = max(0, -t0), min(factor, k - t0)
-    return lo, hi, t0 + lo
+    taps = factor * (d - np.arange(2 * d + 1))[:, None] + np.arange(factor) + pad
+    return np.where((taps >= 0) & (taps < k), taps, k)
+
+
+@functools.lru_cache(maxsize=None)
+def _phase_index(oc: int, kh: int, kw: int, factor: int) -> tuple[np.ndarray, int, int]:
+    """Gather table of _phase_kernel for one kernel shape and factor, with dh, dw.
+
+    Entry (i, j, o, rh, rw) indexes a row of the (ic, oc*kh*kw + 1) flattened
+    kernel whose extra last column is zero: phases that a tap does not read
+    gather that zero.  Built on the first use of a shape, not at import.
+    """
+    f = factor
+    ph, pw = (kh - f) // 2, (kw - f) // 2
+    dh, dw = (f - 1 + ph) // f, (f - 1 + pw) // f
+    rows = _phase_taps(kh, f, ph, dh)[:, None, None, :, None]  # (uh, 1, 1, f, 1)
+    cols = _phase_taps(kw, f, pw, dw)[None, :, None, None, :]  # (1, uw, 1, 1, f)
+    chan = np.arange(oc)[None, None, :, None, None]
+    index = np.where((rows < kh) & (cols < kw), (chan * kh + rows) * kw + cols, oc * kh * kw)
+    index.flags.writeable = False
+    return index, dh, dw
 
 
 def _phase_kernel(kernel: np.ndarray, factor: int) -> tuple[np.ndarray, int, int]:
@@ -297,31 +327,96 @@ def _phase_kernel(kernel: np.ndarray, factor: int) -> tuple[np.ndarray, int, int
     (dh, dw), is output phase (rh, rw) of channel o of the deconvolution.
     """
     ic, oc, kh, kw = kernel.shape
-    f = factor
-    ph, pw = (kh - f) // 2, (kw - f) // 2
-    dh, dw = (f - 1 + ph) // f, (f - 1 + pw) // f
-    uh, uw = 2 * dh + 1, 2 * dw + 1
-    taps = np.zeros((ic, uh, uw, oc, f, f))
-    for i in range(uh):
-        rlo, rhi, ti = _phase_span(kh, f, ph, dh, i)
-        for j in range(uw):
-            clo, chi, tj = _phase_span(kw, f, pw, dw, j)
-            if rlo < rhi and clo < chi:
-                taps[:, i, j, :, rlo:rhi, clo:chi] = \
-                    kernel[:, :, ti:ti + rhi - rlo, tj:tj + chi - clo]
+    index, dh, dw = _phase_index(oc, kh, kw, factor)
+    flat = np.zeros((ic, oc * kh * kw + 1))
+    flat[:, :-1] = kernel.reshape(ic, -1)
+    taps = np.take(flat, index, axis=1)  # (ic, uh, uw, oc, f, f)
     # a transposed view: _correlate's kernel.reshape(oc, -1) does not copy it
-    return taps.reshape(ic, uh, uw, oc * f * f).transpose(3, 0, 1, 2), dh, dw
+    return taps.reshape(ic, *index.shape[:2], -1).transpose(3, 0, 1, 2), dh, dw
+
+
+# ---------------------------------------------------------------------------
+# Activations
+
+
+def _relu(a: np.ndarray, alpha: float) -> np.ndarray:
+    # where(x <= 0, 0.0, x): maximum lets NaN through, and adding 0.0 turns
+    # the -0.0 it may keep into 0.0
+    np.maximum(a, 0.0, out=a)
+    a += 0.0
+    return a
+
+
+def _sigmoid(a: np.ndarray, alpha: float) -> np.ndarray:
+    # evaluate via exp(-|x|) so neither branch can overflow
+    e = np.abs(a)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    den = e + 1.0
+    return np.where(a >= 0, np.divide(1.0, den), np.divide(e, den, out=e))
+
+
+# name -> (forward of a fresh array, which it may overwrite and return;
+# input gradient from the output gradient g and the output).  Each gradient
+# reads the activation's output, never its input, which a fused
+# conv2d/deconv2d does not keep: for relu, and for lrelu with alpha in
+# [0, 1), out > 0 exactly where x > 0.  NaN passes through every forward, so
+# _check_finite can name the layer.
+_ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
+    "relu": (_relu, lambda g, out, alpha: g * (out > 0)),
+    # for alpha in [0, 1) this is where(x > 0, x, alpha * x)
+    "lrelu": (lambda a, alpha: np.maximum(a, alpha * a, out=a),
+              lambda g, out, alpha: g * np.where(out > 0, 1.0, alpha)),
+    "sigmoid": (_sigmoid, lambda g, out, alpha: g * out * (1.0 - out)),
+    "tanh": (lambda a, alpha: np.tanh(a, out=a),
+             lambda g, out, alpha: g * (1.0 - out * out)),
+}
+_IDENTITY = (lambda a, alpha: a, lambda g, out, alpha: g)
+
+
+def _activation(act: str | None) -> tuple[Callable, Callable]:
+    if act is None:
+        return _IDENTITY
+    if act not in _ACTIVATIONS:
+        raise ConfigError(f"unknown activation {act!r}; expected one of {sorted(_ACTIVATIONS)}")
+    return _ACTIVATIONS[act]
+
+
+def _pointwise_activation(act: str, x: Tensor, alpha: float = 0.2) -> Tensor:
+    activate, act_grad = _ACTIVATIONS[act]
+    out = activate(x.data.copy(), alpha)
+    return _record(act, (x,), out, lambda g: (act_grad(g, out, alpha),))
+
+
+def relu(x: Tensor) -> Tensor:
+    return _pointwise_activation("relu", x)
+
+
+def lrelu(x: Tensor, alpha: float = 0.2) -> Tensor:
+    return _pointwise_activation("lrelu", x, alpha)
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    return _pointwise_activation("sigmoid", x)
+
+
+def tanh(x: Tensor) -> Tensor:
+    return _pointwise_activation("tanh", x)
 
 
 # ---------------------------------------------------------------------------
 # Convolution
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0,
+           act: str | None = None, alpha: float = 0.2) -> Tensor:
     """2-D convolution (cross-correlation), kernel (out_c, in_c, kh, kw), bias (1, out_c, 1, 1).
 
     Output spatial size is floor((size + 2*padding - k) / stride) + 1 and must
-    be positive; strided windows that do not fit are dropped.
+    be positive; strided windows that do not fit are dropped.  `act` ("relu",
+    "lrelu" with slope `alpha`, "sigmoid" or "tanh") applies that activation
+    to the biased output within this node, with exactly the values and
+    gradients of the separate op.
     """
     n, c, h, w = x.shape
     oc, ic, kh, kw = kernel.shape
@@ -337,11 +432,16 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
         raise ConfigError(
             f"conv2d: kernel {kh}x{kw} stride {stride} pad {padding} gives empty output "
             f"for input {h}x{w}")
+    activate, act_grad = _activation(act)
 
     out, cols = _correlate(x.data, kernel.data, stride, padding, padding)
+    shifted = cols is None
+    del cols  # the kernel gradient gathers the patches again, see below
     out += bias.data
+    out = activate(out, alpha)
 
     def backward(gout: np.ndarray):
+        gout = act_grad(gout, out, alpha)
         dx = dk = db = None
         if x.requires_grad and stride == 1:
             # the adjoint of a stride-1 correlation is a correlation of gout
@@ -351,11 +451,18 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
         elif x.requires_grad:
             dcols = np.matmul(kernel.data.reshape(oc, -1).T, gout.reshape(n, oc, oh * ow))
             dx = _col2im(dcols, x.shape, kh, kw, stride, padding, padding, oh, ow)
-        if kernel.requires_grad and cols is None:
+        if kernel.requires_grad and shifted:
             dk = _conv_shifted_kernel_grad(x.data, gout, kh, kw, padding, padding)
         elif kernel.requires_grad:
+            # gather the patches again one image at a time, so each image's
+            # matrix is still in cache for its GEMM; starting from zeros, the
+            # images add in the order of matmul(...).sum(axis=0)
             gmat = gout.reshape(n, oc, oh * ow)
-            dk = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
+            dk = np.zeros((oc, ic * kh * kw))
+            for i in range(n):
+                cols = _im2col(x.data[i:i + 1], kh, kw, stride, padding, padding)[0]
+                dk += np.matmul(gmat[i], cols.T)
+            dk = dk.reshape(kernel.shape)
         if bias.requires_grad:
             db = gout.sum(axis=(0, 2, 3)).reshape(1, oc, 1, 1)
         return dx, dk, db
@@ -363,13 +470,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     return _record("conv2d", (x, kernel, bias), out, backward)
 
 
-def deconv2d(x: Tensor, kernel: Tensor, bias: Tensor, factor: int = 1) -> Tensor:
+def deconv2d(x: Tensor, kernel: Tensor, bias: Tensor, factor: int = 1,
+             act: str | None = None, alpha: float = 0.2) -> Tensor:
     """Transposed convolution upsampling spatial dims by exactly `factor`.
 
     Kernel layout is (in_c, out_c, kh, kw) with stride = factor and implied
     padding (k - factor) / 2 per axis, so (k - factor) must be even and >= 0;
     the forward map is the exact adjoint of conv2d with the same kernel,
-    stride and padding.
+    stride and padding.  `act` and `alpha` fuse an activation as in conv2d.
     """
     n, c, h, w = x.shape
     ic, oc, kh, kw = kernel.shape
@@ -385,6 +493,7 @@ def deconv2d(x: Tensor, kernel: Tensor, bias: Tensor, factor: int = 1) -> Tensor
             f"kernel size minus factor must be even and non-negative")
     ph, pw = (kh - factor) // 2, (kw - factor) // 2
     f = factor
+    activate, act_grad = _activation(act)
 
     # sub-pixel form: one stride-1 correlation computes every output phase,
     # then depth-to-space -- col2im with f x f windows at stride f -- places
@@ -393,8 +502,10 @@ def deconv2d(x: Tensor, kernel: Tensor, bias: Tensor, factor: int = 1) -> Tensor
     y = _correlate(x.data, phases, 1, dh, dw)[0]
     out = _col2im(y, (n, oc, h * f, w * f), f, f, f, 0, 0, h, w)
     out += bias.data
+    out = activate(out, alpha)
 
     def backward(gout: np.ndarray):
+        gout = act_grad(gout, out, alpha)
         dx = dk = db = None
         gcols = _im2col(gout, kh, kw, f, ph, pw)   # (n, oc*kh*kw, h*w)
         if x.requires_grad:
@@ -411,31 +522,6 @@ def deconv2d(x: Tensor, kernel: Tensor, bias: Tensor, factor: int = 1) -> Tensor
 
 # ---------------------------------------------------------------------------
 # Pointwise ops
-
-
-def relu(x: Tensor) -> Tensor:
-    # NaN fails `<= 0` and passes through, where `> 0` would zero it unseen
-    out = np.where(x.data <= 0, 0.0, x.data)
-    return _record("relu", (x,), out, lambda g: (g * (x.data > 0),))
-
-
-def lrelu(x: Tensor, alpha: float = 0.2) -> Tensor:
-    # for alpha in [0, 1) this is where(x > 0, x, alpha * x), and NaN passes through
-    out = np.maximum(x.data, alpha * x.data)
-    return _record("lrelu", (x,), out, lambda g: (g * np.where(x.data > 0, 1.0, alpha),))
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    # evaluate via exp(-|x|) so neither branch can overflow
-    d = x.data
-    e = np.exp(-np.abs(d))
-    out = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return _record("sigmoid", (x,), out, lambda g: (g * out * (1.0 - out),))
-
-
-def tanh(x: Tensor) -> Tensor:
-    out = np.tanh(x.data)
-    return _record("tanh", (x,), out, lambda g: (g * (1.0 - out * out),))
 
 
 def _check_same_shape(op: str, a: Tensor, b: Tensor) -> None:

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import (Tensor, add, affine, concat_channels, conv2d, deconv2d,
-                       global_avg_pool, lrelu, maximum, mul, relu, sigmoid, tanh)
+                       global_avg_pool, maximum, mul)
 from .data import atomic_write, save_image
 from .errors import CheckpointError, ConfigError, NumericsError
 
@@ -111,8 +111,8 @@ def combine(kind, a, b, params=None, path=""):
     if a.shape != b.shape:
         raise ConfigError(f"combiner inputs must share a shape, got {a.shape} and {b.shape}")
     if kind == "sgu":
-        ga = sigmoid(conv2d(a, params[path + ".ga.w"], params[path + ".ga.b"], stride=1, padding=1))
-        gp = sigmoid(conv2d(a, params[path + ".gp.w"], params[path + ".gp.b"], stride=1, padding=1))
+        ga = conv2d(a, params[path + ".ga.w"], params[path + ".ga.b"], 1, 1, act="sigmoid")
+        gp = conv2d(a, params[path + ".gp.w"], params[path + ".gp.b"], 1, 1, act="sigmoid")
         return add(mul(ga, a), mul(gp, b)), ga, gp
     if kind == "max":
         return maximum(a, b), None, None
@@ -247,10 +247,11 @@ def generator_forward(s: Tensor, params: dict, config: SgenConfig):
         return t
 
     def conv(t, path, stride, pad):
-        return lrelu(conv2d(t, params[path + ".w"], params[path + ".b"], stride, pad), al)
+        return conv2d(t, params[path + ".w"], params[path + ".b"], stride, pad,
+                      act="lrelu", alpha=al)
 
     def deconv(t, path, factor):
-        return relu(deconv2d(t, params[path + ".w"], params[path + ".b"], factor=factor))
+        return deconv2d(t, params[path + ".w"], params[path + ".b"], factor, act="relu")
 
     def junction(stage, k, active, passive):
         sgu = f"gen.{stage}.sgu{k}"
@@ -289,7 +290,7 @@ def generator_forward(s: Tensor, params: dict, config: SgenConfig):
         y = junction("dec", k, dec[k - 1], y)
         y = keep(f"gen.dec.merge{k}", deconv(y, f"gen.dec.merge{k}", 2))
 
-    out = tanh(conv2d(y, params["gen.out.conv.w"], params["gen.out.conv.b"], 1, 1))
+    out = conv2d(y, params["gen.out.conv.w"], params["gen.out.conv.b"], 1, 1, act="tanh")
     return _check_finite(out, "gen.out.conv"), acts
 
 
@@ -304,11 +305,11 @@ def discriminator_forward(img: Tensor, params: dict, config: SgenConfig) -> Tens
             f"discriminator input {h}x{w} is smaller than its total stride {DISC_MIN_HW}")
     t = img
     for i in range(1, 5):
-        t = lrelu(conv2d(t, params[f"disc.conv{i}.w"], params[f"disc.conv{i}.b"], 2, 1),
-                  config.lrelu_alpha)
+        t = conv2d(t, params[f"disc.conv{i}.w"], params[f"disc.conv{i}.b"], 2, 1,
+                   act="lrelu", alpha=config.lrelu_alpha)
         _check_finite(t, f"disc.conv{i}")
     pooled = global_avg_pool(t)
-    prob = sigmoid(conv2d(pooled, params["disc.fc.w"], params["disc.fc.b"]))
+    prob = conv2d(pooled, params["disc.fc.w"], params["disc.fc.b"], act="sigmoid")
     return _check_finite(prob, "disc.fc")
 
 

@@ -136,6 +136,9 @@ def train_step(batch, state: TrainState, cfg: TrainConfig) -> dict:
         gd.backward(d_loss)
         adam_step(disc, collect_grads(disc), state.disc_adam, cfg.lr)
         losses["d_loss"] = d_loss.item()
+        # free the discriminator step's tape and gradients before the
+        # generator's backward
+        del gd, d_real, d_fake, d_loss
 
     for p in disc.values():
         p.requires_grad = False
@@ -206,6 +209,7 @@ def train(cfg: TrainConfig, model_cfg: SgenConfig, corpus, scales, spec,
     rng = np.random.default_rng(cfg.seed)
 
     csv_rows = ["step,d_loss,g_adv,g_mse,val_psnr"]
+    last = state.step + cfg.steps  # this call's last step; a resumed run starts past 0
     for _ in range(cfg.steps):
         scale = scales[state.step % len(scales)]
         batch = make_batch(corpus, scale, cfg.batch_size, spec, rng)
@@ -217,12 +221,12 @@ def train(cfg: TrainConfig, model_cfg: SgenConfig, corpus, scales, spec,
                 f"divergence limit {cfg.divergence_limit:.3g} ({losses})")
         val = None
         if val_corpus is not None and cfg.val_every and (
-                state.step % cfg.val_every == 0 or state.step == cfg.steps):
+                state.step % cfg.val_every == 0 or state.step == last):
             val = eval_model(model_restorer(state.params, state.model_config), val_corpus,
                              scales, spec, seed=cfg.seed, limit=cfg.val_count).mean_psnr
             state.history[-1]["val_psnr"] = val
-        if verbose and (val is not None or state.step == cfg.steps):
-            parts = [f"step {state.step}/{cfg.steps}"]
+        if verbose and (val is not None or state.step == last):
+            parts = [f"step {state.step}/{last}"]
             for key in ("d_loss", "g_adv", "g_mse"):
                 if losses[key] is not None:
                     parts.append(f"{key}={losses[key]:.4f}")

@@ -423,6 +423,102 @@ def test_grad_many_random_shapes():
 
 
 # ---------------------------------------------------------------------------
+# conv2d/deconv2d with a fused activation
+
+ACTS = {"relu": relu, "lrelu": lambda t: lrelu(t, 0.3), "sigmoid": sigmoid, "tanh": tanh}
+FUSED_CASES = {  # name -> (x shape, kernel shape, build(x, k, b, act))
+    "conv-s1": ((2, 3, 5, 4), (3, 3, 3, 3),
+                lambda *a, act: conv2d(*a, stride=1, padding=1, act=act, alpha=0.3)),
+    "conv-s2": ((2, 2, 6, 5), (3, 2, 4, 4),
+                lambda *a, act: conv2d(*a, stride=2, padding=1, act=act, alpha=0.3)),
+    "deconv-f2": ((2, 3, 3, 2), (3, 2, 4, 4),
+                  lambda *a, act: deconv2d(*a, factor=2, act=act, alpha=0.3)),
+    "deconv-f4": ((1, 2, 2, 3), (2, 3, 8, 8),
+                  lambda *a, act: deconv2d(*a, factor=4, act=act, alpha=0.3)),
+}
+
+
+def _fused_arrays(case, seed=0):
+    xs, ks, _ = FUSED_CASES[case]
+    rng = np.random.default_rng(seed)
+    oc = ks[1] if case.startswith("deconv") else ks[0]
+    return [rng.normal(size=xs), rng.normal(size=ks), rng.normal(size=(1, oc, 1, 1))]
+
+
+def _sigmoid_definition(x):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+ACT_DEFINITIONS = {"relu": lambda x: np.where(x <= 0, 0.0, x),
+                   "lrelu": lambda x: np.where(x > 0, x, 0.3 * x),
+                   "sigmoid": _sigmoid_definition, "tanh": np.tanh}
+
+
+@pytest.mark.parametrize("act", list(ACTS))
+def test_activation_bits_match_definition(act):
+    # signed zeros, infinities and NaN included: the fused and the separate
+    # ops share these formulas, so this pins both
+    x = np.random.default_rng(3).normal(size=(2, 3, 4, 5)) * 30.0
+    x.flat[::7] = -0.0
+    x.flat[1::11] = 0.0
+    x.flat[2:5] = [np.inf, -np.inf, np.nan]
+    out = ACTS[act](t4(x)).data
+    assert np.array_equal(out.view(np.int64), ACT_DEFINITIONS[act](x).view(np.int64))
+
+
+@pytest.mark.parametrize("act", list(ACTS))
+@pytest.mark.parametrize("case", list(FUSED_CASES))
+def test_grad_fused_activation(case, act):
+    build = FUSED_CASES[case][2]
+    _gradcheck(lambda *a: build(*a, act=act), _fused_arrays(case))
+
+
+def _values_and_grads(build, arrays, nan_at=None):
+    tensors = [t4(a.copy(), requires_grad=True) for a in arrays]
+    if nan_at is not None:
+        tensors[0].data[nan_at] = np.nan
+    with Graph() as g:
+        out = build(*tensors)
+        w = Tensor(np.random.default_rng(5).normal(size=out.shape))
+        loss = sum_all(mul(out, w))
+    g.backward(loss)
+    return [out.data] + [t.grad for t in tensors], len(g.nodes)
+
+
+@pytest.mark.parametrize("act", list(ACTS))
+@pytest.mark.parametrize("case,shifted", [(c, False) for c in FUSED_CASES] + [("conv-s1", True)])
+def test_fused_activation_is_bitwise_the_composed_ops(monkeypatch, case, shifted, act):
+    if shifted:  # the forward and both gradients take the shifted GEMM
+        monkeypatch.setattr(ad, "SHIFTED_MIN_BYTES", 0)
+    build, arrays = FUSED_CASES[case][2], _fused_arrays(case, seed=1)
+    fused, fused_nodes = _values_and_grads(lambda *a: build(*a, act=act), arrays)
+    composed, composed_nodes = _values_and_grads(lambda *a: ACTS[act](build(*a, act=None)), arrays)
+    assert fused_nodes == composed_nodes - 1
+    for f, c in zip(fused, composed):
+        assert np.array_equal(f, c)
+
+
+@pytest.mark.parametrize("act", ["relu", "lrelu"])
+@pytest.mark.parametrize("case", list(FUSED_CASES))
+def test_fused_activation_passes_nan(case, act):
+    # a NaN input reaches the output as NaN, where _check_finite names the layer
+    build, arrays = FUSED_CASES[case][2], _fused_arrays(case, seed=2)
+    fused, _ = _values_and_grads(lambda *a: build(*a, act=act), arrays, nan_at=(0, 0, 0, 0))
+    composed, _ = _values_and_grads(lambda *a: ACTS[act](build(*a, act=None)), arrays,
+                                    nan_at=(0, 0, 0, 0))
+    assert np.isnan(fused[0]).any()
+    for f, c in zip(fused, composed):
+        assert np.array_equal(f, c, equal_nan=True)
+
+
+def test_unknown_activation_rejected():
+    x, k, b = (t4(a) for a in _fused_arrays("conv-s1"))
+    with pytest.raises(ConfigError, match="activation"):
+        conv2d(x, k, b, act="softplus")
+
+
+# ---------------------------------------------------------------------------
 # Adam
 
 

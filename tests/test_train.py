@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,6 +204,25 @@ def test_repeated_batch_mse_converges():
     assert last < 0.5 * first
 
 
+def test_adversarial_step_memory_bound():
+    # default model, batch 8, 80x64: each conv/deconv node keeps only its
+    # input, kernel and activated output, and the discriminator step's tape
+    # is freed before the generator's backward (about 39 MiB; 99 MiB when the
+    # tape kept patch matrices, pre-activation outputs and the D tape)
+    state = init_state(SgenConfig(), seed=0)
+    cfg = TrainConfig(batch_size=8, lr=1e-4)
+    batch = make_batch(SyntheticCorpus(16), (80, 64), 8, SPEC, np.random.default_rng(0))
+    train_step(batch, state, cfg)  # the first step allocates Adam's moments
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        train_step(batch, state, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
 # ---------------------------------------------------------------------------
 # full runs
 
@@ -288,3 +308,20 @@ def test_resume_from_state(tmp_path):
                   state=state)
     assert state.step == 4
     assert len(state.history) == 4
+
+
+def test_resumed_call_validates_and_prints_its_last_step(tmp_path, capsys):
+    # the second call runs steps 3 and 4; step 4 is its last, though not a
+    # multiple of val_every and not equal to cfg.steps
+    cfg = TrainConfig(steps=2, batch_size=2, lr=1e-3, mse_only=True, val_every=3, val_count=1)
+    args = (TINY, SyntheticCorpus(4), [SCALE], SPEC)
+    state = train(cfg, *args, tmp_path / "a", val_corpus=SyntheticCorpus(2, offset=4))
+    capsys.readouterr()
+    state = train(cfg, *args, tmp_path / "b", val_corpus=SyntheticCorpus(2, offset=4),
+                  state=state, verbose=True)
+    rows = (tmp_path / "b" / "loss_log.csv").read_text().strip().split("\n")[1:]
+    assert [r.split(",")[0] for r in rows] == ["3", "4"]
+    assert all(np.isfinite(float(r.split(",")[-1])) for r in rows)
+    assert "val_psnr" in state.history[-1]
+    printed = capsys.readouterr().out.strip().split("\n")
+    assert printed[-1].startswith("step 4/4 ") and "val_psnr=" in printed[-1]
