@@ -4,8 +4,11 @@ Every tensor is a float64 array of shape (batch, channels, height, width);
 scalars live in shape (1, 1, 1, 1). Operations executed while a Graph is
 active are appended to that graph's tape in execution order, which makes the
 tape itself a topological order: one reversed sweep propagates gradients and
-visits each recorded node exactly once. Gradients accumulate (+=) into any
-tensor consumed by several ops.
+visits each recorded node exactly once. `Graph.backward(loss, wrt)` returns
+d(loss)/d(t) for each leaf tensor t in `wrt`, zeros for one off the loss's
+path; no tensor stores a gradient.  A tensor consumed by several ops gets the
+sum of their contributions, and the gradient of each recorded output is
+dropped once its node's backward has read it.
 
 Nothing here is specific to one network; the op set is just large enough to
 express a gated convolutional encoder-decoder, a convolutional classifier and
@@ -50,26 +53,26 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, TypeVar
 
 import numpy as np
 
 from .errors import ConfigError, NumericsError, UsageError
 
 LOG_FLOOR = 1e-12  # clamp for log() arguments, keeps losses finite
+_K = TypeVar("_K")
 
 
 class Tensor:
     """A float64 (batch, channels, height, width) array, optionally tracked for grad."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 4:
             raise ConfigError(f"tensors are 4-D (n, c, h, w); got shape {arr.shape}")
         self.data = np.ascontiguousarray(arr)
-        self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
 
     @property
@@ -88,10 +91,6 @@ class Tensor:
     @staticmethod
     def scalar(value: float) -> "Tensor":
         return Tensor(np.full((1, 1, 1, 1), float(value)))
-
-    @staticmethod
-    def zeros(shape: Sequence[int], requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(tuple(shape)), requires_grad=requires_grad)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -114,7 +113,6 @@ class Graph:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self._recorded: set[int] = set()
 
     def __enter__(self) -> "Graph":
         _GRAPH_STACK.append(self)
@@ -125,31 +123,33 @@ class Graph:
         if popped is not self:
             raise UsageError("graph context exited out of order")
 
-    def owns(self, t: Tensor) -> bool:
-        return id(t) in self._recorded
+    def backward(self, loss: Tensor, wrt: Mapping[_K, Tensor]) -> dict[_K, np.ndarray]:
+        """{key: d(loss)/d(wrt[key])} for leaf tensors; zeros for one off the loss's path.
 
-    def backward(self, loss: Tensor) -> None:
-        """Populate .grad for every requires_grad tensor contributing to `loss`."""
-        if not self.owns(loss):
+        The tape is left in place.  Each recorded output's gradient is dropped
+        as soon as its node's backward has read it.
+        """
+        outputs = {id(node.output) for node in self.nodes}
+        if id(loss) not in outputs:
             raise UsageError("backward target was not produced on this graph")
         if loss.data.size != 1:
             raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
-        for node in self.nodes:
-            node.output.grad = None
-            for t in node.inputs:
-                t.grad = None
-        loss.grad = np.ones((1, 1, 1, 1))
+        recorded = [key for key, t in wrt.items() if id(t) in outputs]
+        if recorded:
+            raise UsageError(f"backward differentiates leaf tensors; {recorded} were recorded here")
+        grads = {id(loss): np.ones((1, 1, 1, 1))}
         for node in reversed(self.nodes):
-            gout = node.output.grad
+            gout = grads.pop(id(node.output), None)
             if gout is None:
                 continue  # not on the path to the loss
             for t, g in zip(node.inputs, node.backward(gout)):
                 if g is None or not t.requires_grad:
                     continue
-                if t.grad is None:
-                    t.grad = g
-                else:
-                    t.grad += g
+                prev = grads.get(id(t))
+                # out of place: a node may return one array for several inputs
+                grads[id(t)] = g if prev is None else prev + g
+        return {key: grads[id(t)] if id(t) in grads else np.zeros_like(t.data)
+                for key, t in wrt.items()}
 
 
 def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
@@ -159,7 +159,6 @@ def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
     if graph is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         graph.nodes.append(_Node(op, inputs, out, backward))
-        graph._recorded.add(id(out))
     return out
 
 
@@ -637,10 +636,3 @@ def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
         v += (1.0 - state.beta2) * (g * g)
         p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
 
-
-def collect_grads(params: Mapping[str, Tensor]) -> dict[str, np.ndarray]:
-    """Snapshot .grad for every named parameter (missing grads become zeros)."""
-    out = {}
-    for path, p in params.items():
-        out[path] = np.zeros_like(p.data) if p.grad is None else p.grad
-    return out

@@ -67,39 +67,6 @@ class Batch:
 
 
 # ---------------------------------------------------------------------------
-# scales
-
-
-def sample_scales(min_hw, max_hw, count, divisor=16):
-    """Linearly interpolate `count` (h, w) scales between min and max inclusive.
-
-    Every emitted dim is a multiple of `divisor` (callers pass the lcm of the
-    generator divisor and the downsampling factor); endpoints must already be
-    multiples.
-    """
-    h0, w0 = min_hw
-    h1, w1 = max_hw
-    if count < 2:
-        raise ConfigError(f"scale count must be >= 2, got {count}")
-    if h0 >= h1 or w0 >= w1:
-        raise ConfigError(f"min scale {min_hw} must be strictly below max {max_hw}")
-    for v in (h0, w0, h1, w1):
-        if v < divisor or v % divisor:
-            raise ConfigError(f"scale dim {v} is not a positive multiple of divisor {divisor}")
-    scales = []
-    for i in range(count):
-        t = i / (count - 1)
-        h = round((h0 + t * (h1 - h0)) / divisor) * divisor
-        w = round((w0 + t * (w1 - w0)) / divisor) * divisor
-        scales.append((h, w))
-    if len(set(scales)) != count:
-        raise ConfigError(
-            f"{count} scales between {min_hw} and {max_hw} collide after "
-            f"rounding to divisor {divisor}")
-    return scales
-
-
-# ---------------------------------------------------------------------------
 # degradation
 
 

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import (AdamState, Graph, Tensor, add, affine, collect_grads,
-                       adam_step, log_clamped, mean_all, mul, sub)
+from .autodiff import (AdamState, Graph, Tensor, add, affine, adam_step,
+                       log_clamped, mean_all, mul, sub)
 from .data import atomic_write, degrade, make_batch, save_image, to_unit
 from .errors import ConfigError, DivergenceError, NumericsError
 from .metrics import eval_model, model_restorer
@@ -87,26 +87,25 @@ def mse_loss(gen: Tensor, target: Tensor) -> Tensor:
     return mean_all(mul(diff, diff))
 
 
-def gan_losses(d_real, d_fake, variant: str = "minimax"):
-    """GAN objectives from discriminator probabilities; logs clamped at 1e-12.
+def disc_loss(d_real: Tensor, d_fake: Tensor) -> Tensor:
+    """-mean[log d_real + log(1 - d_fake)] from discriminator probabilities.
 
-    Returns (d_loss, g_adv): d_loss = -mean[log d_real + log(1 - d_fake)]
-    (None when d_real is None), and the generator's adversarial term, which
-    is mean[log(1 - d_fake)] for minimax or -mean[log d_fake] for the
-    nonsaturating variant.
+    Logs are clamped at 1e-12, as in gen_adv_loss.
     """
+    one = Tensor(np.ones(d_fake.shape))
+    joint = add(log_clamped(d_real), log_clamped(sub(one, d_fake)))
+    return affine(mean_all(joint), -1.0, 0.0)
+
+
+def gen_adv_loss(d_fake: Tensor, variant: str = "minimax") -> Tensor:
+    """The generator's adversarial term: mean[log(1 - d_fake)] for minimax,
+    -mean[log d_fake] for the nonsaturating variant; logs clamped at 1e-12."""
     if variant not in LOSS_VARIANTS:
         raise ConfigError(f"loss variant must be one of {LOSS_VARIANTS}, got {variant!r}")
-    one = Tensor(np.ones(d_fake.shape))
-    d_loss = None
-    if d_real is not None:
-        joint = add(log_clamped(d_real), log_clamped(sub(one, d_fake)))
-        d_loss = affine(mean_all(joint), -1.0, 0.0)
     if variant == "minimax":
-        g_adv = mean_all(log_clamped(sub(one, d_fake)))
-    else:
-        g_adv = affine(mean_all(log_clamped(d_fake)), -1.0, 0.0)
-    return d_loss, g_adv
+        one = Tensor(np.ones(d_fake.shape))
+        return mean_all(log_clamped(sub(one, d_fake)))
+    return affine(mean_all(log_clamped(d_fake)), -1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -132,31 +131,24 @@ def train_step(batch, state: TrainState, cfg: TrainConfig) -> dict:
         with gd:
             d_real = discriminator_forward(batch.t, state.params, mcfg)
             d_fake = discriminator_forward(fake.detach(), state.params, mcfg)
-            d_loss, _ = gan_losses(d_real, d_fake, cfg.loss_variant)
-        gd.backward(d_loss)
-        adam_step(disc, collect_grads(disc), state.disc_adam, cfg.lr)
+            d_loss = disc_loss(d_real, d_fake)
+        adam_step(disc, gd.backward(d_loss, disc), state.disc_adam, cfg.lr)
         losses["d_loss"] = d_loss.item()
-        # free the discriminator step's tape and gradients before the
-        # generator's backward
+        # free the discriminator step's tape before the generator's backward
         del gd, d_real, d_fake, d_loss
 
-    for p in disc.values():
-        p.requires_grad = False
-    try:
-        with gg:
-            g_mse = mse_loss(fake, batch.t)
-            if cfg.mse_only:
-                g_loss = g_mse
-            else:
-                d_fake_live = discriminator_forward(fake, state.params, mcfg)
-                _, g_adv = gan_losses(None, d_fake_live, cfg.loss_variant)
-                g_loss = add(g_adv, affine(g_mse, cfg.lam, 0.0))
-                losses["g_adv"] = g_adv.item()
-        gg.backward(g_loss)
-    finally:
-        for p in disc.values():
-            p.requires_grad = True
-    adam_step(gen, collect_grads(gen), state.gen_adam, cfg.lr)
+    with gg:
+        g_mse = mse_loss(fake, batch.t)
+        if cfg.mse_only:
+            g_loss = g_mse
+        else:
+            # the generator trains against a frozen copy of the discriminator
+            frozen = {path: p.detach() for path, p in disc.items()}
+            d_fake_live = discriminator_forward(fake, frozen, mcfg)
+            g_adv = gen_adv_loss(d_fake_live, cfg.loss_variant)
+            g_loss = add(g_adv, affine(g_mse, cfg.lam, 0.0))
+            losses["g_adv"] = g_adv.item()
+    adam_step(gen, gg.backward(g_loss, gen), state.gen_adam, cfg.lr)
     losses["g_mse"] = g_mse.item()
 
     state.step += 1

@@ -3,7 +3,7 @@ import pytest
 
 from sgen.data import (Batch, DegradationSpec, DiskCorpus, SyntheticCorpus,
                        atomic_write, degrade, load_image, make_batch,
-                       read_netpbm, sample_scales, save_image, split_corpus,
+                       read_netpbm, save_image, split_corpus,
                        synth_face, to_bytes, to_unit, write_netpbm)
 from sgen.errors import ConfigError, ImageFormatError
 
@@ -31,34 +31,6 @@ def test_degradation_spec_validation():
                    {"uniform_lo": float("nan")}, {"uniform_hi": float("inf")}):
         with pytest.raises(ConfigError):
             DegradationSpec(**kwargs)
-
-
-# ---------------------------------------------------------------------------
-# scales
-
-
-def test_sample_scales_six_between_large_endpoints():
-    scales = sample_scales((128, 96), (208, 176), 6)
-    assert scales == [(128, 96), (144, 112), (160, 128), (176, 144), (192, 160), (208, 176)]
-
-
-def test_sample_scales_endpoints_only():
-    assert sample_scales((48, 32), (80, 64), 2) == [(48, 32), (80, 64)]
-
-
-def test_sample_scales_desk_triplet():
-    assert sample_scales((48, 32), (80, 64), 3, divisor=16) == [(48, 32), (64, 48), (80, 64)]
-
-
-def test_sample_scales_errors():
-    with pytest.raises(ConfigError):
-        sample_scales((48, 32), (80, 64), 1)
-    with pytest.raises(ConfigError):
-        sample_scales((80, 64), (48, 32), 2)
-    with pytest.raises(ConfigError):
-        sample_scales((50, 32), (80, 64), 2)  # 50 not divisible
-    with pytest.raises(ConfigError):
-        sample_scales((48, 32), (80, 64), 9)  # collides after rounding
 
 
 # ---------------------------------------------------------------------------
