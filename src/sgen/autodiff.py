@@ -15,13 +15,24 @@ express a gated convolutional encoder-decoder, a convolutional classifier and
 the usual GAN/MSE training losses.
 
 Convolution kernels.  Strided conv2d (encoder trunk, base-encoders,
-discriminator) runs one GEMM over an im2col patch matrix, and its input
-gradient scatters back through col2im.  Every stride-1 correlation -- the
-conv2d forward, the conv2d input gradient (a correlation of the output
-gradient with the flipped, transposed kernel) and the deconv2d forward (one
-correlation with out_c * factor^2 sub-pixel phase outputs) -- picks its
-kernel by a fixed rule on shapes alone: with c input and oc output
-channels, the shifted GEMM runs when
+discriminator) runs one GEMM over an im2col patch matrix.  Its adjoint, the
+transposed convolution, has one implementation, _conv_transpose: it is
+conv2d's input gradient at every stride and deconv2d's forward.  In
+sub-pixel form, pixel s*q + r of the padded input sums output-gradient
+pixel q - d times kernel tap s*d + r, so one stride-1 correlation with
+in_c * s^2 phase outputs and ceil(k / s) taps per axis computes every phase
+(no zero taps when s divides k), and depth-to-space -- the adjoint of im2col
+for non-overlapping s x s windows, one transposed copy -- places them.
+Where a stride drops windows, the pixels past the last window are reached
+by zero rows and columns appended to the gradient.  Phase rows and columns
+that lie wholly in the conv padding are not computed (at stride 1 this
+leaves the correlation of the gradient with the flipped kernel), and the
+rest of the padding is cropped at the end.  deconv2d's backward gathers
+through im2col.
+
+Every stride-1 correlation -- the conv2d forward and the phase correlation
+of _conv_transpose -- picks its kernel by a fixed rule on shapes alone:
+with c input and oc output channels, the shifted GEMM runs when
 
     oc <= c  and  its im2col matrix would take >= SHIFTED_MIN_BYTES (2 MiB),
 
@@ -32,10 +43,6 @@ traffic exceeds the patch matrix (9x slower for c = 1), and on small inputs,
 where the patch matrix stays in cache.  Timing forward plus kernel gradient
 of 3x3 layers (2-core Xeon VM, one BLAS thread), im2col won up to 0.84 MiB,
 the two tied at 1.3-1.4 MiB and the shifted GEMM won from 1.7 MiB on.
-
-The deconv2d forward then places the phases by depth-to-space, which is
-col2im with non-overlapping factor x factor windows and so one transposed
-copy.  deconv2d's backward gathers through im2col.
 
 The tape rule.  A conv2d or deconv2d node keeps its input, its kernel and
 its activated output, and no patch matrix.  The activation that follows a
@@ -87,10 +94,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         """A view of the same data with no grad tracking."""
         return Tensor(self.data, requires_grad=False)
-
-    @staticmethod
-    def scalar(value: float) -> "Tensor":
-        return Tensor(np.full((1, 1, 1, 1), float(value)))
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -163,7 +166,7 @@ def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Convolution kernels: im2col/col2im, shifted GEMM, sub-pixel phases
+# Convolution kernels: im2col/col2im, shifted GEMM, the transposed convolution
 
 SHIFTED_MIN_BYTES = 2 * 2**20  # see the module docstring
 
@@ -196,22 +199,15 @@ def _im2col(a: np.ndarray, kh: int, kw: int, stride: int, ph: int, pw: int) -> n
     return view.reshape(n, c * kh * kw, oh * ow)  # reshape copies out of the view
 
 
-def _col2im(cols: np.ndarray, shape: tuple[int, int, int, int], kh: int, kw: int,
-            stride: int, ph: int, pw: int, oh: int, ow: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add patches back onto an (n, c, h, w) canvas."""
+def _col2im(cols: np.ndarray, shape: tuple[int, int, int, int], kh: int, kw: int) -> np.ndarray:
+    """Adjoint of _im2col for kh x kw windows that tile an (n, c, h, w) canvas.
+
+    With stride (kh, kw) and no padding the windows do not overlap, so the
+    adjoint is a permutation (depth-to-space): one transposed copy, no adds.
+    """
     n, c, h, w = shape
-    if (kh, kw, ph, pw) == (stride, stride, 0, 0) and (h, w) == (stride * oh, stride * ow):
-        # the windows tile the canvas without overlap, so the scatter is a
-        # permutation (depth-to-space): one transposed copy, no adds
-        return cols.reshape(n, c, kh, kw, oh, ow).transpose(0, 1, 4, 2, 5, 3).reshape(shape)
-    buf = np.zeros((n, c, h + 2 * ph, w + 2 * pw))
-    cols = cols.reshape(n, c, kh, kw, oh, ow)
-    for i in range(kh):
-        for j in range(kw):
-            buf[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, :, i, j]
-    if ph or pw:
-        buf = np.ascontiguousarray(buf[:, :, ph:ph + h, pw:pw + w])
-    return buf
+    cols = cols.reshape(n, c, kh, kw, h // kh, w // kw)
+    return cols.transpose(0, 1, 4, 2, 5, 3).reshape(shape)
 
 
 def _use_shifted(n: int, c: int, oc: int, kh: int, kw: int, oh: int, ow: int) -> bool:
@@ -273,13 +269,8 @@ def _correlate(a: np.ndarray, kernel: np.ndarray, stride: int, ph: int, pw: int)
     """Cross-correlate (n, c, h, w) with an (oc, c, kh, kw) kernel, no bias.
 
     Returns (out, cols): cols is the im2col patch matrix when that kernel
-    ran (conv2d keeps it for the kernel gradient), else None.  A negative
-    padding, which only stride-1 input gradients ask for, crops instead.
+    ran (conv2d keeps it for the kernel gradient), else None.
     """
-    if ph < 0 or pw < 0:
-        _, _, h, w = a.shape
-        a = a[:, :, max(-ph, 0):h - max(-ph, 0), max(-pw, 0):w - max(-pw, 0)]
-        ph, pw = max(ph, 0), max(pw, 0)
     n, c, h, w = a.shape
     oc, _, kh, kw = kernel.shape
     oh = _conv_out_size(h, kh, stride, ph)
@@ -290,48 +281,59 @@ def _correlate(a: np.ndarray, kernel: np.ndarray, stride: int, ph: int, pw: int)
     return np.matmul(kernel.reshape(oc, -1), cols).reshape(n, oc, oh, ow), cols
 
 
-def _phase_taps(k: int, factor: int, pad: int, d: int) -> np.ndarray:
-    """(2d + 1, factor) kernel tap that phase-kernel tap u reads for phase r; k for none.
-
-    Output pixel factor*q + r of a transposed convolution sums input q - d'
-    times kernel tap factor*d' + r + pad; tap u of the phase kernel is d' = d - u.
-    """
-    taps = factor * (d - np.arange(2 * d + 1))[:, None] + np.arange(factor) + pad
-    return np.where((taps >= 0) & (taps < k), taps, k)
-
-
 @functools.lru_cache(maxsize=None)
-def _phase_index(oc: int, kh: int, kw: int, factor: int) -> tuple[np.ndarray, int, int]:
-    """Gather table of _phase_kernel for one kernel shape and factor, with dh, dw.
+def _phase_index(shape: tuple[int, int, int, int], stride: int) -> np.ndarray:
+    """Gather table of _conv_transpose's phase kernel for one kernel shape and stride.
 
-    Entry (i, j, o, rh, rw) indexes a row of the (ic, oc*kh*kw + 1) flattened
-    kernel whose extra last column is zero: phases that a tap does not read
-    gather that zero.  Built on the first use of a shape, not at import.
+    Entry ((c, rh, rw), o, uh, uw) indexes the flattened (oc, ic, kh, kw)
+    kernel followed by one zero: tap (s*(dh-1-uh) + rh, s*(dw-1-uw) + rw) of
+    kernel[o, c], with dh = ceil(kh / s) and dw = ceil(kw / s), or the zero
+    where that tap lies past the kernel.  Built on the first use of a shape,
+    not at import.
     """
-    f = factor
-    ph, pw = (kh - f) // 2, (kw - f) // 2
-    dh, dw = (f - 1 + ph) // f, (f - 1 + pw) // f
-    rows = _phase_taps(kh, f, ph, dh)[:, None, None, :, None]  # (uh, 1, 1, f, 1)
-    cols = _phase_taps(kw, f, pw, dw)[None, :, None, None, :]  # (1, uw, 1, 1, f)
-    chan = np.arange(oc)[None, None, :, None, None]
-    index = np.where((rows < kh) & (cols < kw), (chan * kh + rows) * kw + cols, oc * kh * kw)
+    oc, ic, kh, kw = shape
+    s = stride
+    dh, dw = -(-kh // s), -(-kw // s)
+    rows = s * (dh - 1 - np.arange(dh)) + np.arange(s)[:, None]  # (rh, uh) -> kernel row
+    cols = s * (dw - 1 - np.arange(dw)) + np.arange(s)[:, None]  # (rw, uw) -> kernel column
+    i = rows[None, :, None, None, :, None]
+    j = cols[None, None, :, None, None, :]
+    c = np.arange(ic)[:, None, None, None, None, None]
+    o = np.arange(oc)[None, None, None, :, None, None]
+    index = np.where((i < kh) & (j < kw), ((o * ic + c) * kh + i) * kw + j, oc * ic * kh * kw)
+    index = index.reshape(ic * s * s, oc, dh, dw)
     index.flags.writeable = False
-    return index, dh, dw
+    return index
 
 
-def _phase_kernel(kernel: np.ndarray, factor: int) -> tuple[np.ndarray, int, int]:
-    """(ic, oc, kh, kw) deconv kernel -> ((oc*f*f, ic, uh, uw) stride-1 kernel, dh, dw).
+def _conv_transpose(g: np.ndarray, kernel: np.ndarray, stride: int, ph: int, pw: int,
+                    h: int, w: int) -> np.ndarray:
+    """Adjoint of _correlate(., kernel, stride, ph, pw) on an (n, ic, h, w) input.
 
-    Output channel (o, rh, rw) of the stride-1 correlation, with padding
-    (dh, dw), is output phase (rh, rw) of channel o of the deconvolution.
+    Sub-pixel form: pixel s*q + r of the padded canvas sums g[q - d] times
+    kernel tap s*d + r, so one stride-1 correlation of g with the phase
+    kernel of _phase_index computes every phase r of every q, and
+    depth-to-space places them.  Canvas pixels past the last window get
+    zero rows and columns of g; the padding is cropped at the end.
     """
-    ic, oc, kh, kw = kernel.shape
-    index, dh, dw = _phase_index(oc, kh, kw, factor)
-    flat = np.zeros((ic, oc * kh * kw + 1))
-    flat[:, :-1] = kernel.reshape(ic, -1)
-    taps = np.take(flat, index, axis=1)  # (ic, uh, uw, oc, f, f)
-    # a transposed view: _correlate's kernel.reshape(oc, -1) does not copy it
-    return taps.reshape(ic, *index.shape[:2], -1).transpose(3, 0, 1, 2), dh, dw
+    n, _, oh, ow = g.shape
+    ic = kernel.shape[1]
+    s = stride
+    index = _phase_index(kernel.shape, s)
+    dh, dw = index.shape[2:]
+    # phase rows (columns) that lie wholly in the top (left) padding are not computed
+    th, tw = min(ph // s, dh - 1), min(pw // s, dw - 1)
+    # zero rows and columns of g, so that the phases reach the last pixel the crop keeps
+    eh = max(-(-(ph + h) // s) + th - (oh + dh - 1), 0)
+    ew = max(-(-(pw + w) // s) + tw - (ow + dw - 1), 0)
+    if eh or ew:
+        g = np.pad(g, ((0, 0), (0, 0), (0, eh), (0, ew)))
+    phases = np.take(np.append(kernel, 0.0), index)
+    y = _correlate(g, phases, 1, dh - 1 - th, dw - 1 - tw)[0]
+    _, _, qh, qw = y.shape
+    canvas = _col2im(y, (n, ic, s * qh, s * qw), s, s)
+    top, left = ph - s * th, pw - s * tw
+    return np.ascontiguousarray(canvas[:, :, top:top + h, left:left + w])
 
 
 # ---------------------------------------------------------------------------
@@ -442,14 +444,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     def backward(gout: np.ndarray):
         gout = act_grad(gout, out, alpha)
         dx = dk = db = None
-        if x.requires_grad and stride == 1:
-            # the adjoint of a stride-1 correlation is a correlation of gout
-            # with the flipped, transposed kernel
-            flipped = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            dx = _correlate(gout, flipped, 1, kh - 1 - padding, kw - 1 - padding)[0]
-        elif x.requires_grad:
-            dcols = np.matmul(kernel.data.reshape(oc, -1).T, gout.reshape(n, oc, oh * ow))
-            dx = _col2im(dcols, x.shape, kh, kw, stride, padding, padding, oh, ow)
+        if x.requires_grad:
+            dx = _conv_transpose(gout, kernel.data, stride, padding, padding, h, w)
         if kernel.requires_grad and shifted:
             dk = _conv_shifted_kernel_grad(x.data, gout, kh, kw, padding, padding)
         elif kernel.requires_grad:
@@ -494,12 +490,7 @@ def deconv2d(x: Tensor, kernel: Tensor, bias: Tensor, factor: int = 1,
     f = factor
     activate, act_grad = _activation(act)
 
-    # sub-pixel form: one stride-1 correlation computes every output phase,
-    # then depth-to-space -- col2im with f x f windows at stride f -- places
-    # phase (rh, rw) of pixel q at f*q + (rh, rw)
-    phases, dh, dw = _phase_kernel(kernel.data, f)
-    y = _correlate(x.data, phases, 1, dh, dw)[0]
-    out = _col2im(y, (n, oc, h * f, w * f), f, f, f, 0, 0, h, w)
+    out = _conv_transpose(x.data, kernel.data, f, ph, pw, h * f, w * f)
     out += bias.data
     out = activate(out, alpha)
 
@@ -558,10 +549,10 @@ def affine(x: Tensor, scale: float, shift: float) -> Tensor:
     return _record("affine", (x,), s * x.data + float(shift), lambda g: (g * s,))
 
 
-def log_clamped(x: Tensor, floor: float = LOG_FLOOR) -> Tensor:
-    """log(max(x, floor)); gradient is zero where the clamp is active."""
-    clamped = np.maximum(x.data, floor)
-    live = x.data > floor
+def log_clamped(x: Tensor) -> Tensor:
+    """log(max(x, LOG_FLOOR)); gradient is zero where the clamp is active."""
+    clamped = np.maximum(x.data, LOG_FLOOR)
+    live = x.data > LOG_FLOOR
     return _record("log", (x,), np.log(clamped), lambda g: (g * live / clamped,))
 
 
@@ -599,14 +590,15 @@ def mean_all(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # Adam
 
+ADAM_BETA1 = 0.9  # first-moment decay
+ADAM_BETA2 = 0.999  # second-moment decay
+ADAM_EPS = 1e-8  # added to the denominator's square root
+
 
 @dataclass
 class AdamState:
     """Per-parameter first/second moment buffers plus the shared step counter."""
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -617,8 +609,8 @@ def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
     """One bias-corrected Adam update, in place, over a named parameter set."""
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     for path, p in params.items():
         g = grads.get(path)
         if g is None:
@@ -630,9 +622,9 @@ def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
             raise NumericsError(f"adam_step: non-finite gradient for parameter '{path}'")
         m = state.m.setdefault(path, np.zeros_like(p.data))
         v = state.v.setdefault(path, np.zeros_like(p.data))
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 

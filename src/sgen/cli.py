@@ -175,7 +175,13 @@ def cmd_gates(args) -> int:
 def cmd_ablate(args) -> int:
     run = _run_config(args)
     spec = run.degradation_spec()
-    scales = run.scale_list()
+    # every flag is checked before the first variant trains or the output exists
+    scales = _check_scales(run.scale_list(), adversarial=True)
+    try:
+        sigmas = [float(v) for v in args.noise_sweep.split(",")] if args.noise_sweep else []
+    except ValueError:
+        raise ConfigError(f"bad --noise-sweep {args.noise_sweep!r}") from None
+    sweep_specs = [replace(spec, noise="gaussian", sigma=sg) for sg in sigmas]
     train_corpus, val_corpus = run.corpora()
     out = Path(run.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -200,19 +206,12 @@ def cmd_ablate(args) -> int:
         if comb == "sgu":
             sgu_mse = (params, mcfg)
 
-    _check_scales(scales, adversarial=True)
     mcfg = replace(run.sgen_config(), combiner="sgu")
     params = one_run("sgu_adv", mcfg, mse_only=False)
     lines.extend(report_rows("sgu_adv", params, mcfg, spec))
 
-    if args.noise_sweep:
-        try:
-            sigmas = [float(v) for v in args.noise_sweep.split(",")]
-        except ValueError:
-            raise ConfigError(f"bad --noise-sweep {args.noise_sweep!r}") from None
-        for sg in sigmas:
-            sweep_spec = replace(spec, noise="gaussian", sigma=sg)
-            lines.extend(report_rows(f"sgu@sigma{sg:g}", *sgu_mse, sweep_spec))
+    for sweep_spec in sweep_specs:
+        lines.extend(report_rows(f"sgu@sigma{sweep_spec.sigma:g}", *sgu_mse, sweep_spec))
 
     with atomic_write(out / "ablation.csv") as fh:
         fh.write(("\n".join(lines) + "\n").encode())

@@ -63,7 +63,6 @@ class Batch:
 
     s: Tensor
     t: Tensor
-    scale: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +212,8 @@ def split_corpus(corpus, ratios):
         raise ConfigError(f"split ratios must be finite, nonnegative and sum to 1, got {ratios}")
     bounds = [0]
     for r in ratios[:-1]:
-        bounds.append(bounds[-1] + int(round(r * total)))
+        # two shares that both round up would otherwise run past the corpus
+        bounds.append(min(bounds[-1] + int(round(r * total)), total))
     bounds.append(total)
     return [Subset(corpus, range(a, b)) for a, b in zip(bounds, bounds[1:])]
 
@@ -231,7 +231,7 @@ def make_batch(corpus, scale, k, spec: DegradationSpec, rng) -> Batch:
     imgs = [corpus.image(int(i), h, w) for i in idx]
     t = np.stack([to_unit(im) for im in imgs])
     s = np.stack([degrade(im, spec, rng) for im in imgs])
-    return Batch(s=Tensor(s), t=Tensor(t), scale=(h, w))
+    return Batch(s=Tensor(s), t=Tensor(t))
 
 
 # ---------------------------------------------------------------------------

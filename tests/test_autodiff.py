@@ -30,7 +30,7 @@ def test_tensor_requires_4d():
 def test_backward_on_ungraphed_tensor_rejected():
     g = Graph()
     with pytest.raises(UsageError):
-        g.backward(Tensor.scalar(1.0), {})
+        g.backward(Tensor(np.ones((1, 1, 1, 1))), {})
 
 
 def test_backward_requires_scalar_loss():
@@ -260,31 +260,41 @@ def test_stride1_kernels_match_naive(case):
     assert np.abs(dk - dk_ref.reshape(kd.shape)).max() < 1e-10
 
 
-def test_correlate_negative_padding_crops():
-    # the input gradient of a conv whose padding exceeds k - 1 crops gout
-    rng = np.random.default_rng(41)
-    gd = rng.normal(size=(1, 2, 7, 7))
-    kd = rng.normal(size=(3, 2, 1, 1))
-    out, _ = ad._correlate(gd, kd, 1, -2, -2)
-    ref = conv2d_naive(gd[:, :, 2:5, 2:5], kd, np.zeros(3))
-    assert np.abs(out - ref).max() < 1e-12
+TRANSPOSE_CASES = [  # (k, stride, padding, h, w): the program's strided layers, then edge cases
+    (3, 2, 1, 9, 8), (5, 4, 2, 12, 9), (7, 8, 3, 22, 19), (4, 2, 1, 8, 7),
+    (2, 2, 0, 7, 5),  # the stride drops a row and a column of windows
+    (1, 1, 2, 3, 3), (3, 1, 4, 4, 5),  # padding >= k at stride 1
+    (4, 3, 0, 10, 8),  # the stride does not divide k
+    (5, 2, 3, 9, 8),  # the padding spans a whole phase row
+]
+
+
+@pytest.mark.parametrize("case", TRANSPOSE_CASES, ids=lambda c: "k{}s{}p{}_{}x{}".format(*c))
+def test_conv_transpose_is_correlate_adjoint(case):
+    # <correlate(x), g> == <x, conv_transpose(g)>
+    k, stride, pad, h, w = case
+    rng = np.random.default_rng(sum(case))
+    xd = rng.normal(size=(2, 3, h, w))
+    kd = rng.normal(size=(4, 3, k, k))
+    y, _ = ad._correlate(xd, kd, stride, pad, pad)
+    gd = rng.normal(size=y.shape)
+    dx = ad._conv_transpose(gd, kd, stride, pad, pad, h, w)
+    assert dx.shape == xd.shape
+    lhs, rhs = float((y * gd).sum()), float((xd * dx).sum())
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
 @pytest.mark.parametrize("kernel", ["im2col", "shifted"])
-def test_deconv2d_phases_match_adjoint_reference(kernel):
+def test_deconv2d_phases_match_adjoint_reference(kernel, monkeypatch):
+    if kernel == "shifted":  # where the phase channels allow it (factor 1 here)
+        monkeypatch.setattr(ad, "SHIFTED_MIN_BYTES", 0)
     rng = np.random.default_rng(43)
     zd = rng.normal(size=(2, 3, 3, 4))
     for kshape, factor in [((3, 2, 4, 4), 2), ((3, 2, 4, 2), 2), ((3, 2, 8, 8), 4),
                            ((3, 2, 16, 16), 8), ((3, 2, 1, 1), 1), ((3, 2, 5, 3), 3)]:
         kd = rng.normal(size=kshape)
-        phases, dh, dw = ad._phase_kernel(kd, factor)
-        if kernel == "shifted":
-            y = ad._conv_shifted(zd, phases, dh, dw)
-        else:
-            y, cols = ad._correlate(zd, phases, 1, dh, dw)
-            assert cols is not None
-        oc, f = kshape[1], factor
-        out = ad._col2im(y, (2, oc, 3 * f, 4 * f), f, f, f, 0, 0, 3, 4)  # depth-to-space
+        ph, pw = (kshape[2] - factor) // 2, (kshape[3] - factor) // 2
+        out = ad._conv_transpose(zd, kd, factor, ph, pw, 3 * factor, 4 * factor)
         assert np.abs(out - deconv2d_adjoint_naive(zd, kd, factor)).max() < 1e-10
 
 
@@ -451,10 +461,12 @@ def test_grad_many_random_shapes():
         ((2, 3, 6, 6), (1, 3, 3, 3), 3, 1),
         ((1, 2, 8, 8), (2, 2, 5, 5), 2, 2),
         ((3, 1, 5, 5), (2, 1, 1, 1), 1, 0),
-        # kernel == stride: the windows tile 6x4 (col2im's transposed copy)
-        # but leave a row of 7x4 uncovered (its scatter-add loop)
+        # kernel == stride: the windows tile 6x4 but leave a row of 7x4
+        # uncovered, which the input gradient fills with zeros
         ((1, 2, 6, 4), (2, 2, 2, 2), 2, 0),
         ((1, 2, 7, 4), (2, 2, 2, 2), 2, 0),
+        # stride 1 with padding > k - 1: the input gradient crops most of the canvas
+        ((1, 2, 3, 3), (2, 2, 1, 1), 1, 2),
     ]
     for i, (xs, ks, stride, pad) in enumerate(cases):
         rng = np.random.default_rng(100 + i)

@@ -297,10 +297,13 @@ def test_ablate_compares_variants(tmp_path, capsys):
 
 
 def test_bad_noise_sweep_exits_2(tmp_path, capsys):
+    # rejected before any variant trains or the output directory is made
     cfg = write_config(tmp_path / "run.cfg")
-    assert main(["ablate", "--config", cfg, "--out", str(tmp_path / "o"),
-                 "--noise-sweep", "low,high"]) == 2
-    assert "noise-sweep" in capsys.readouterr().err
+    out = tmp_path / "o"
+    for sweep, key in [("low,high", "noise-sweep"), ("-5", "sigma")]:
+        assert main(["ablate", "--config", cfg, "--out", str(out), "--noise-sweep", sweep]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,key", [

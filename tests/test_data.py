@@ -181,6 +181,10 @@ def test_split_corpus_partitions():
     train, val, test = split_corpus(c, (0.8, 0.1, 0.1))
     assert (len(train), len(val), len(test)) == (8, 1, 1)
     np.testing.assert_array_equal(val.image(0, 16, 16), c.image(8, 16, 16))
+    # 0.5 of 3 rounds up twice: the bounds stop at the corpus size
+    for corpus, ratios in [(c, (0.8, 0.1, 0.1)), (SyntheticCorpus(3), (0.5, 0.5, 0.0))]:
+        parts = split_corpus(corpus, ratios)
+        assert [i for part in parts for i in part.indices] == list(range(len(corpus)))
     for ratios in [(0.5, 0.2, 0.2), (float("nan"),) * 3]:
         with pytest.raises(ConfigError):
             split_corpus(c, ratios)
@@ -196,7 +200,6 @@ def test_make_batch_shapes_and_determinism():
     b2 = make_batch(c, (48, 32), 4, GAUSS30, np.random.default_rng(5))
     assert isinstance(b1, Batch)
     assert b1.s.shape == b1.t.shape == (4, 1, 48, 32)
-    assert b1.scale == (48, 32)
     assert np.array_equal(b1.s.data, b2.s.data)
     assert np.array_equal(b1.t.data, b2.t.data)
 
