@@ -27,8 +27,10 @@ Where a stride drops windows, the pixels past the last window are reached
 by zero rows and columns appended to the gradient.  Phase rows and columns
 that lie wholly in the conv padding are not computed (at stride 1 this
 leaves the correlation of the gradient with the flipped kernel), and the
-rest of the padding is cropped at the end.  deconv2d's backward gathers
-through im2col.
+rest of the padding is cropped at the end.  The pair runs both ways: one
+tape node, _conv_node, computes conv2d with _correlate forward and
+_conv_transpose backward, and deconv2d with the two swapped, so deconv2d's
+input gradient is a strided correlation of its output gradient.
 
 Every stride-1 correlation -- the conv2d forward and the phase correlation
 of _conv_transpose -- picks its kernel by a fixed rule on shapes alone:
@@ -48,17 +50,18 @@ The tape rule.  A conv2d or deconv2d node keeps its input, its kernel and
 its activated output, and no patch matrix.  The activation that follows a
 layer (`act`: relu, lrelu, sigmoid or tanh) runs on the layer's fresh
 output, in place except for sigmoid, and its gradient is read from the
-activated output, so the pre-activation array is never kept.  The kernel
-gradient of a layer whose forward built an im2col matrix gathers the
-patches again, one image at a time, so that each image's matrix is still in
-cache when its GEMM reads it.  In the adversarial batch-8 benchmark
-(2-core Xeon VM, one BLAS thread) this cost less step time than gathering
-the whole batch again or in 2 MiB chunks.
+activated output, so the pre-activation array is never kept.  Both ops
+have one kernel gradient, _kernel_grad.  Where no patch matrix is at hand
+(conv2d, whose forward dropped it, or a deconv2d with an untracked input)
+it gathers the patches again, one image at a time, so that each image's
+matrix is still in cache when its GEMM reads it; deconv2d otherwise reuses
+the matrix its input gradient gathered.  In the adversarial batch-8
+benchmark (2-core Xeon VM, one BLAS thread) gathering per image cost less
+step time than gathering the whole batch again or in 2 MiB chunks.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, TypeVar
 
@@ -246,25 +249,6 @@ def _conv_shifted(a: np.ndarray, kernel: np.ndarray, ph: int, pw: int) -> np.nda
     return np.ascontiguousarray(out.reshape(n, oc, oh, wp)[:, :, :, :ow])
 
 
-def _conv_shifted_kernel_grad(a: np.ndarray, gout: np.ndarray, kh: int, kw: int,
-                              ph: int, pw: int) -> np.ndarray:
-    """Kernel gradient of _conv_shifted, one GEMM per tap over the same slices."""
-    n, c, h, w = a.shape
-    _, oc, oh, ow = gout.shape
-    wp = w + 2 * pw
-    span = oh * wp
-    flat = _flat_padded(a, ph, pw)
-    g = np.zeros((n, oc, oh, wp))
-    g[:, :, :, :ow] = gout  # zeros where the forward's cropped columns were
-    g = g.reshape(n, oc, span)
-    dk = np.empty((oc, c, kh, kw))
-    for tap in range(kh * kw):
-        off = (tap // kw) * wp + tap % kw
-        part = np.matmul(g, flat[:, :, off:off + span].transpose(0, 2, 1))
-        dk[:, :, tap // kw, tap % kw] = part.sum(axis=0)
-    return dk
-
-
 def _correlate(a: np.ndarray, kernel: np.ndarray, stride: int, ph: int, pw: int):
     """Cross-correlate (n, c, h, w) with an (oc, c, kh, kw) kernel, no bias.
 
@@ -281,29 +265,37 @@ def _correlate(a: np.ndarray, kernel: np.ndarray, stride: int, ph: int, pw: int)
     return np.matmul(kernel.reshape(oc, -1), cols).reshape(n, oc, oh, ow), cols
 
 
-@functools.lru_cache(maxsize=None)
-def _phase_index(shape: tuple[int, int, int, int], stride: int) -> np.ndarray:
-    """Gather table of _conv_transpose's phase kernel for one kernel shape and stride.
+def _kernel_grad(a: np.ndarray, g: np.ndarray, kh: int, kw: int, stride: int, ph: int, pw: int,
+                 cols: np.ndarray | None = None) -> np.ndarray:
+    """Kernel gradient of _correlate(a, kernel, stride, ph, pw) for output gradient g.
 
-    Entry ((c, rh, rw), o, uh, uw) indexes the flattened (oc, ic, kh, kw)
-    kernel followed by one zero: tap (s*(dh-1-uh) + rh, s*(dw-1-uw) + rw) of
-    kernel[o, c], with dh = ceil(kh / s) and dw = ceil(kw / s), or the zero
-    where that tap lies past the kernel.  Built on the first use of a shape,
-    not at import.
+    Takes the shifted GEMM's taps where _correlate's shape rule picks them.
+    Otherwise it works one image at a time, on cols[i] when the caller has
+    a's im2col matrix, else on a fresh gather of that image, which is still
+    in cache for its GEMM; starting from zeros, the images add in the order
+    of matmul(...).sum(axis=0).
     """
-    oc, ic, kh, kw = shape
-    s = stride
-    dh, dw = -(-kh // s), -(-kw // s)
-    rows = s * (dh - 1 - np.arange(dh)) + np.arange(s)[:, None]  # (rh, uh) -> kernel row
-    cols = s * (dw - 1 - np.arange(dw)) + np.arange(s)[:, None]  # (rw, uw) -> kernel column
-    i = rows[None, :, None, None, :, None]
-    j = cols[None, None, :, None, None, :]
-    c = np.arange(ic)[:, None, None, None, None, None]
-    o = np.arange(oc)[None, None, None, :, None, None]
-    index = np.where((i < kh) & (j < kw), ((o * ic + c) * kh + i) * kw + j, oc * ic * kh * kw)
-    index = index.reshape(ic * s * s, oc, dh, dw)
-    index.flags.writeable = False
-    return index
+    n, c, _, w = a.shape
+    _, oc, oh, ow = g.shape
+    if stride == 1 and _use_shifted(n, c, oc, kh, kw, oh, ow):
+        wp = w + 2 * pw
+        span = oh * wp
+        flat = _flat_padded(a, ph, pw)
+        gw = np.zeros((n, oc, oh, wp))
+        gw[:, :, :, :ow] = g  # zeros where the forward's cropped columns were
+        gw = gw.reshape(n, oc, span)
+        dk = np.empty((oc, c, kh, kw))
+        for tap in range(kh * kw):
+            off = (tap // kw) * wp + tap % kw
+            part = np.matmul(gw, flat[:, :, off:off + span].transpose(0, 2, 1))
+            dk[:, :, tap // kw, tap % kw] = part.sum(axis=0)
+        return dk
+    gmat = g.reshape(n, oc, oh * ow)
+    dk = np.zeros((oc, c * kh * kw))
+    for i in range(n):
+        ci = _im2col(a[i:i + 1], kh, kw, stride, ph, pw)[0] if cols is None else cols[i]
+        dk += np.matmul(gmat[i], ci.T)
+    return dk.reshape(oc, c, kh, kw)
 
 
 def _conv_transpose(g: np.ndarray, kernel: np.ndarray, stride: int, ph: int, pw: int,
@@ -312,15 +304,25 @@ def _conv_transpose(g: np.ndarray, kernel: np.ndarray, stride: int, ph: int, pw:
 
     Sub-pixel form: pixel s*q + r of the padded canvas sums g[q - d] times
     kernel tap s*d + r, so one stride-1 correlation of g with the phase
-    kernel of _phase_index computes every phase r of every q, and
-    depth-to-space places them.  Canvas pixels past the last window get
-    zero rows and columns of g; the padding is cropped at the end.
+    kernel -- entry ((c, rh, rw), o, uh, uw) is tap (s*(dh-1-uh) + rh,
+    s*(dw-1-uw) + rw) of kernel[o, c], zero past the kernel -- computes
+    every phase r of every q, and depth-to-space places them.  Canvas
+    pixels past the last window get zero rows and columns of g; the padding
+    is cropped at the end.
     """
     n, _, oh, ow = g.shape
-    ic = kernel.shape[1]
+    oc, ic, kh, kw = kernel.shape
     s = stride
-    index = _phase_index(kernel.shape, s)
-    dh, dw = index.shape[2:]
+    dh, dw = -(-kh // s), -(-kw // s)
+    if kh % s or kw % s:  # taps past the kernel's edge are zero
+        full = np.zeros((oc, ic, s * dh, s * dw))
+        full[:, :, :kh, :kw] = kernel
+        kernel = full
+    phases = kernel.reshape(oc, ic, dh, s, dw, s)[:, :, ::-1, :, ::-1]
+    # contiguous: for a 1x1 kernel the transpose is a view, which the GEMM
+    # would read in another order and round differently
+    phases = np.ascontiguousarray(phases.transpose(1, 3, 5, 0, 2, 4))
+    phases = phases.reshape(ic * s * s, oc, dh, dw)
     # phase rows (columns) that lie wholly in the top (left) padding are not computed
     th, tw = min(ph // s, dh - 1), min(pw // s, dw - 1)
     # zero rows and columns of g, so that the phases reach the last pixel the crop keeps
@@ -328,7 +330,6 @@ def _conv_transpose(g: np.ndarray, kernel: np.ndarray, stride: int, ph: int, pw:
     ew = max(-(-(pw + w) // s) + tw - (ow + dw - 1), 0)
     if eh or ew:
         g = np.pad(g, ((0, 0), (0, 0), (0, eh), (0, ew)))
-    phases = np.take(np.append(kernel, 0.0), index)
     y = _correlate(g, phases, 1, dh - 1 - th, dw - 1 - tw)[0]
     _, _, qh, qw = y.shape
     canvas = _col2im(y, (n, ic, s * qh, s * qw), s, s)
@@ -409,6 +410,43 @@ def tanh(x: Tensor) -> Tensor:
 # Convolution
 
 
+def _conv_node(op: str, x: Tensor, kernel: Tensor, bias: Tensor, stride: int, ph: int, pw: int,
+               transposed: bool, act: str | None, alpha: float) -> Tensor:
+    """conv2d (transposed False) or deconv2d (transposed True), arguments checked.
+
+    The two are adjoint: each one's forward is the other's input gradient.
+    _correlate maps conv2d's input to its output and deconv2d's output to
+    its input, so deconv2d's kernel gradient is conv2d's with the input and
+    the output gradient swapped, on the patch matrix of its input gradient.
+    """
+    _, _, h, w = x.shape
+    kh, kw = kernel.shape[2:]
+    activate, act_grad = _activation(act)
+    if transposed:
+        out = _conv_transpose(x.data, kernel.data, stride, ph, pw,
+                              (h - 1) * stride + kh - 2 * ph, (w - 1) * stride + kw - 2 * pw)
+    else:
+        out = _correlate(x.data, kernel.data, stride, ph, pw)[0]  # the patch matrix is not kept
+    out += bias.data
+    out = activate(out, alpha)
+
+    def backward(gout: np.ndarray):
+        gout = act_grad(gout, out, alpha)
+        dx = dk = db = cols = None
+        if x.requires_grad and transposed:
+            dx, cols = _correlate(gout, kernel.data, stride, ph, pw)
+        elif x.requires_grad:
+            dx = _conv_transpose(gout, kernel.data, stride, ph, pw, h, w)
+        if kernel.requires_grad:
+            a, g = (gout, x.data) if transposed else (x.data, gout)
+            dk = _kernel_grad(a, g, kh, kw, stride, ph, pw, cols)
+        if bias.requires_grad:
+            db = gout.sum(axis=(0, 2, 3)).reshape(bias.shape)
+        return dx, dk, db
+
+    return _record(op, (x, kernel, bias), out, backward)
+
+
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0,
            act: str | None = None, alpha: float = 0.2) -> Tensor:
     """2-D convolution (cross-correlation), kernel (out_c, in_c, kh, kw), bias (1, out_c, 1, 1).
@@ -419,7 +457,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     to the biased output within this node, with exactly the values and
     gradients of the separate op.
     """
-    n, c, h, w = x.shape
+    _, c, h, w = x.shape
     oc, ic, kh, kw = kernel.shape
     if c != ic:
         raise ConfigError(f"conv2d: input has {c} channels but kernel {kernel.shape} expects {ic}")
@@ -433,36 +471,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
         raise ConfigError(
             f"conv2d: kernel {kh}x{kw} stride {stride} pad {padding} gives empty output "
             f"for input {h}x{w}")
-    activate, act_grad = _activation(act)
-
-    out, cols = _correlate(x.data, kernel.data, stride, padding, padding)
-    shifted = cols is None
-    del cols  # the kernel gradient gathers the patches again, see below
-    out += bias.data
-    out = activate(out, alpha)
-
-    def backward(gout: np.ndarray):
-        gout = act_grad(gout, out, alpha)
-        dx = dk = db = None
-        if x.requires_grad:
-            dx = _conv_transpose(gout, kernel.data, stride, padding, padding, h, w)
-        if kernel.requires_grad and shifted:
-            dk = _conv_shifted_kernel_grad(x.data, gout, kh, kw, padding, padding)
-        elif kernel.requires_grad:
-            # gather the patches again one image at a time, so each image's
-            # matrix is still in cache for its GEMM; starting from zeros, the
-            # images add in the order of matmul(...).sum(axis=0)
-            gmat = gout.reshape(n, oc, oh * ow)
-            dk = np.zeros((oc, ic * kh * kw))
-            for i in range(n):
-                cols = _im2col(x.data[i:i + 1], kh, kw, stride, padding, padding)[0]
-                dk += np.matmul(gmat[i], cols.T)
-            dk = dk.reshape(kernel.shape)
-        if bias.requires_grad:
-            db = gout.sum(axis=(0, 2, 3)).reshape(1, oc, 1, 1)
-        return dx, dk, db
-
-    return _record("conv2d", (x, kernel, bias), out, backward)
+    return _conv_node("conv2d", x, kernel, bias, stride, padding, padding, False, act, alpha)
 
 
 def deconv2d(x: Tensor, kernel: Tensor, bias: Tensor, factor: int = 1,
@@ -474,7 +483,7 @@ def deconv2d(x: Tensor, kernel: Tensor, bias: Tensor, factor: int = 1,
     the forward map is the exact adjoint of conv2d with the same kernel,
     stride and padding.  `act` and `alpha` fuse an activation as in conv2d.
     """
-    n, c, h, w = x.shape
+    c = x.shape[1]
     ic, oc, kh, kw = kernel.shape
     if c != ic:
         raise ConfigError(f"deconv2d: input has {c} channels but kernel {kernel.shape} expects {ic}")
@@ -486,28 +495,8 @@ def deconv2d(x: Tensor, kernel: Tensor, bias: Tensor, factor: int = 1,
         raise ConfigError(
             f"deconv2d: kernel {kh}x{kw} cannot upsample by exactly x{factor}; "
             f"kernel size minus factor must be even and non-negative")
-    ph, pw = (kh - factor) // 2, (kw - factor) // 2
-    f = factor
-    activate, act_grad = _activation(act)
-
-    out = _conv_transpose(x.data, kernel.data, f, ph, pw, h * f, w * f)
-    out += bias.data
-    out = activate(out, alpha)
-
-    def backward(gout: np.ndarray):
-        gout = act_grad(gout, out, alpha)
-        dx = dk = db = None
-        gcols = _im2col(gout, kh, kw, f, ph, pw)   # (n, oc*kh*kw, h*w)
-        if x.requires_grad:
-            dx = np.matmul(kernel.data.reshape(ic, -1), gcols).reshape(x.shape)
-        if kernel.requires_grad:
-            z = x.data.reshape(n, ic, h * w)
-            dk = np.matmul(z, gcols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
-        if bias.requires_grad:
-            db = gout.sum(axis=(0, 2, 3)).reshape(1, oc, 1, 1)
-        return dx, dk, db
-
-    return _record("deconv2d", (x, kernel, bias), out, backward)
+    return _conv_node("deconv2d", x, kernel, bias, factor, (kh - factor) // 2,
+                      (kw - factor) // 2, True, act, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -606,11 +595,11 @@ class AdamState:
 
 def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
               state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update, in place, over a named parameter set."""
-    state.step += 1
-    t = state.step
-    c1 = 1.0 - ADAM_BETA1 ** t
-    c2 = 1.0 - ADAM_BETA2 ** t
+    """One bias-corrected Adam update, in place, over a named parameter set.
+
+    Every gradient is checked before anything changes, so a failed step
+    leaves the parameters and the state as they were.
+    """
     for path, p in params.items():
         g = grads.get(path)
         if g is None:
@@ -620,6 +609,12 @@ def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
                 f"adam_step: gradient shape {g.shape} != parameter shape {p.data.shape} at '{path}'")
         if not np.isfinite(g).all():
             raise NumericsError(f"adam_step: non-finite gradient for parameter '{path}'")
+    state.step += 1
+    t = state.step
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
+    for path, p in params.items():
+        g = grads[path]
         m = state.m.setdefault(path, np.zeros_like(p.data))
         v = state.v.setdefault(path, np.zeros_like(p.data))
         m *= ADAM_BETA1

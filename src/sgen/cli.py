@@ -235,10 +235,7 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"sgen: error: {exc}", file=sys.stderr)
         return 2
-    except SgenError as exc:
-        print(f"sgen: failure: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SgenError, OSError, MemoryError) as exc:
         print(f"sgen: failure: {exc}", file=sys.stderr)
         return 1
 

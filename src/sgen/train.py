@@ -46,6 +46,10 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.seed < 0:  # numpy seeds are non-negative
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.val_every < 0:  # 0 turns validation off
+            raise ConfigError(f"val_every must be >= 0, got {self.val_every}")
+        if self.grid_every < 0:  # 0 turns periodic grids off
+            raise ConfigError(f"grid_every must be >= 0, got {self.grid_every}")
         if self.val_count < 1:
             raise ConfigError(f"val_count must be >= 1, got {self.val_count}")
         if not (math.isfinite(self.lr) and self.lr >= 0):

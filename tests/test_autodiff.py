@@ -242,7 +242,7 @@ STRIDE1_CASES = [  # (n, ic, oc, h, w, k, pad)
 
 
 @pytest.mark.parametrize("case", STRIDE1_CASES, ids=lambda c: "x".join(map(str, c)))
-def test_stride1_kernels_match_naive(case):
+def test_stride1_kernels_match_naive(case, monkeypatch):
     n, ic, oc, h, w, k, pad = case
     rng = np.random.default_rng(sum(case))
     xd = rng.normal(size=(n, ic, h, w))
@@ -253,11 +253,16 @@ def test_stride1_kernels_match_naive(case):
     assert cols is not None
     assert np.abs(shifted - ref).max() < 1e-10
     assert np.abs(gemm - ref).max() < 1e-10
-    # kernel gradient: the same contraction as the im2col path's
+    # kernel gradient: the im2col contraction, from a fresh gather, from the
+    # caller's patch matrix and, where the shape rule allows, from the shifted taps
     gout = rng.normal(size=ref.shape)
     dk_ref = np.matmul(gout.reshape(n, oc, -1), cols.transpose(0, 2, 1)).sum(axis=0)
-    dk = ad._conv_shifted_kernel_grad(xd, gout, k, k, pad, pad)
-    assert np.abs(dk - dk_ref.reshape(kd.shape)).max() < 1e-10
+    dk_ref = dk_ref.reshape(kd.shape)
+    for reuse in (None, cols):
+        assert np.abs(ad._kernel_grad(xd, gout, k, k, 1, pad, pad, reuse) - dk_ref).max() < 1e-10
+    monkeypatch.setattr(ad, "SHIFTED_MIN_BYTES", 0)
+    assert ad._use_shifted(n, ic, oc, k, k, *ref.shape[2:]) == (oc <= ic)
+    assert np.abs(ad._kernel_grad(xd, gout, k, k, 1, pad, pad) - dk_ref).max() < 1e-10
 
 
 TRANSPOSE_CASES = [  # (k, stride, padding, h, w): the program's strided layers, then edge cases
@@ -266,6 +271,7 @@ TRANSPOSE_CASES = [  # (k, stride, padding, h, w): the program's strided layers,
     (1, 1, 2, 3, 3), (3, 1, 4, 4, 5),  # padding >= k at stride 1
     (4, 3, 0, 10, 8),  # the stride does not divide k
     (5, 2, 3, 9, 8),  # the padding spans a whole phase row
+    (1, 1, 0, 4, 5),  # a 1x1 kernel, as in the concat combiner
 ]
 
 
@@ -296,6 +302,32 @@ def test_deconv2d_phases_match_adjoint_reference(kernel, monkeypatch):
         ph, pw = (kshape[2] - factor) // 2, (kshape[3] - factor) // 2
         out = ad._conv_transpose(zd, kd, factor, ph, pw, 3 * factor, 4 * factor)
         assert np.abs(out - deconv2d_adjoint_naive(zd, kd, factor)).max() < 1e-10
+
+
+@pytest.mark.parametrize("factor", [1, 2, 4, 8])
+def test_deconv2d_kernel_grad_reuses_the_input_gradients_patches(factor, monkeypatch):
+    # with x tracked the kernel gradient reads the patch matrix of dx; without,
+    # it gathers each image again; the two give the same array
+    rng = np.random.default_rng(53 + factor)
+    xd = rng.normal(size=(2, 3, 3, 4))
+    kd = rng.normal(size=(3, 2, factor + 2, factor + 2))
+    wd = rng.normal(size=(2, 2, 3 * factor, 4 * factor))
+    real, gathered = ad._im2col, []
+    monkeypatch.setattr(ad, "_im2col", lambda a, *rest: gathered.append(a.shape[0])
+                        or real(a, *rest))
+
+    def kernel_grad(track_x):
+        x, k = t4(xd, requires_grad=track_x), t4(kd, requires_grad=True)
+        with Graph() as g:
+            loss = sum_all(mul(deconv2d(x, k, t4(np.zeros((1, 2, 1, 1))), factor, act="relu"),
+                               t4(wd)))
+        gathered.clear()  # count the backward's gathers only
+        return g.backward(loss, {"k": k})["k"], list(gathered)
+
+    reused, batch_gathers = kernel_grad(True)
+    fresh, image_gathers = kernel_grad(False)
+    assert batch_gathers == [2] and image_gathers == [1, 1]
+    assert np.array_equal(reused, fresh)
 
 
 def test_grad_conv2d_shifted_kernel(monkeypatch):
@@ -614,6 +646,21 @@ def test_adam_rejects_nan_gradient():
     bad = np.full((1, 1, 1, 1), np.nan)
     with pytest.raises(NumericsError, match="'w'"):
         adam_step(p, {"w": bad}, AdamState(), lr=0.1)
+
+
+def test_adam_failed_step_changes_nothing():
+    params = {"a": t4([[1.0]], requires_grad=True), "b": t4([[2.0]], requires_grad=True)}
+    state = AdamState()
+    one = np.ones((1, 1, 1, 1))
+    adam_step(params, {"a": one, "b": one}, state, lr=0.1)
+    arrays = lambda: [{k: p.data for k, p in params.items()}, state.m, state.v]
+    saved = [{k: a.copy() for k, a in d.items()} for d in arrays()]
+    with pytest.raises(NumericsError, match="'b'"):
+        adam_step(params, {"a": one, "b": np.full_like(one, np.nan)}, state, lr=0.1)
+    for was, now in zip(saved, arrays()):
+        assert was.keys() == now.keys()
+        assert all(np.array_equal(was[k], now[k]) for k in was)
+    assert state.step == 1
 
 
 def test_adam_reports_missing_and_mismatched():

@@ -336,6 +336,13 @@ def test_subcommand_rejects_flags_it_does_not_read(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_oversized_model_exits_1(tmp_path, capsys):
+    # numpy refuses the parameter arrays before it allocates anything
+    cfg = write_config(tmp_path / "run.cfg", base_channels=1000000)
+    assert main(["train", "--config", cfg, "--synthetic", "4", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("sgen: failure: ")
+
+
 def test_invalid_sgen_threads_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("SGEN_THREADS", "zero")
     assert main(["train", "--steps", "0"]) == 2

@@ -32,7 +32,7 @@ def test_train_config_validation():
     for kwargs in ({"steps": -1}, {"batch_size": 0}, {"val_count": 0}, {"lr": -1e-4},
                    {"lam": -1.0}, {"loss_variant": "wasserstein"}, {"lr": nan},
                    {"lam": inf}, {"divergence_limit": nan}, {"divergence_limit": 0.0},
-                   {"seed": -1}):
+                   {"seed": -1}, {"val_every": -3}, {"grid_every": -1}):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
 
