@@ -197,10 +197,10 @@ def train(cfg: TrainConfig, model_cfg: SgenConfig, corpus, scales, spec,
         raise ConfigError("training corpus is empty")
     if not scales:
         raise ConfigError("no training scales given")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if state is None:
         state = init_state(model_cfg, cfg.seed)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     grid_corpus = val_corpus if val_corpus is not None and len(val_corpus) else corpus
     rng = np.random.default_rng(cfg.seed)
 

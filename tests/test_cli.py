@@ -341,6 +341,7 @@ def test_oversized_model_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.cfg", base_channels=1000000)
     assert main(["train", "--config", cfg, "--synthetic", "4", "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith("sgen: failure: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_invalid_sgen_threads_exits_2(monkeypatch, capsys):
