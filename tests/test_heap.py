@@ -1,8 +1,10 @@
 """The heap policy set at `import sgen`: freed memory stays in the process.
 
-Minor page faults are read with getrusage, which changes no setting. A
-repeated operation that reuses kept heap memory takes none; one whose memory
-went back to the kernel takes hundreds to thousands.
+Minor page faults are counted with getrusage. A repeated operation that
+reuses kept heap memory takes none; one whose memory went back to the kernel
+takes hundreds to thousands. The tests take the median over the repeats: now
+and then an operation grows the heap to a new high-water mark, which faults in
+fresh pages once and is not the waste the policy removes.
 """
 
 import ctypes
@@ -21,10 +23,10 @@ from sgen.metrics import model_restorer
 from sgen.model import SgenConfig, init_params
 from sgen.train import TrainConfig, init_state, train_step
 
-glibc_only = pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+glibc_only = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                                 reason="the heap policy applies to glibc only")
 
-FAULT_BOUND = 5  # minor faults per repeated operation
+FAULT_BOUND = 5  # minor faults of the median repeated operation
 REPEATS = 5
 
 
@@ -32,13 +34,15 @@ def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def faults_per_call(op, warmups: int) -> float:
+def median_faults(op, warmups: int) -> int:
     for _ in range(warmups):
         op()
-    start = minor_faults()
+    counts = []
     for _ in range(REPEATS):
+        start = minor_faults()
         op()
-    return (minor_faults() - start) / REPEATS
+        counts.append(minor_faults() - start)
+    return sorted(counts)[REPEATS // 2]
 
 
 @glibc_only
@@ -47,7 +51,7 @@ def test_repeated_forward_takes_no_page_faults(h, w):
     cfg = SgenConfig()
     restore = model_restorer(init_params(cfg, seed=0), cfg)
     x = np.random.default_rng(0).uniform(-1, 1, (1, 1, h, w))
-    faults = faults_per_call(lambda: restore(x), warmups=2)
+    faults = median_faults(lambda: restore(x), warmups=2)
     assert faults < FAULT_BOUND, f"{faults} minor faults per forward at {h}x{w}"
 
 
@@ -59,7 +63,7 @@ def test_repeated_train_step_takes_no_page_faults():
     for scale in [(48, 32), (64, 48), (80, 64)]:  # one warm-up step per scale
         train_step(make_batch(corpus, scale, 8, spec, rng), state, cfg)
     batch = make_batch(corpus, (80, 64), 8, spec, rng)
-    faults = faults_per_call(lambda: train_step(batch, state, cfg), warmups=0)
+    faults = median_faults(lambda: train_step(batch, state, cfg), warmups=0)
     assert faults < FAULT_BOUND, f"{faults} minor faults per adversarial step"
 
 
