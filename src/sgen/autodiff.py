@@ -32,6 +32,11 @@ tape node, _conv_node, computes conv2d with _correlate forward and
 _conv_transpose backward, and deconv2d with the two swapped, so deconv2d's
 input gradient is a strided correlation of its output gradient.
 
+All zero-padding goes through _padded, which returns its input when nothing
+is added: the conv padding, the shifted GEMM's spare row and cropped
+columns, the zero rows and columns of the gradient and the zero taps of the
+phase kernel.  _im2col gathers from an array that is already padded.
+
 Every stride-1 correlation -- the conv2d forward and the phase correlation
 of _conv_transpose -- picks its kernel by a fixed rule on shapes alone:
 with c input and oc output channels, the shifted GEMM runs when
@@ -53,11 +58,12 @@ output, in place except for sigmoid, and its gradient is read from the
 activated output, so the pre-activation array is never kept.  Both ops
 have one kernel gradient, _kernel_grad.  Where no patch matrix is at hand
 (conv2d, whose forward dropped it, or a deconv2d with an untracked input)
-it gathers the patches again, one image at a time, so that each image's
-matrix is still in cache when its GEMM reads it; deconv2d otherwise reuses
-the matrix its input gradient gathered.  In the adversarial batch-8
-benchmark (2-core Xeon VM, one BLAS thread) gathering per image cost less
-step time than gathering the whole batch again or in 2 MiB chunks.
+it pads the batch once and gathers the patches again, one image at a time,
+so that each image's matrix is still in cache when its GEMM reads it;
+deconv2d otherwise reuses the matrix its input gradient gathered.  In the
+adversarial batch-8 benchmark (2-core Xeon VM, one BLAS thread) gathering
+per image cost less step time than gathering the whole batch again or in
+2 MiB chunks.
 """
 
 from __future__ import annotations
@@ -178,24 +184,25 @@ def _conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - k) // stride + 1
 
 
-def _padded(a: np.ndarray, top: int, bottom: int, side: int) -> np.ndarray:
-    """Zero-pad the rows of (n, c, h, w) by top/bottom and the columns by side.
+def _padded(a: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.ndarray:
+    """Zero-pad the last two axes of a 4-D array; `a` itself when nothing is added.
 
-    Cheaper than np.pad on the small arrays most layers see.
+    The one zero-padding of this module: cheaper than np.pad on the small
+    arrays most layers see.
     """
+    if not (top or bottom or left or right):
+        return a
     n, c, h, w = a.shape
-    out = np.zeros((n, c, h + top + bottom, w + 2 * side))
-    out[:, :, top:top + h, side:side + w] = a
+    out = np.zeros((n, c, h + top + bottom, w + left + right))
+    out[:, :, top:top + h, left:left + w] = a
     return out
 
 
-def _im2col(a: np.ndarray, kh: int, kw: int, stride: int, ph: int, pw: int) -> np.ndarray:
-    """(n, c, h, w) -> (n, c*kh*kw, oh*ow) patch matrix; ph/pw pad rows/columns."""
+def _im2col(a: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Padded (n, c, h, w) -> (n, c*kh*kw, oh*ow) patch matrix of the windows that fit."""
     n, c, h, w = a.shape
-    if ph or pw:
-        a = _padded(a, ph, ph, pw)
-    oh = _conv_out_size(h, kh, stride, ph)
-    ow = _conv_out_size(w, kw, stride, pw)
+    oh = _conv_out_size(h, kh, stride, 0)
+    ow = _conv_out_size(w, kw, stride, 0)
     s0, s1, s2, s3 = a.strides
     view = np.lib.stride_tricks.as_strided(
         a, (n, c, kh, kw, oh, ow), (s0, s1, s2, s3, s2 * stride, s3 * stride))
@@ -218,27 +225,19 @@ def _use_shifted(n: int, c: int, oc: int, kh: int, kw: int, oh: int, ow: int) ->
     return oc <= c and 8 * n * c * kh * kw * oh * ow >= SHIFTED_MIN_BYTES
 
 
-def _flat_padded(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """(n, c, h, w) -> (n, c, (h + 2*ph + 1) * (w + 2*pw)), zero-padded and flattened.
-
-    The spare bottom row keeps every shifted slice of _conv_shifted in bounds.
-    """
-    n, c, _, _ = a.shape
-    return _padded(a, ph, ph + 1, pw).reshape(n, c, -1)
-
-
 def _conv_shifted(a: np.ndarray, kernel: np.ndarray, ph: int, pw: int) -> np.ndarray:
     """Stride-1 correlation as kh*kw GEMMs over shifted slices, with no patch matrix.
 
     In the flattened padded input, tap (i, j) of every output pixel sits at
     offset i*wp + j from the pixel's own index, so one contiguous slice per tap
     feeds an (oc, c) GEMM.  Each output row then carries wp - ow columns that
-    straddle the row end; they are cropped at the end.
+    straddle the row end; they are cropped at the end.  A spare bottom row of
+    padding keeps the last tap's slice in bounds.
     """
     n, c, h, w = a.shape
     oc, _, kh, kw = kernel.shape
     oh, ow, wp = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1, w + 2 * pw
-    flat = _flat_padded(a, ph, pw)
+    flat = _padded(a, ph, ph + 1, pw, pw).reshape(n, c, -1)
     span = oh * wp
     out = np.matmul(kernel[:, :, 0, 0], flat[:, :, :span])
     tmp = np.empty_like(out)
@@ -261,7 +260,7 @@ def _correlate(a: np.ndarray, kernel: np.ndarray, stride: int, ph: int, pw: int)
     ow = _conv_out_size(w, kw, stride, pw)
     if stride == 1 and _use_shifted(n, c, oc, kh, kw, oh, ow):
         return _conv_shifted(a, kernel, ph, pw), None
-    cols = _im2col(a, kh, kw, stride, ph, pw)
+    cols = _im2col(_padded(a, ph, ph, pw, pw), kh, kw, stride)
     return np.matmul(kernel.reshape(oc, -1), cols).reshape(n, oc, oh, ow), cols
 
 
@@ -271,19 +270,18 @@ def _kernel_grad(a: np.ndarray, g: np.ndarray, kh: int, kw: int, stride: int, ph
 
     Takes the shifted GEMM's taps where _correlate's shape rule picks them.
     Otherwise it works one image at a time, on cols[i] when the caller has
-    a's im2col matrix, else on a fresh gather of that image, which is still
-    in cache for its GEMM; starting from zeros, the images add in the order
-    of matmul(...).sum(axis=0).
+    a's im2col matrix, else on a fresh gather of that image from the batch
+    padded once, which is still in cache for its GEMM; starting from zeros,
+    the images add in the order of matmul(...).sum(axis=0).
     """
     n, c, _, w = a.shape
     _, oc, oh, ow = g.shape
     if stride == 1 and _use_shifted(n, c, oc, kh, kw, oh, ow):
         wp = w + 2 * pw
         span = oh * wp
-        flat = _flat_padded(a, ph, pw)
-        gw = np.zeros((n, oc, oh, wp))
-        gw[:, :, :, :ow] = g  # zeros where the forward's cropped columns were
-        gw = gw.reshape(n, oc, span)
+        flat = _padded(a, ph, ph + 1, pw, pw).reshape(n, c, -1)
+        # zeros where the forward's cropped columns were
+        gw = _padded(g, 0, 0, 0, wp - ow).reshape(n, oc, span)
         dk = np.empty((oc, c, kh, kw))
         for tap in range(kh * kw):
             off = (tap // kw) * wp + tap % kw
@@ -291,9 +289,11 @@ def _kernel_grad(a: np.ndarray, g: np.ndarray, kh: int, kw: int, stride: int, ph
             dk[:, :, tap // kw, tap % kw] = part.sum(axis=0)
         return dk
     gmat = g.reshape(n, oc, oh * ow)
+    if cols is None:
+        a = _padded(a, ph, ph, pw, pw)
     dk = np.zeros((oc, c * kh * kw))
     for i in range(n):
-        ci = _im2col(a[i:i + 1], kh, kw, stride, ph, pw)[0] if cols is None else cols[i]
+        ci = _im2col(a[i:i + 1], kh, kw, stride)[0] if cols is None else cols[i]
         dk += np.matmul(gmat[i], ci.T)
     return dk.reshape(oc, c, kh, kw)
 
@@ -314,10 +314,7 @@ def _conv_transpose(g: np.ndarray, kernel: np.ndarray, stride: int, ph: int, pw:
     oc, ic, kh, kw = kernel.shape
     s = stride
     dh, dw = -(-kh // s), -(-kw // s)
-    if kh % s or kw % s:  # taps past the kernel's edge are zero
-        full = np.zeros((oc, ic, s * dh, s * dw))
-        full[:, :, :kh, :kw] = kernel
-        kernel = full
+    kernel = _padded(kernel, 0, s * dh - kh, 0, s * dw - kw)  # zero taps past the kernel's edge
     phases = kernel.reshape(oc, ic, dh, s, dw, s)[:, :, ::-1, :, ::-1]
     # contiguous: for a 1x1 kernel the transpose is a view, which the GEMM
     # would read in another order and round differently
@@ -328,9 +325,7 @@ def _conv_transpose(g: np.ndarray, kernel: np.ndarray, stride: int, ph: int, pw:
     # zero rows and columns of g, so that the phases reach the last pixel the crop keeps
     eh = max(-(-(ph + h) // s) + th - (oh + dh - 1), 0)
     ew = max(-(-(pw + w) // s) + tw - (ow + dw - 1), 0)
-    if eh or ew:
-        g = np.pad(g, ((0, 0), (0, 0), (0, eh), (0, ew)))
-    y = _correlate(g, phases, 1, dh - 1 - th, dw - 1 - tw)[0]
+    y = _correlate(_padded(g, 0, eh, 0, ew), phases, 1, dh - 1 - th, dw - 1 - tw)[0]
     _, _, qh, qw = y.shape
     canvas = _col2im(y, (n, ic, s * qh, s * qw), s, s)
     top, left = ph - s * th, pw - s * tw
@@ -412,15 +407,21 @@ def tanh(x: Tensor) -> Tensor:
 
 def _conv_node(op: str, x: Tensor, kernel: Tensor, bias: Tensor, stride: int, ph: int, pw: int,
                transposed: bool, act: str | None, alpha: float) -> Tensor:
-    """conv2d (transposed False) or deconv2d (transposed True), arguments checked.
+    """conv2d (transposed False) or deconv2d (transposed True), stride and padding checked.
 
     The two are adjoint: each one's forward is the other's input gradient.
     _correlate maps conv2d's input to its output and deconv2d's output to
     its input, so deconv2d's kernel gradient is conv2d's with the input and
     the output gradient swapped, on the patch matrix of its input gradient.
     """
-    _, _, h, w = x.shape
-    kh, kw = kernel.shape[2:]
+    _, c, h, w = x.shape
+    oc, ic, kh, kw = kernel.shape
+    if transposed:  # deconv2d's kernel is (in_c, out_c, kh, kw)
+        oc, ic = ic, oc
+    if c != ic:
+        raise ConfigError(f"{op}: input has {c} channels but kernel {kernel.shape} expects {ic}")
+    if bias.shape != (1, oc, 1, 1):
+        raise ConfigError(f"{op}: bias shape {bias.shape} != (1, {oc}, 1, 1)")
     activate, act_grad = _activation(act)
     if transposed:
         out = _conv_transpose(x.data, kernel.data, stride, ph, pw,
@@ -457,12 +458,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     to the biased output within this node, with exactly the values and
     gradients of the separate op.
     """
-    _, c, h, w = x.shape
-    oc, ic, kh, kw = kernel.shape
-    if c != ic:
-        raise ConfigError(f"conv2d: input has {c} channels but kernel {kernel.shape} expects {ic}")
-    if bias.shape != (1, oc, 1, 1):
-        raise ConfigError(f"conv2d: bias shape {bias.shape} != (1, {oc}, 1, 1)")
+    _, _, h, w = x.shape
+    kh, kw = kernel.shape[2:]
     if stride < 1 or padding < 0:
         raise ConfigError(f"conv2d: bad stride/padding ({stride}, {padding})")
     oh = _conv_out_size(h, kh, stride, padding)
@@ -483,12 +480,7 @@ def deconv2d(x: Tensor, kernel: Tensor, bias: Tensor, factor: int = 1,
     the forward map is the exact adjoint of conv2d with the same kernel,
     stride and padding.  `act` and `alpha` fuse an activation as in conv2d.
     """
-    c = x.shape[1]
-    ic, oc, kh, kw = kernel.shape
-    if c != ic:
-        raise ConfigError(f"deconv2d: input has {c} channels but kernel {kernel.shape} expects {ic}")
-    if bias.shape != (1, oc, 1, 1):
-        raise ConfigError(f"deconv2d: bias shape {bias.shape} != (1, {oc}, 1, 1)")
+    kh, kw = kernel.shape[2:]
     if factor < 1:
         raise ConfigError(f"deconv2d: factor must be >= 1, got {factor}")
     if (kh - factor) % 2 or (kw - factor) % 2 or kh < factor or kw < factor:

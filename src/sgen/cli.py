@@ -32,8 +32,9 @@ from .model import COMBINERS, DISC_MIN_HW, dump_gates, load_checkpoint  # noqa: 
 from .train import train  # noqa: E402
 from .autodiff import Tensor  # noqa: E402
 
+# a missing path, or a file where a directory belongs or the other way round
 _USAGE_ERRORS = (ConfigError, UsageError, ImageFormatError, CheckpointError,
-                 FileNotFoundError, NotADirectoryError)
+                 FileNotFoundError, NotADirectoryError, IsADirectoryError, FileExistsError)
 
 
 # every argument a subcommand may take; flags that set a config key are named

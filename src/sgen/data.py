@@ -244,7 +244,8 @@ def atomic_write(path):
 
     The block writes a temp file in the same directory, which os.replace
     moves over `path` when the block ends; if the block raises, the temp file
-    is removed and any old file at `path` is left as it was.
+    is removed and any old file at `path` is left as it was.  An error in
+    opening or moving the temp file names `path`.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -252,8 +253,10 @@ def atomic_write(path):
         with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename in (tmp, str(tmp)):
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from None
         raise
 
 

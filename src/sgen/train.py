@@ -96,8 +96,7 @@ def disc_loss(d_real: Tensor, d_fake: Tensor) -> Tensor:
 
     Logs are clamped at 1e-12, as in gen_adv_loss.
     """
-    one = Tensor(np.ones(d_fake.shape))
-    joint = add(log_clamped(d_real), log_clamped(sub(one, d_fake)))
+    joint = add(log_clamped(d_real), log_clamped(affine(d_fake, -1.0, 1.0)))
     return affine(mean_all(joint), -1.0, 0.0)
 
 
@@ -107,8 +106,7 @@ def gen_adv_loss(d_fake: Tensor, variant: str = "minimax") -> Tensor:
     if variant not in LOSS_VARIANTS:
         raise ConfigError(f"loss variant must be one of {LOSS_VARIANTS}, got {variant!r}")
     if variant == "minimax":
-        one = Tensor(np.ones(d_fake.shape))
-        return mean_all(log_clamped(sub(one, d_fake)))
+        return mean_all(log_clamped(affine(d_fake, -1.0, 1.0)))
     return affine(mean_all(log_clamped(d_fake)), -1.0, 0.0)
 
 

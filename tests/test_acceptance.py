@@ -7,7 +7,10 @@ three seeds each) on the procedural face corpus and evaluates them on held-out
 images; everything else runs on purpose-built small inputs.
 """
 
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -29,30 +32,46 @@ from sgen.train import TrainConfig, init_state, train, train_step
 SCALES = [(48, 32), (64, 48), (80, 64)]
 SPEC = DegradationSpec()
 SEEDS = (0, 1, 2)
+TRAIN_CORPUS = SyntheticCorpus(2000)
+VAL_CORPUS = SyntheticCorpus(200, offset=2000)
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def desk_run(comb, seed, out_dir):
+    """Train and evaluate one desk model; the fixture runs each in a worker process."""
+    mcfg = SgenConfig(combiner=comb, seed=seed)
+    tcfg = TrainConfig(steps=2000, batch_size=4, lr=1e-3, mse_only=True,
+                       seed=seed, val_every=0)
+    began = time.time()
+    state = train(tcfg, mcfg, TRAIN_CORPUS, SCALES, SPEC, out_dir)
+    elapsed = time.time() - began
+    report = eval_model(model_restorer(state.params, mcfg), VAL_CORPUS,
+                        SCALES, SPEC, seed=0)
+    return SimpleNamespace(params=state.params, mcfg=mcfg, report=report, elapsed=elapsed)
 
 
 @pytest.fixture(scope="module")
 def desk_runs(tmp_path_factory):
-    """Six trained models: {sgu, max} x seeds {0, 1, 2}, plus the no-op baseline."""
+    """Six trained models: {sgu, max} x seeds {0, 1, 2}, plus the no-op baseline.
+
+    The six seeded runs are independent, so they train in a pool of
+    min(6, cpu count) spawned workers.  Each worker starts with one BLAS
+    thread, set in its environment before it loads numpy, so the workers do
+    not oversubscribe the cores.
+    """
     root = tmp_path_factory.mktemp("acceptance")
-    train_corpus = SyntheticCorpus(2000)
-    val_corpus = SyntheticCorpus(200, offset=2000)
-    baseline = eval_model(lambda s: s, val_corpus, SCALES, SPEC, seed=0)
-    runs = {}
-    for comb in ("sgu", "max"):
-        for seed in SEEDS:
-            mcfg = SgenConfig(combiner=comb, seed=seed)
-            tcfg = TrainConfig(steps=2000, batch_size=4, lr=1e-3, mse_only=True,
-                               seed=seed, val_every=0)
-            began = time.time()
-            state = train(tcfg, mcfg, train_corpus, SCALES, SPEC,
-                          root / f"{comb}_seed{seed}")
-            elapsed = time.time() - began
-            report = eval_model(model_restorer(state.params, mcfg), val_corpus,
-                                SCALES, SPEC, seed=0)
-            runs[comb, seed] = SimpleNamespace(params=state.params, mcfg=mcfg,
-                                               report=report, elapsed=elapsed)
-    return SimpleNamespace(baseline=baseline, runs=runs, val_corpus=val_corpus)
+    keys = [(comb, seed) for comb in ("sgu", "max") for seed in SEEDS]
+    # spawn, not fork: forking a process that runs BLAS threads is unsafe
+    spawn = multiprocessing.get_context("spawn")
+    with (pytest.MonkeyPatch.context() as env,
+          ProcessPoolExecutor(min(len(keys), os.cpu_count() or 1), mp_context=spawn) as pool):
+        for var in BLAS_THREAD_VARS:  # the workers start at the first submit
+            env.setenv(var, "1")
+        futures = {(comb, seed): pool.submit(desk_run, comb, seed, root / f"{comb}_seed{seed}")
+                   for comb, seed in keys}
+        runs = {key: future.result() for key, future in futures.items()}
+    baseline = eval_model(lambda s: s, VAL_CORPUS, SCALES, SPEC, seed=0)
+    return SimpleNamespace(baseline=baseline, runs=runs, val_corpus=VAL_CORPUS)
 
 
 # ---------------------------------------------------------------------------

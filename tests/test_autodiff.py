@@ -307,26 +307,32 @@ def test_deconv2d_phases_match_adjoint_reference(kernel, monkeypatch):
 @pytest.mark.parametrize("factor", [1, 2, 4, 8])
 def test_deconv2d_kernel_grad_reuses_the_input_gradients_patches(factor, monkeypatch):
     # with x tracked the kernel gradient reads the patch matrix of dx; without,
-    # it gathers each image again; the two give the same array
+    # it pads the batch once and gathers each image again; the two give the same array
     rng = np.random.default_rng(53 + factor)
     xd = rng.normal(size=(2, 3, 3, 4))
     kd = rng.normal(size=(3, 2, factor + 2, factor + 2))
     wd = rng.normal(size=(2, 2, 3 * factor, 4 * factor))
-    real, gathered = ad._im2col, []
+    real_im2col, real_padded, gathered, padded = ad._im2col, ad._padded, [], []
     monkeypatch.setattr(ad, "_im2col", lambda a, *rest: gathered.append(a.shape[0])
-                        or real(a, *rest))
+                        or real_im2col(a, *rest))
+    monkeypatch.setattr(ad, "_padded", lambda a, *rest: padded.append(a.shape[0])
+                        or real_padded(a, *rest))
 
     def kernel_grad(track_x):
         x, k = t4(xd, requires_grad=track_x), t4(kd, requires_grad=True)
         with Graph() as g:
             loss = sum_all(mul(deconv2d(x, k, t4(np.zeros((1, 2, 1, 1))), factor, act="relu"),
                                t4(wd)))
-        gathered.clear()  # count the backward's gathers only
-        return g.backward(loss, {"k": k})["k"], list(gathered)
+        gathered.clear()  # count the backward's gathers and paddings only
+        padded.clear()
+        return g.backward(loss, {"k": k})["k"], list(gathered), list(padded)
 
-    reused, batch_gathers = kernel_grad(True)
-    fresh, image_gathers = kernel_grad(False)
+    reused, batch_gathers, batch_pads = kernel_grad(True)
+    fresh, image_gathers, image_pads = kernel_grad(False)
     assert batch_gathers == [2] and image_gathers == [1, 1]
+    # tracked, the one padding is dx's and the kernel gradient pads nothing;
+    # untracked, the kernel gradient pads the whole batch once
+    assert batch_pads == [2] and image_pads == [2]
     assert np.array_equal(reused, fresh)
 
 

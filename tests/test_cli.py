@@ -228,6 +228,33 @@ def test_restore_incomplete_checkpoint_exits_2(trained, tmp_path, capsys):
     assert "sgen: error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["restore", "--checkpoint", "DIR", "IN", "OUT"], "DIR"),
+    (["restore", "--checkpoint", "CKPT", "DIR", "OUT"], "DIR"),
+    (["restore", "--checkpoint", "CKPT", "IN", "DIR"], "DIR"),
+    (["restore", "--checkpoint", "CKPT", "IN", "NOPARENT"], "NOPARENT"),
+    (["train", "--config", "CFG", "--out", "FILE"], "FILE"),
+    (["eval", "--config", "CFG", "--checkpoint", "CKPT", "--out", "FILE"], "FILE"),
+    (["gates", "--config", "CFG", "--checkpoint", "CKPT", "--out", "FILE", "IN"], "FILE"),
+], ids=["restore-checkpoint-dir", "restore-input-dir", "restore-output-dir",
+        "restore-output-no-parent", "train-out-file", "eval-out-file", "gates-out-file"])
+def test_path_of_the_wrong_kind_exits_2(argv, named, trained, tmp_path, capsys):
+    # a directory where a file belongs, a file where a directory belongs, or a
+    # missing parent directory: a usage error that names the path the user gave
+    src, file, folder = tmp_path / "in.pgm", tmp_path / "file", tmp_path / "dir"
+    write_netpbm(synth_face(0, 32, 32), src)
+    file.write_text("")
+    folder.mkdir()
+    subst = {"DIR": str(folder), "IN": str(src), "OUT": str(tmp_path / "out.pgm"),
+             "NOPARENT": str(tmp_path / "nodir" / "o.pgm"), "CKPT": str(trained["ckpt"]),
+             "CFG": trained["cfg"], "FILE": str(file)}
+    assert main([subst.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sgen: error: ")
+    assert repr(subst[named]) in err and ".tmp" not in err
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_degrade_identity_settings(tmp_path):
     src = tmp_path / "in.pgm"
     raster = synth_face(5, 32, 32)
