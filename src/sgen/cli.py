@@ -133,10 +133,10 @@ def cmd_eval(args) -> int:
     spec = run.degradation_spec()
     scales = run.scale_list()
     corpus = run.eval_corpus()
-    report = eval_model(model_restorer(params, mcfg), corpus, scales, spec, seed=run.seed)
-    csv_text = report.to_csv()
     out = Path(run.out)
     out.mkdir(parents=True, exist_ok=True)
+    report = eval_model(model_restorer(params, mcfg), corpus, scales, spec, seed=run.seed)
+    csv_text = report.to_csv()
     with atomic_write(out / "metrics.csv") as fh:
         fh.write(csv_text.encode())
     print(csv_text, end="")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,54 @@ def test_conv_transpose_is_correlate_adjoint(case):
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
+def _col2im_canvas_then_crop(cols, shape, kh, kw, top, left):
+    # depth-to-space of the whole canvas as one 6-D transposed copy, then a crop
+    n, c, h, w = shape
+    qh, qw = cols.shape[-2:]
+    canvas = cols.reshape(n, c, kh, kw, qh, qw).transpose(0, 1, 4, 2, 5, 3)
+    canvas = canvas.reshape(n, c, kh * qh, kw * qw)
+    return np.ascontiguousarray(canvas[:, :, top:top + h, left:left + w])
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3, 4, 8])
+def test_conv_transpose_writes_phases_as_canvas_then_crop(stride, monkeypatch):
+    # paddings 0..2s cover every residue of the crop offsets; sizes with
+    # h + 2p - k not divisible by s drop windows, so g gets zero rows
+    rng = np.random.default_rng(61 + stride)
+    cases = []
+    for k in sorted({stride, stride + 2, 2 * stride + 1}):
+        for pad in range(2 * stride + 1):
+            for h, w in [(2 * stride + 3, 3 * stride + 1), (k + 1, k + stride - 1)]:
+                if h + 2 * pad >= k and w + 2 * pad >= k:
+                    kd = rng.normal(size=(3, 2, k, k))
+                    y, _ = ad._correlate(rng.normal(size=(2, 2, h, w)), kd, stride, pad, pad)
+                    cases.append((rng.normal(size=y.shape), kd, stride, pad, pad, h, w))
+    real_col2im, tops = ad._col2im, set()
+    monkeypatch.setattr(ad, "_col2im", lambda *a: tops.add(a[4] % stride) or real_col2im(*a))
+    got = [ad._conv_transpose(*case) for case in cases]
+    assert tops == set(range(stride))
+    monkeypatch.setattr(ad, "_col2im", _col2im_canvas_then_crop)
+    for case, out in zip(cases, got):
+        assert out.flags.c_contiguous and np.array_equal(out, ad._conv_transpose(*case))
+
+
+def test_deconv2d_forward_builds_no_canvas():
+    # x2 from 184x152, 8 -> 8 channels: the phase correlation's output and the
+    # result are live at once, ~2.0x the result; a canvas and its crop made 3.0x
+    rng = np.random.default_rng(0)
+    x, k = t4(rng.normal(size=(1, 8, 184, 152))), t4(rng.normal(size=(8, 8, 4, 4)))
+    b = t4(np.zeros((1, 8, 1, 1)))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = deconv2d(x, k, b, factor=2)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1, 8, 368, 304)
+    assert peak < 2.5 * out.data.nbytes, f"{peak / out.data.nbytes:.2f}x the output"
+
+
 @pytest.mark.parametrize("kernel", ["im2col", "shifted"])
 def test_deconv2d_phases_match_adjoint_reference(kernel, monkeypatch):
     if kernel == "shifted":  # where the phase channels allow it (factor 1 here)
@@ -363,6 +413,20 @@ def test_relu_values():
 
 def test_sigmoid_at_zero():
     assert sigmoid(t4([0.0])).item() == 0.5
+
+
+def test_sigmoid_is_bitwise_its_definition():
+    # the np.where formula is the reference: NaN, signed zeros, infinities,
+    # subnormals, the edges of exp's range and random values at three scales
+    rng = np.random.default_rng(7)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = [np.nan, 0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 1e-310, -1e-310,
+               709.78, -709.78, 745.2, -745.2, 1000.0, -1000.0]
+    x = np.concatenate([special] + [scale * rng.normal(size=200) for scale in (1, 30, 800)])
+    out = sigmoid(t4(x)).data.reshape(-1)
+    want = _sigmoid_definition(x)
+    assert np.array_equal(out, want, equal_nan=True)
+    assert np.array_equal(out.view(np.int64), want.view(np.int64))  # signs of zero and NaN
 
 
 def test_lrelu_definition():

@@ -7,6 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from sgen import cli
 from sgen.cli import main
 from sgen.config import RunConfig, build_run_config, parse_config_file
 from sgen.data import DegradationSpec, read_netpbm, synth_face, write_netpbm
@@ -236,23 +237,31 @@ def test_restore_incomplete_checkpoint_exits_2(trained, tmp_path, capsys):
     (["train", "--config", "CFG", "--out", "FILE"], "FILE"),
     (["eval", "--config", "CFG", "--checkpoint", "CKPT", "--out", "FILE"], "FILE"),
     (["gates", "--config", "CFG", "--checkpoint", "CKPT", "--out", "FILE", "IN"], "FILE"),
+    (["eval", "--config", "CFG", "--checkpoint", "DIR", "--out", "NEW"], "DIR"),
 ], ids=["restore-checkpoint-dir", "restore-input-dir", "restore-output-dir",
-        "restore-output-no-parent", "train-out-file", "eval-out-file", "gates-out-file"])
-def test_path_of_the_wrong_kind_exits_2(argv, named, trained, tmp_path, capsys):
+        "restore-output-no-parent", "train-out-file", "eval-out-file", "gates-out-file",
+        "eval-checkpoint-dir"])
+def test_path_of_the_wrong_kind_exits_2(argv, named, trained, tmp_path, capsys, monkeypatch):
     # a directory where a file belongs, a file where a directory belongs, or a
-    # missing parent directory: a usage error that names the path the user gave
+    # missing parent directory: a usage error that names the path the user gave,
+    # raised before any evaluation runs or any output directory is made
     src, file, folder = tmp_path / "in.pgm", tmp_path / "file", tmp_path / "dir"
     write_netpbm(synth_face(0, 32, 32), src)
     file.write_text("")
     folder.mkdir()
     subst = {"DIR": str(folder), "IN": str(src), "OUT": str(tmp_path / "out.pgm"),
              "NOPARENT": str(tmp_path / "nodir" / "o.pgm"), "CKPT": str(trained["ckpt"]),
-             "CFG": trained["cfg"], "FILE": str(file)}
+             "CFG": trained["cfg"], "FILE": str(file), "NEW": str(tmp_path / "new")}
+    evaluations = []
+    real_eval_model = cli.eval_model
+    monkeypatch.setattr(cli, "eval_model",
+                        lambda *a, **k: evaluations.append(a) or real_eval_model(*a, **k))
     assert main([subst.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("sgen: error: ")
     assert repr(subst[named]) in err and ".tmp" not in err
     assert not list(tmp_path.rglob("*.tmp"))
+    assert not evaluations and not (tmp_path / "new").exists()
 
 
 def test_degrade_identity_settings(tmp_path):
