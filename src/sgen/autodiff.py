@@ -30,14 +30,16 @@ correlation of the gradient with the flipped kernel).  _col2im skips the
 rest of the padding: it writes each phase (rh, rw) with one strided copy
 straight into the rows and columns of the result that phase owns, so no
 padded canvas is built and nothing is cropped.  A transposed convolution
-then holds the phase correlation's output and its result, 2.0x the result
-where a canvas and its crop took 3.0x (x2 from 184x152, 8 channels), and
-on the 2-core Xeon VM with one BLAS thread this copy took 2.9 ms where the
-canvas's 6-D transposed copy (inner loop over s = 2 elements) and the crop
-took 4.6 ms.  The pair runs both ways: one
-tape node, _conv_node, computes conv2d with _correlate forward and
-_conv_transpose backward, and deconv2d with the two swapped, so deconv2d's
-input gradient is a strided correlation of its output gradient.
+then holds the phase correlation's output and its result, 2.0x the result,
+where a canvas and its crop took 3.0x.  For x2 from 184x152 with 8 channels
+(2-core Xeon VM, one BLAS thread) the phase copies take 2.5-2.6 ms, where
+the canvas's 6-D transposed copy, whose inner loop ran over s = 2 elements,
+took 4.5-4.8 ms and the crop another ~1.4 ms.  At s = 8 the 64 copies take
+1.0 ms against the transposed copy's 0.6 ms, and the dropped crop pays that
+back.  The pair runs both ways: one tape node, _conv_node, computes conv2d
+with _correlate forward and _conv_transpose backward, and deconv2d with the
+two swapped, so deconv2d's input gradient is a strided correlation of its
+output gradient.
 
 All zero-padding goes through _padded, which returns its input when nothing
 is added: the conv padding, the shifted GEMM's spare row and cropped
@@ -61,16 +63,15 @@ the two tied at 1.3-1.4 MiB and the shifted GEMM won from 1.7 MiB on.
 The tape rule.  A conv2d or deconv2d node keeps its input, its kernel and
 its activated output, and no patch matrix.  The activation that follows a
 layer (`act`: relu, lrelu, sigmoid or tanh) runs on the layer's fresh
-output, in place, and its gradient is read from the
-activated output, so the pre-activation array is never kept.  Both ops
-have one kernel gradient, _kernel_grad.  Where no patch matrix is at hand
-(conv2d, whose forward dropped it, or a deconv2d with an untracked input)
-it pads the batch once and gathers the patches again, one image at a time,
-so that each image's matrix is still in cache when its GEMM reads it;
-deconv2d otherwise reuses the matrix its input gradient gathered.  In the
-adversarial batch-8 benchmark (2-core Xeon VM, one BLAS thread) gathering
-per image cost less step time than gathering the whole batch again or in
-2 MiB chunks.
+output, in place, and its gradient is read from the activated output, so
+the pre-activation array is never kept.  Both ops have one kernel gradient,
+_kernel_grad.  Where no patch matrix is at hand (conv2d, whose forward
+dropped it, or a deconv2d with an untracked input) it pads the batch once
+and gathers the patches again, one image at a time, so that each image's
+matrix is still in cache when its GEMM reads it; deconv2d otherwise reuses
+the matrix its input gradient gathered.  In the adversarial batch-8
+benchmark (2-core Xeon VM, one BLAS thread) gathering per image cost less
+step time than gathering the whole batch again or in 2 MiB chunks.
 """
 
 from __future__ import annotations
