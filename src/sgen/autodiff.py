@@ -15,31 +15,31 @@ express a gated convolutional encoder-decoder, a convolutional classifier and
 the usual GAN/MSE training losses.
 
 Convolution kernels.  Strided conv2d (encoder trunk, base-encoders,
-discriminator) runs one GEMM over an im2col patch matrix.  Its adjoint, the
-transposed convolution, has one implementation, _conv_transpose: it is
-conv2d's input gradient at every stride and deconv2d's forward.  In
-sub-pixel form, pixel s*q + r of the padded input sums output-gradient
-pixel q - d times kernel tap s*d + r, so one stride-1 correlation with
-in_c * s^2 phase outputs and ceil(k / s) taps per axis computes every phase
-(no zero taps when s divides k), and depth-to-space -- the adjoint of im2col
-for non-overlapping s x s windows, _col2im -- places them.  Where a stride
-drops windows, the pixels past the last window are reached by zero rows and
-columns appended to the gradient.  Phase rows and columns that lie wholly
-in the conv padding are not computed (at stride 1 this leaves the
-correlation of the gradient with the flipped kernel).  _col2im skips the
-rest of the padding: it writes each phase (rh, rw) with one strided copy
-straight into the rows and columns of the result that phase owns, so no
-padded canvas is built and nothing is cropped.  A transposed convolution
-then holds the phase correlation's output and its result, 2.0x the result,
-where a canvas and its crop took 3.0x.  For x2 from 184x152 with 8 channels
-(2-core Xeon VM, one BLAS thread) the phase copies take 2.5-2.6 ms, where
-the canvas's 6-D transposed copy, whose inner loop ran over s = 2 elements,
-took 4.5-4.8 ms and the crop another ~1.4 ms.  At s = 8 the 64 copies take
-1.0 ms against the transposed copy's 0.6 ms, and the dropped crop pays that
-back.  The pair runs both ways: one tape node, _conv_node, computes conv2d
-with _correlate forward and _conv_transpose backward, and deconv2d with the
-two swapped, so deconv2d's input gradient is a strided correlation of its
-output gradient.
+discriminator) runs GEMMs over an im2col patch matrix, gathered in bands
+(below).  Its adjoint, the transposed convolution, has one implementation,
+_conv_transpose: it is conv2d's input gradient at every stride and
+deconv2d's forward.  In sub-pixel form, pixel s*q + r of the padded input
+sums output-gradient pixel q - d times kernel tap s*d + r, so one stride-1
+correlation with in_c * s^2 phase outputs and ceil(k / s) taps per axis
+computes every phase (no zero taps when s divides k), and depth-to-space --
+the adjoint of im2col for non-overlapping s x s windows, _col2im -- places
+them.  Where a stride drops windows, the pixels past the last window are
+reached by zero rows and columns appended to the gradient.  Phase rows and
+columns that lie wholly in the conv padding are not computed (at stride 1
+this leaves the correlation of the gradient with the flipped kernel).
+_col2im skips the rest of the padding: it writes each phase (rh, rw) with
+one strided copy straight into the rows and columns of the result that
+phase owns, so no padded canvas is built and nothing is cropped.  A
+transposed convolution then holds the phase correlation's output and its
+result, 2.0x the result, where a canvas and its crop took 3.0x.  For x2
+from 184x152 with 8 channels (2-core Xeon VM, one BLAS thread) the phase
+copies take 2.5-2.6 ms, where the canvas's 6-D transposed copy, whose inner
+loop ran over s = 2 elements, took 4.5-4.8 ms and the crop another ~1.4 ms.
+At s = 8 the 64 copies take 1.0 ms against the transposed copy's 0.6 ms,
+and the dropped crop pays that back.  The pair runs both ways: one tape
+node, _conv_node, computes conv2d with _correlate forward and
+_conv_transpose backward, and deconv2d with the two swapped, so deconv2d's
+input gradient is a strided correlation of its output gradient.
 
 All zero-padding goes through _padded, which returns its input when nothing
 is added: the conv padding, the shifted GEMM's spare row and cropped
@@ -50,28 +50,47 @@ Every stride-1 correlation -- the conv2d forward and the phase correlation
 of _conv_transpose -- picks its kernel by a fixed rule on shapes alone:
 with c input and oc output channels, the shifted GEMM runs when
 
-    oc <= c  and  its im2col matrix would take >= SHIFTED_MIN_BYTES (2 MiB),
+    oc < c  and  its im2col matrix would take >= SHIFTED_MIN_BYTES (2 MiB),
 
-and im2col plus one GEMM runs otherwise.  The shifted GEMM accumulates one
-(oc, c) GEMM per kernel tap over contiguous slices of the padded input, so
-it builds no patch matrix; it loses when oc > c, where its per-tap output
-traffic exceeds the patch matrix (9x slower for c = 1), and on small inputs,
-where the patch matrix stays in cache.  Timing forward plus kernel gradient
-of 3x3 layers (2-core Xeon VM, one BLAS thread), im2col won up to 0.84 MiB,
-the two tied at 1.3-1.4 MiB and the shifted GEMM won from 1.7 MiB on.
+and im2col runs otherwise, as at every other stride.  The kernel gradient
+follows the same rule.  The shifted GEMM accumulates one (oc, c) GEMM per
+kernel tap over contiguous slices of the padded input, so it builds no
+patch matrix, but it passes over the input and adds into the output once
+per tap.  That pays only where the output is narrower than the input: for
+gen.out.conv (8 -> 1 at 368x304; 2-core Xeon VM, one BLAS thread) the
+shifted GEMM takes 6.3-6.4 ms, im2col in bands 6.8-8.5 ms.  A
+channel-preserving SGU gate (8 -> 8 at 184x152) takes 5.4 ms shifted and
+2.7 ms in bands.  On small inputs the patch matrix stays in cache and
+im2col wins: there, with the whole matrix gathered at once, it won up to
+0.84 MiB, the two tied at 1.3-1.4 MiB and the shifted GEMM won from 1.7 MiB
+on.
+
+Bands.  No im2col matrix larger than BAND_BYTES is built whole.  _banded
+gathers it in bands, each into the same buffer: whole images per band while
+one image's matrix fits, else rows of one image.  Each band's GEMM writes
+straight into its slice of the output while the band is still in the 2 MiB
+L2 cache, where a whole matrix went out to memory and back (16.1 MB for
+gen.enc.stem2 on a 368x304 restore).  A matrix that fits is one band, the
+single gather.  The budget was chosen by timing every correlation and
+kernel-gradient shape that each benchmark workload issues, interleaved with
+the single gather, min of 5 per shape: against the single gather, the 48
+restore requests took 0.78-0.82x with 768 KiB bands (0.78-0.83x with 512
+KiB, 0.83-0.87x with 1 MiB), one eval_model call 1.00-1.04x (512 KiB:
+1.05-1.09x) and three adversarial batch-8 train steps 0.92-0.94x (512 KiB:
+0.93-0.98x).  Whole-image bands run the very GEMMs of the single gather; a
+row band is a narrower GEMM, which BLAS may round differently in the last
+bits.
 
 The tape rule.  A conv2d or deconv2d node keeps its input, its kernel and
 its activated output, and no patch matrix.  The activation that follows a
 layer (`act`: relu, lrelu, sigmoid or tanh) runs on the layer's fresh
 output, in place, and its gradient is read from the activated output, so
 the pre-activation array is never kept.  Both ops have one kernel gradient,
-_kernel_grad.  Where no patch matrix is at hand (conv2d, whose forward
-dropped it, or a deconv2d with an untracked input) it pads the batch once
-and gathers the patches again, one image at a time, so that each image's
-matrix is still in cache when its GEMM reads it; deconv2d otherwise reuses
-the matrix its input gradient gathered.  In the adversarial batch-8
-benchmark (2-core Xeon VM, one BLAS thread) gathering per image cost less
-step time than gathering the whole batch again or in 2 MiB chunks.
+_kernel_grad, which gathers the patches again in the forward's bands and
+adds one GEMM per image of each band, so each band's gather is in cache
+for its GEMMs.  deconv2d's input gradient is a correlation over the very
+patch matrix its kernel gradient reads, so when both are wanted one walk
+over the bands computes both, and each band is gathered once.
 """
 
 from __future__ import annotations
@@ -186,6 +205,7 @@ def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
 # Convolution kernels: im2col/col2im, shifted GEMM, the transposed convolution
 
 SHIFTED_MIN_BYTES = 2 * 2**20  # see the module docstring
+BAND_BYTES = 768 * 2**10  # the largest im2col band; see the module docstring
 
 
 def _conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
@@ -206,15 +226,35 @@ def _padded(a: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.n
     return out
 
 
-def _im2col(a: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Padded (n, c, h, w) -> (n, c*kh*kw, oh*ow) patch matrix of the windows that fit."""
+def _im2col(a: np.ndarray, kh: int, kw: int, stride: int, buf: np.ndarray) -> np.ndarray:
+    """Padded (n, c, h, w) -> (n, c*kh*kw, oh*ow) patch matrix of the windows that fit.
+
+    The matrix is written into the front of the flat array `buf`.
+    """
     n, c, h, w = a.shape
     oh = _conv_out_size(h, kh, stride, 0)
     ow = _conv_out_size(w, kw, stride, 0)
     s0, s1, s2, s3 = a.strides
     view = np.lib.stride_tricks.as_strided(
         a, (n, c, kh, kw, oh, ow), (s0, s1, s2, s3, s2 * stride, s3 * stride))
-    return view.reshape(n, c * kh * kw, oh * ow)  # reshape copies out of the view
+    cols = buf[:view.size].reshape(view.shape)
+    np.copyto(cols, view)
+    return cols.reshape(n, c * kh * kw, oh * ow)
+
+
+def _bands(n: int, oh: int, row: int) -> list[tuple[int, int, int, int]]:
+    """(first image, end image, first row, end row) bands of an im2col matrix.
+
+    The matrix has n images of oh output rows, `row` elements per output row.
+    Each band's part takes at most BAND_BYTES, or one output row of one image
+    where a row alone is larger: whole images per band while an image fits,
+    otherwise rows of one image.  A matrix that fits is one band.
+    """
+    if 8 * oh * row <= BAND_BYTES:
+        step = BAND_BYTES // (8 * oh * row)
+        return [(i, min(i + step, n), 0, oh) for i in range(0, n, step)]
+    step = max(1, BAND_BYTES // (8 * row))
+    return [(i, i + 1, r, min(r + step, oh)) for i in range(n) for r in range(0, oh, step)]
 
 
 def _col2im(cols: np.ndarray, shape: tuple[int, int, int, int], kh: int, kw: int,
@@ -242,7 +282,7 @@ def _col2im(cols: np.ndarray, shape: tuple[int, int, int, int], kh: int, kw: int
 
 def _use_shifted(n: int, c: int, oc: int, kh: int, kw: int, oh: int, ow: int) -> bool:
     """The shape rule for stride-1 correlations (see the module docstring)."""
-    return oc <= c and 8 * n * c * kh * kw * oh * ow >= SHIFTED_MIN_BYTES
+    return oc < c and 8 * n * c * kh * kw * oh * ow >= SHIFTED_MIN_BYTES
 
 
 def _conv_shifted(a: np.ndarray, kernel: np.ndarray, ph: int, pw: int) -> np.ndarray:
@@ -268,54 +308,81 @@ def _conv_shifted(a: np.ndarray, kernel: np.ndarray, ph: int, pw: int) -> np.nda
     return np.ascontiguousarray(out.reshape(n, oc, oh, wp)[:, :, :, :ow])
 
 
-def _correlate(a: np.ndarray, kernel: np.ndarray, stride: int, ph: int, pw: int):
+def _correlate(a: np.ndarray, kernel: np.ndarray, stride: int, ph: int, pw: int,
+               g: np.ndarray | None = None):
     """Cross-correlate (n, c, h, w) with an (oc, c, kh, kw) kernel, no bias.
 
-    Returns (out, cols): cols is the im2col patch matrix when that kernel
-    ran (conv2d keeps it for the kernel gradient), else None.
+    Returns (out, dk): with g, a gradient of out, dk is the kernel gradient
+    (deconv2d's input and kernel gradients gather the same patches), else None.
     """
     n, c, h, w = a.shape
     oc, _, kh, kw = kernel.shape
     oh = _conv_out_size(h, kh, stride, ph)
     ow = _conv_out_size(w, kw, stride, pw)
     if stride == 1 and _use_shifted(n, c, oc, kh, kw, oh, ow):
-        return _conv_shifted(a, kernel, ph, pw), None
-    cols = _im2col(_padded(a, ph, ph, pw, pw), kh, kw, stride)
-    return np.matmul(kernel.reshape(oc, -1), cols).reshape(n, oc, oh, ow), cols
+        dk = None if g is None else _kernel_grad(a, g, kh, kw, 1, ph, pw)
+        return _conv_shifted(a, kernel, ph, pw), dk
+    return _banded(a, kernel, g, kh, kw, stride, ph, pw)
 
 
-def _kernel_grad(a: np.ndarray, g: np.ndarray, kh: int, kw: int, stride: int, ph: int, pw: int,
-                 cols: np.ndarray | None = None) -> np.ndarray:
+def _kernel_grad(a: np.ndarray, g: np.ndarray, kh: int, kw: int, stride: int,
+                 ph: int, pw: int) -> np.ndarray:
     """Kernel gradient of _correlate(a, kernel, stride, ph, pw) for output gradient g.
 
-    Takes the shifted GEMM's taps where _correlate's shape rule picks them.
-    Otherwise it works one image at a time, on cols[i] when the caller has
-    a's im2col matrix, else on a fresh gather of that image from the batch
-    padded once, which is still in cache for its GEMM; starting from zeros,
-    the images add in the order of matmul(...).sum(axis=0).
+    Takes the shifted GEMM's taps where _correlate's shape rule picks them,
+    else the im2col bands.
     """
     n, c, _, w = a.shape
     _, oc, oh, ow = g.shape
-    if stride == 1 and _use_shifted(n, c, oc, kh, kw, oh, ow):
-        wp = w + 2 * pw
-        span = oh * wp
-        flat = _padded(a, ph, ph + 1, pw, pw).reshape(n, c, -1)
-        # zeros where the forward's cropped columns were
-        gw = _padded(g, 0, 0, 0, wp - ow).reshape(n, oc, span)
-        dk = np.empty((oc, c, kh, kw))
-        for tap in range(kh * kw):
-            off = (tap // kw) * wp + tap % kw
-            part = np.matmul(gw, flat[:, :, off:off + span].transpose(0, 2, 1))
-            dk[:, :, tap // kw, tap % kw] = part.sum(axis=0)
-        return dk
-    gmat = g.reshape(n, oc, oh * ow)
-    if cols is None:
-        a = _padded(a, ph, ph, pw, pw)
-    dk = np.zeros((oc, c * kh * kw))
-    for i in range(n):
-        ci = _im2col(a[i:i + 1], kh, kw, stride)[0] if cols is None else cols[i]
-        dk += np.matmul(gmat[i], ci.T)
-    return dk.reshape(oc, c, kh, kw)
+    if not (stride == 1 and _use_shifted(n, c, oc, kh, kw, oh, ow)):
+        return _banded(a, None, g, kh, kw, stride, ph, pw)[1]
+    wp = w + 2 * pw
+    span = oh * wp
+    flat = _padded(a, ph, ph + 1, pw, pw).reshape(n, c, -1)
+    # zeros where the forward's cropped columns were
+    gw = _padded(g, 0, 0, 0, wp - ow).reshape(n, oc, span)
+    dk = np.empty((oc, c, kh, kw))
+    for tap in range(kh * kw):
+        off = (tap // kw) * wp + tap % kw
+        part = np.matmul(gw, flat[:, :, off:off + span].transpose(0, 2, 1))
+        dk[:, :, tap // kw, tap % kw] = part.sum(axis=0)
+    return dk
+
+
+def _banded(a: np.ndarray, kernel: np.ndarray | None, g: np.ndarray | None,
+            kh: int, kw: int, stride: int, ph: int, pw: int):
+    """(correlation with kernel, kernel gradient for output gradient g) over im2col bands.
+
+    Either may be None and is then not computed.  Each band of a's patch
+    matrix is gathered once into one reused buffer, and both GEMMs read it
+    while it is in cache: one into its slice of the output, and one per
+    image added to the kernel gradient, which starts from zeros, so a band
+    of whole images adds in the order of matmul(...).sum(axis=0).
+    """
+    n, c, h, w = a.shape
+    oh = _conv_out_size(h, kh, stride, ph)
+    ow = _conv_out_size(w, kw, stride, pw)
+    row = c * kh * kw * ow
+    out = dk = None
+    if kernel is not None:
+        kmat = kernel.reshape(len(kernel), -1)
+        out = np.empty((n, len(kernel), oh * ow))
+    if g is not None:
+        gmat = g.reshape(n, g.shape[1], oh * ow)
+        dk = np.zeros((g.shape[1], c * kh * kw))
+    a = _padded(a, ph, ph, pw, pw)
+    bands = _bands(n, oh, row)
+    i0, i1, r0, r1 = bands[0]  # no band is larger than the first
+    buf = np.empty((i1 - i0) * (r1 - r0) * row)
+    for i0, i1, r0, r1 in bands:
+        cols = _im2col(a[i0:i1, :, r0 * stride:(r1 - 1) * stride + kh], kh, kw, stride, buf)
+        if out is not None:
+            np.matmul(kmat, cols, out=out[i0:i1, :, r0 * ow:r1 * ow])
+        if dk is not None:
+            for gi, ci in zip(gmat[i0:i1, :, r0 * ow:r1 * ow], cols):
+                dk += np.matmul(gi, ci.T)
+    return (None if out is None else out.reshape(n, -1, oh, ow),
+            None if dk is None else dk.reshape(-1, c, kh, kw))
 
 
 def _conv_transpose(g: np.ndarray, kernel: np.ndarray, stride: int, ph: int, pw: int,
@@ -446,20 +513,21 @@ def _conv_node(op: str, x: Tensor, kernel: Tensor, bias: Tensor, stride: int, ph
         out = _conv_transpose(x.data, kernel.data, stride, ph, pw,
                               (h - 1) * stride + kh - 2 * ph, (w - 1) * stride + kw - 2 * pw)
     else:
-        out = _correlate(x.data, kernel.data, stride, ph, pw)[0]  # the patch matrix is not kept
+        out = _correlate(x.data, kernel.data, stride, ph, pw)[0]
     out += bias.data
     out = activate(out, alpha)
 
     def backward(gout: np.ndarray):
         gout = act_grad(gout, out, alpha)
-        dx = dk = db = cols = None
+        dx = dk = db = None
         if x.requires_grad and transposed:
-            dx, cols = _correlate(gout, kernel.data, stride, ph, pw)
+            dx, dk = _correlate(gout, kernel.data, stride, ph, pw,
+                                x.data if kernel.requires_grad else None)
         elif x.requires_grad:
             dx = _conv_transpose(gout, kernel.data, stride, ph, pw, h, w)
-        if kernel.requires_grad:
+        if kernel.requires_grad and dk is None:
             a, g = (gout, x.data) if transposed else (x.data, gout)
-            dk = _kernel_grad(a, g, kh, kw, stride, ph, pw, cols)
+            dk = _kernel_grad(a, g, kh, kw, stride, ph, pw)
         if bias.requires_grad:
             db = gout.sum(axis=(0, 2, 3)).reshape(bias.shape)
         return dx, dk, db

@@ -29,6 +29,21 @@ def conv2d_naive(x, kernel, bias, stride=1, pad=0):
     return out
 
 
+def conv2d_kernel_grad_naive(x, g, kh, kw, stride=1, pad=0):
+    """d(sum(conv2d_naive(x, kernel) * g)) / d(kernel), one kernel tap at a time."""
+    n, c, h, w = x.shape
+    _, oc, oh, ow = g.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    dk = np.zeros((oc, c, kh, kw))
+    for i in range(kh):
+        for j in range(kw):
+            taps = xp[:, :, i:i + stride * (oh - 1) + 1:stride, j:j + stride * (ow - 1) + 1:stride]
+            for o in range(oc):
+                for ci in range(c):
+                    dk[o, ci, i, j] = (g[:, o] * taps[:, ci]).sum()
+    return dk
+
+
 def deconv2d_adjoint_naive(z, kernel, factor):
     """Transposed convolution as the explicit adjoint of conv2d.
 

@@ -10,7 +10,8 @@ from sgen.autodiff import (AdamState, Graph, Tensor, adam_step, add, affine,
                            sub, sum_all, tanh)
 from sgen.errors import ConfigError, NumericsError, UsageError
 
-from oracles import conv2d_naive, deconv2d_adjoint_naive, numeric_grad, nudge_off_kinks, rel_err
+from oracles import (conv2d_kernel_grad_naive, conv2d_naive, deconv2d_adjoint_naive, numeric_grad,
+                     nudge_off_kinks, rel_err)
 
 
 def t4(arr, requires_grad=False):
@@ -243,6 +244,11 @@ STRIDE1_CASES = [  # (n, ic, oc, h, w, k, pad)
     (1, 2, 1, 6, 6, 5, 2), (1, 1, 1, 4, 5, 3, 1), (1, 3, 5, 4, 4, 3, 1)]
 
 
+# every direct kernel test runs under two band budgets: the module's, which
+# leaves these small matrices whole, and one output row of one image per band
+BAND_BUDGETS = [ad.BAND_BYTES, 1]
+
+
 @pytest.mark.parametrize("case", STRIDE1_CASES, ids=lambda c: "x".join(map(str, c)))
 def test_stride1_kernels_match_naive(case, monkeypatch):
     n, ic, oc, h, w, k, pad = case
@@ -250,20 +256,20 @@ def test_stride1_kernels_match_naive(case, monkeypatch):
     xd = rng.normal(size=(n, ic, h, w))
     kd = rng.normal(size=(oc, ic, k, k))
     ref = conv2d_naive(xd, kd, np.zeros(oc), stride=1, pad=pad)
-    shifted = ad._conv_shifted(xd, kd, pad, pad)
-    gemm, cols = ad._correlate(xd, kd, 1, pad, pad)  # im2col at these sizes
-    assert cols is not None
-    assert np.abs(shifted - ref).max() < 1e-10
-    assert np.abs(gemm - ref).max() < 1e-10
-    # kernel gradient: the im2col contraction, from a fresh gather, from the
-    # caller's patch matrix and, where the shape rule allows, from the shifted taps
     gout = rng.normal(size=ref.shape)
-    dk_ref = np.matmul(gout.reshape(n, oc, -1), cols.transpose(0, 2, 1)).sum(axis=0)
-    dk_ref = dk_ref.reshape(kd.shape)
-    for reuse in (None, cols):
-        assert np.abs(ad._kernel_grad(xd, gout, k, k, 1, pad, pad, reuse) - dk_ref).max() < 1e-10
+    dk_ref = conv2d_kernel_grad_naive(xd, gout, k, k, 1, pad)
+    assert np.abs(ad._conv_shifted(xd, kd, pad, pad) - ref).max() < 1e-10
+    for budget in BAND_BUDGETS:
+        monkeypatch.setattr(ad, "BAND_BYTES", budget)
+        # im2col at these sizes; with an output gradient the same bands also
+        # give the kernel gradient, as deconv2d's backward asks
+        gemm, dk = ad._correlate(xd, kd, 1, pad, pad, gout)
+        assert np.abs(gemm - ref).max() < 1e-10
+        assert np.abs(dk - dk_ref).max() < 1e-10
+        assert np.array_equal(ad._kernel_grad(xd, gout, k, k, 1, pad, pad), dk)
+    # the shifted GEMM's taps, where the shape rule picks them
     monkeypatch.setattr(ad, "SHIFTED_MIN_BYTES", 0)
-    assert ad._use_shifted(n, ic, oc, k, k, *ref.shape[2:]) == (oc <= ic)
+    assert ad._use_shifted(n, ic, oc, k, k, *ref.shape[2:]) == (oc < ic)
     assert np.abs(ad._kernel_grad(xd, gout, k, k, 1, pad, pad) - dk_ref).max() < 1e-10
 
 
@@ -278,18 +284,113 @@ TRANSPOSE_CASES = [  # (k, stride, padding, h, w): the program's strided layers,
 
 
 @pytest.mark.parametrize("case", TRANSPOSE_CASES, ids=lambda c: "k{}s{}p{}_{}x{}".format(*c))
-def test_conv_transpose_is_correlate_adjoint(case):
-    # <correlate(x), g> == <x, conv_transpose(g)>
+def test_conv_transpose_is_correlate_adjoint(case, monkeypatch):
+    # <correlate(x), g> == <x, conv_transpose(g)>, in one band and in row bands
     k, stride, pad, h, w = case
     rng = np.random.default_rng(sum(case))
     xd = rng.normal(size=(2, 3, h, w))
     kd = rng.normal(size=(4, 3, k, k))
-    y, _ = ad._correlate(xd, kd, stride, pad, pad)
-    gd = rng.normal(size=y.shape)
-    dx = ad._conv_transpose(gd, kd, stride, pad, pad, h, w)
-    assert dx.shape == xd.shape
-    lhs, rhs = float((y * gd).sum()), float((xd * dx).sum())
-    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+    gd = rng.normal(size=ad._correlate(xd, kd, stride, pad, pad)[0].shape)
+    for budget in BAND_BUDGETS:
+        monkeypatch.setattr(ad, "BAND_BYTES", budget)
+        y, _ = ad._correlate(xd, kd, stride, pad, pad)
+        dx = ad._conv_transpose(gd, kd, stride, pad, pad, h, w)
+        assert dx.shape == xd.shape
+        lhs, rhs = float((y * gd).sum()), float((xd * dx).sum())
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+def test_bands_split_images_then_rows(monkeypatch):
+    row = 10  # elements of one output row's patches, 80 bytes
+    monkeypatch.setattr(ad, "BAND_BYTES", 2 * 5 * 80)  # two 5-row images
+    assert ad._bands(3, 5, row) == [(0, 2, 0, 5), (2, 3, 0, 5)]
+    assert ad._bands(2, 5, row) == [(0, 2, 0, 5)]  # a matrix that fits is one band
+    monkeypatch.setattr(ad, "BAND_BYTES", 2 * 80 + 79)  # two rows, not a whole image
+    assert ad._bands(2, 5, row) == [(0, 1, 0, 2), (0, 1, 2, 4), (0, 1, 4, 5),
+                                    (1, 2, 0, 2), (1, 2, 2, 4), (1, 2, 4, 5)]
+    monkeypatch.setattr(ad, "BAND_BYTES", 1)  # less than a row: one row per band
+    assert ad._bands(1, 3, row) == [(0, 1, 0, 1), (0, 1, 1, 2), (0, 1, 2, 3)]
+
+
+def _same_sums(got, want, terms, abs_sums):
+    # two summation orders of the same `terms` products, each with its own
+    # rounding, differ by at most 2 * terms * u * sum(|product|), u = eps / 2
+    return np.all(np.abs(got - want) <= terms * np.finfo(np.float64).eps * abs_sums)
+
+
+BAND_CASES = [  # (n, c, oc, h, w, k, stride, pad)
+    (1, 8, 8, 23, 19, 3, 1, 1),  # an SGU gate
+    (3, 8, 8, 23, 19, 3, 2, 1),  # stem2 and the trunk
+    (2, 8, 32, 30, 21, 7, 8, 3),  # the level-3 base-encoder
+    (1, 16, 32, 29, 22, 5, 4, 2),  # the level-2 base-encoder
+    (3, 3, 5, 9, 11, 3, 1, 0),  # no padding
+    (2, 1, 8, 21, 33, 5, 4, 2),
+]
+
+
+@pytest.mark.parametrize("case", BAND_CASES, ids=lambda c: "n{}c{}o{}_{}x{}_k{}s{}p{}".format(*c))
+def test_bands_are_exact(case, monkeypatch):
+    n, c, oc, h, w, k, stride, pad = case
+    rng = np.random.default_rng(sum(case))
+    xd = rng.normal(size=(n, c, h, w))
+    kd = rng.normal(size=(oc, c, k, k))
+    oh, ow = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    gd = rng.normal(size=(n, oc, oh, ow))
+    monkeypatch.setattr(ad, "BAND_BYTES", 2**40)  # one gather of the whole matrix
+    whole, dk_whole = ad._correlate(xd, kd, stride, pad, pad, gd)
+    abs_sums = ad._correlate(np.abs(xd), np.abs(kd), stride, pad, pad)[0]
+    dk_ref = conv2d_kernel_grad_naive(xd, gd, k, k, stride, pad)
+    assert np.abs(dk_whole - dk_ref).max() < 1e-10
+    row_bytes = 8 * c * k * k * ow
+    # whole images per band (a partial last band when n = 3), rows of one
+    # image with a partial last band, and one row per band
+    for budget in [(n - 1 or 1) * oh * row_bytes, 2 * row_bytes, 1]:
+        monkeypatch.setattr(ad, "BAND_BYTES", budget)
+        bands = ad._bands(n, oh, c * k * k * ow)
+        assert len(bands) > 1 or n == 1
+        out, dk = ad._correlate(xd, kd, stride, pad, pad, gd)
+        assert np.abs(dk - dk_ref).max() < 1e-10
+        if all(r1 - r0 == oh for _, _, r0, r1 in bands):
+            # the same per-image GEMMs, and the kernel gradient adds the images in order
+            assert np.array_equal(out, whole) and np.array_equal(dk, dk_whole)
+        else:  # a row band is a narrower GEMM, which BLAS may round differently
+            assert _same_sums(out, whole, c * k * k, abs_sums)
+
+
+@pytest.mark.parametrize("case", TRANSPOSE_CASES[:5], ids=lambda c: "k{}s{}p{}_{}x{}".format(*c))
+def test_conv_transpose_phases_in_bands(case, monkeypatch):
+    k, stride, pad, h, w = case
+    rng = np.random.default_rng(71 + sum(case))
+    kd = rng.normal(size=(4, 3, k, k))
+    gd = rng.normal(size=ad._correlate(rng.normal(size=(2, 3, h, w)), kd, stride, pad, pad)[0].shape)
+    whole = ad._conv_transpose(gd, kd, stride, pad, pad, h, w)
+    abs_sums = ad._conv_transpose(np.abs(gd), np.abs(kd), stride, pad, pad, h, w)
+    calls = []
+    real = ad._im2col
+    monkeypatch.setattr(ad, "_im2col", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(ad, "BAND_BYTES", 1)
+    banded = ad._conv_transpose(gd, kd, stride, pad, pad, h, w)
+    assert len(calls) > 1  # the phase correlation ran in bands
+    dh = -(-k // stride)  # phase taps per axis
+    assert _same_sums(banded, whole, 4 * dh * dh, abs_sums)
+
+
+def test_strided_conv2d_gathers_in_bands():
+    # stem2 on a 368x304 restore: its whole patch matrix would be 2.25x the
+    # input, next to the padded input; the bands keep the peak near the
+    # padded input plus the output
+    rng = np.random.default_rng(0)
+    x, k = t4(rng.normal(size=(1, 8, 368, 304))), t4(rng.normal(size=(8, 8, 3, 3)))
+    b = t4(np.zeros((1, 8, 1, 1)))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = conv2d(x, k, b, stride=2, padding=1, act="lrelu")
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1, 8, 184, 152)
+    assert peak < 1.6 * x.data.nbytes, f"{peak / x.data.nbytes:.2f}x the input"
 
 
 def _col2im_canvas_then_crop(cols, shape, kh, kw, top, left):
@@ -356,8 +457,10 @@ def test_deconv2d_phases_match_adjoint_reference(kernel, monkeypatch):
 
 @pytest.mark.parametrize("factor", [1, 2, 4, 8])
 def test_deconv2d_kernel_grad_reuses_the_input_gradients_patches(factor, monkeypatch):
-    # with x tracked the kernel gradient reads the patch matrix of dx; without,
-    # it pads the batch once and gathers each image again; the two give the same array
+    # with x tracked, the input gradient's walk over the bands of its patch
+    # matrix also gives the kernel gradient, so each band is gathered once;
+    # without, the kernel gradient walks the same bands alone.  Either way
+    # the batch is padded once and the two give the same array.
     rng = np.random.default_rng(53 + factor)
     xd = rng.normal(size=(2, 3, 3, 4))
     kd = rng.normal(size=(3, 2, factor + 2, factor + 2))
@@ -377,29 +480,48 @@ def test_deconv2d_kernel_grad_reuses_the_input_gradients_patches(factor, monkeyp
         padded.clear()
         return g.backward(loss, {"k": k})["k"], list(gathered), list(padded)
 
-    reused, batch_gathers, batch_pads = kernel_grad(True)
-    fresh, image_gathers, image_pads = kernel_grad(False)
-    assert batch_gathers == [2] and image_gathers == [1, 1]
-    # tracked, the one padding is dx's and the kernel gradient pads nothing;
-    # untracked, the kernel gradient pads the whole batch once
-    assert batch_pads == [2] and image_pads == [2]
-    assert np.array_equal(reused, fresh)
+    # one band of both images, then one band per row of x's 3 per image
+    for budget, bands in zip(BAND_BUDGETS, ([2], [1] * 6)):
+        monkeypatch.setattr(ad, "BAND_BYTES", budget)
+        reused, reused_gathers, reused_pads = kernel_grad(True)
+        fresh, fresh_gathers, fresh_pads = kernel_grad(False)
+        assert reused_gathers == fresh_gathers == bands
+        assert reused_pads == fresh_pads == [2]
+        assert np.array_equal(reused, fresh)
 
 
 def test_grad_conv2d_shifted_kernel(monkeypatch):
-    # every stride-1 correlation takes the shifted GEMM, forward and backward
+    # every narrowing stride-1 correlation takes the shifted GEMM: the forward
+    # and the kernel gradient; the input gradient widens and takes im2col
     monkeypatch.setattr(ad, "SHIFTED_MIN_BYTES", 0)
     calls = []
     real = ad._conv_shifted
     monkeypatch.setattr(ad, "_conv_shifted", lambda *a: calls.append(1) or real(*a))
     rng = np.random.default_rng(47)
-    for ic, oc, k in [(3, 2, 3), (3, 3, 3), (2, 1, 3), (2, 2, 1)]:
+    for ic, oc, k in [(3, 2, 3), (4, 3, 3), (2, 1, 3), (3, 2, 1)]:
         x = rng.normal(size=(2, ic, 5, 4))
         kd = rng.normal(size=(oc, ic, k, k))
         b = rng.normal(size=(1, oc, 1, 1))
         _gradcheck(lambda xs, ks, bs, p=k // 2: conv2d(xs, ks, bs, stride=1, padding=p),
                    [x, kd, b])
     assert calls
+
+
+def test_grad_conv_in_row_bands(monkeypatch):
+    # every im2col matrix gathered one output row per band: the forwards, the
+    # input gradients' phase correlations and both kernel gradients
+    monkeypatch.setattr(ad, "BAND_BYTES", 1)
+    rng = np.random.default_rng(59)
+    for stride, k in [(1, 3), (2, 3), (4, 5)]:
+        x = rng.normal(size=(2, 3, 9, 8))
+        kd = rng.normal(size=(4, 3, k, k))
+        b = rng.normal(size=(1, 4, 1, 1))
+        _gradcheck(lambda xs, ks, bs, s=stride, p=k // 2: conv2d(xs, ks, bs, stride=s, padding=p),
+                   [x, kd, b])
+    x = rng.normal(size=(2, 3, 3, 4))
+    kd = rng.normal(size=(3, 2, 4, 4))
+    b = rng.normal(size=(1, 2, 1, 1))
+    _gradcheck(lambda xs, ks, bs: deconv2d(xs, ks, bs, factor=2), [x, kd, b])
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +706,7 @@ def test_grad_many_random_shapes():
 
 ACTS = {"relu": relu, "lrelu": lambda t: lrelu(t, 0.3), "sigmoid": sigmoid, "tanh": tanh}
 FUSED_CASES = {  # name -> (x shape, kernel shape, build(x, k, b, act))
-    "conv-s1": ((2, 3, 5, 4), (3, 3, 3, 3),
+    "conv-s1": ((2, 3, 5, 4), (2, 3, 3, 3),  # narrowing, so the shifted GEMM may run
                 lambda *a, act: conv2d(*a, stride=1, padding=1, act=act, alpha=0.3)),
     "conv-s2": ((2, 2, 6, 5), (3, 2, 4, 4),
                 lambda *a, act: conv2d(*a, stride=2, padding=1, act=act, alpha=0.3)),
@@ -654,6 +776,17 @@ def test_fused_activation_is_bitwise_the_composed_ops(monkeypatch, case, shifted
     assert fused_nodes == composed_nodes - 1
     for f, c in zip(fused, composed):
         assert np.array_equal(f, c)
+
+
+@pytest.mark.parametrize("case", list(FUSED_CASES))
+def test_fused_activation_is_bitwise_the_composed_ops_in_row_bands(monkeypatch, case):
+    monkeypatch.setattr(ad, "BAND_BYTES", 1)  # one output row per band
+    build, arrays = FUSED_CASES[case][2], _fused_arrays(case, seed=3)
+    for act in ACTS:
+        fused, _ = _values_and_grads(lambda *a: build(*a, act=act), arrays)
+        composed, _ = _values_and_grads(lambda *a: ACTS[act](build(*a, act=None)), arrays)
+        for f, c in zip(fused, composed):
+            assert np.array_equal(f, c)
 
 
 @pytest.mark.parametrize("act", ["relu", "lrelu"])
