@@ -50,7 +50,7 @@ Every stride-1 correlation -- the conv2d forward and the phase correlation
 of _conv_transpose -- picks its kernel by a fixed rule on shapes alone:
 with c input and oc output channels, the shifted GEMM runs when
 
-    oc < c  and  its im2col matrix would take >= SHIFTED_MIN_BYTES (2 MiB),
+    oc < c  and  its im2col matrix would take >= CACHE_BYTES (2 MiB),
 
 and im2col runs otherwise, as at every other stride.  The kernel gradient
 follows the same rule.  The shifted GEMM accumulates one (oc, c) GEMM per
@@ -204,7 +204,7 @@ def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
 # ---------------------------------------------------------------------------
 # Convolution kernels: im2col/col2im, shifted GEMM, the transposed convolution
 
-SHIFTED_MIN_BYTES = 2 * 2**20  # see the module docstring
+CACHE_BYTES = 2 * 2**20  # see the module docstring
 BAND_BYTES = 768 * 2**10  # the largest im2col band; see the module docstring
 
 
@@ -226,10 +226,11 @@ def _padded(a: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.n
     return out
 
 
-def _im2col(a: np.ndarray, kh: int, kw: int, stride: int, buf: np.ndarray) -> np.ndarray:
+def _im2col(a: np.ndarray, kh: int, kw: int, stride: int,
+            buf: np.ndarray | None = None) -> np.ndarray:
     """Padded (n, c, h, w) -> (n, c*kh*kw, oh*ow) patch matrix of the windows that fit.
 
-    The matrix is written into the front of the flat array `buf`.
+    Written into the front of the flat array `buf` when one is given.
     """
     n, c, h, w = a.shape
     oh = _conv_out_size(h, kh, stride, 0)
@@ -237,6 +238,8 @@ def _im2col(a: np.ndarray, kh: int, kw: int, stride: int, buf: np.ndarray) -> np
     s0, s1, s2, s3 = a.strides
     view = np.lib.stride_tricks.as_strided(
         a, (n, c, kh, kw, oh, ow), (s0, s1, s2, s3, s2 * stride, s3 * stride))
+    if buf is None:
+        return view.reshape(n, c * kh * kw, oh * ow)  # reshape copies out of the view
     cols = buf[:view.size].reshape(view.shape)
     np.copyto(cols, view)
     return cols.reshape(n, c * kh * kw, oh * ow)
@@ -246,10 +249,13 @@ def _bands(n: int, oh: int, row: int) -> list[tuple[int, int, int, int]]:
     """(first image, end image, first row, end row) bands of an im2col matrix.
 
     The matrix has n images of oh output rows, `row` elements per output row.
-    Each band's part takes at most BAND_BYTES, or one output row of one image
-    where a row alone is larger: whole images per band while an image fits,
-    otherwise rows of one image.  A matrix that fits is one band.
+    A matrix smaller than CACHE_BYTES is one band.  A larger one is cut into
+    bands of at most BAND_BYTES, or of one output row of one image where a
+    row alone is larger: whole images per band while an image fits,
+    otherwise rows of one image.
     """
+    if 8 * n * oh * row < CACHE_BYTES:
+        return [(0, n, 0, oh)]
     if 8 * oh * row <= BAND_BYTES:
         step = BAND_BYTES // (8 * oh * row)
         return [(i, min(i + step, n), 0, oh) for i in range(0, n, step)]
@@ -282,7 +288,7 @@ def _col2im(cols: np.ndarray, shape: tuple[int, int, int, int], kh: int, kw: int
 
 def _use_shifted(n: int, c: int, oc: int, kh: int, kw: int, oh: int, ow: int) -> bool:
     """The shape rule for stride-1 correlations (see the module docstring)."""
-    return oc < c and 8 * n * c * kh * kw * oh * ow >= SHIFTED_MIN_BYTES
+    return oc < c and 8 * n * c * kh * kw * oh * ow >= CACHE_BYTES
 
 
 def _conv_shifted(a: np.ndarray, kernel: np.ndarray, ph: int, pw: int) -> np.ndarray:
@@ -356,8 +362,8 @@ def _banded(a: np.ndarray, kernel: np.ndarray | None, g: np.ndarray | None,
     Either may be None and is then not computed.  Each band of a's patch
     matrix is gathered once into one reused buffer, and both GEMMs read it
     while it is in cache: one into its slice of the output, and one per
-    image added to the kernel gradient, which starts from zeros, so a band
-    of whole images adds in the order of matmul(...).sum(axis=0).
+    image added to the kernel gradient.  That starts from zeros and adds the
+    images in order, as matmul(...).sum(axis=0) would.
     """
     n, c, h, w = a.shape
     oh = _conv_out_size(h, kh, stride, ph)
@@ -372,8 +378,10 @@ def _banded(a: np.ndarray, kernel: np.ndarray | None, g: np.ndarray | None,
         dk = np.zeros((g.shape[1], c * kh * kw))
     a = _padded(a, ph, ph, pw, pw)
     bands = _bands(n, oh, row)
-    i0, i1, r0, r1 = bands[0]  # no band is larger than the first
-    buf = np.empty((i1 - i0) * (r1 - r0) * row)
+    buf = None  # one band is gathered as a whole
+    if len(bands) > 1:
+        i0, i1, r0, r1 = bands[0]  # no band is larger than the first
+        buf = np.empty((i1 - i0) * (r1 - r0) * row)
     for i0, i1, r0, r1 in bands:
         cols = _im2col(a[i0:i1, :, r0 * stride:(r1 - 1) * stride + kh], kh, kw, stride, buf)
         if out is not None:
@@ -498,7 +506,8 @@ def _conv_node(op: str, x: Tensor, kernel: Tensor, bias: Tensor, stride: int, ph
     The two are adjoint: each one's forward is the other's input gradient.
     _correlate maps conv2d's input to its output and deconv2d's output to
     its input, so deconv2d's kernel gradient is conv2d's with the input and
-    the output gradient swapped, on the patch matrix of its input gradient.
+    the output gradient swapped, over the patches its input gradient reads:
+    one walk over their bands gives both.
     """
     _, c, h, w = x.shape
     oc, ic, kh, kw = kernel.shape

@@ -244,9 +244,17 @@ STRIDE1_CASES = [  # (n, ic, oc, h, w, k, pad)
     (1, 2, 1, 6, 6, 5, 2), (1, 1, 1, 4, 5, 3, 1), (1, 3, 5, 4, 4, 3, 1)]
 
 
-# every direct kernel test runs under two band budgets: the module's, which
-# leaves these small matrices whole, and one output row of one image per band
-BAND_BUDGETS = [ad.BAND_BYTES, 1]
+def _row_bands(monkeypatch):
+    # every im2col matrix in bands of one output row of one image
+    monkeypatch.setattr(ad, "CACHE_BYTES", 0)
+    monkeypatch.setattr(ad, "BAND_BYTES", 1)
+
+
+def _band_budgets(monkeypatch):
+    # the module's sizes, which gather these small matrices whole, then row bands
+    yield
+    _row_bands(monkeypatch)
+    yield
 
 
 @pytest.mark.parametrize("case", STRIDE1_CASES, ids=lambda c: "x".join(map(str, c)))
@@ -259,8 +267,7 @@ def test_stride1_kernels_match_naive(case, monkeypatch):
     gout = rng.normal(size=ref.shape)
     dk_ref = conv2d_kernel_grad_naive(xd, gout, k, k, 1, pad)
     assert np.abs(ad._conv_shifted(xd, kd, pad, pad) - ref).max() < 1e-10
-    for budget in BAND_BUDGETS:
-        monkeypatch.setattr(ad, "BAND_BYTES", budget)
+    for _ in _band_budgets(monkeypatch):
         # im2col at these sizes; with an output gradient the same bands also
         # give the kernel gradient, as deconv2d's backward asks
         gemm, dk = ad._correlate(xd, kd, 1, pad, pad, gout)
@@ -268,7 +275,7 @@ def test_stride1_kernels_match_naive(case, monkeypatch):
         assert np.abs(dk - dk_ref).max() < 1e-10
         assert np.array_equal(ad._kernel_grad(xd, gout, k, k, 1, pad, pad), dk)
     # the shifted GEMM's taps, where the shape rule picks them
-    monkeypatch.setattr(ad, "SHIFTED_MIN_BYTES", 0)
+    monkeypatch.setattr(ad, "CACHE_BYTES", 0)
     assert ad._use_shifted(n, ic, oc, k, k, *ref.shape[2:]) == (oc < ic)
     assert np.abs(ad._kernel_grad(xd, gout, k, k, 1, pad, pad) - dk_ref).max() < 1e-10
 
@@ -283,39 +290,45 @@ TRANSPOSE_CASES = [  # (k, stride, padding, h, w): the program's strided layers,
 ]
 
 
+def _same_sums(got, want, terms, abs_sums):
+    # two summation orders of the same `terms` products, each with its own
+    # rounding, differ by at most 2 * terms * u * sum(|product|), u = eps / 2
+    return np.all(np.abs(got - want) <= terms * np.finfo(np.float64).eps * abs_sums)
+
+
 @pytest.mark.parametrize("case", TRANSPOSE_CASES, ids=lambda c: "k{}s{}p{}_{}x{}".format(*c))
 def test_conv_transpose_is_correlate_adjoint(case, monkeypatch):
-    # <correlate(x), g> == <x, conv_transpose(g)>, in one band and in row bands
+    # <correlate(x), g> == <x, conv_transpose(g)>, in one band and in row
+    # bands; the phase correlation in row bands sums what the one band sums
     k, stride, pad, h, w = case
     rng = np.random.default_rng(sum(case))
     xd = rng.normal(size=(2, 3, h, w))
     kd = rng.normal(size=(4, 3, k, k))
     gd = rng.normal(size=ad._correlate(xd, kd, stride, pad, pad)[0].shape)
-    for budget in BAND_BUDGETS:
-        monkeypatch.setattr(ad, "BAND_BYTES", budget)
+    abs_sums = ad._conv_transpose(np.abs(gd), np.abs(kd), stride, pad, pad, h, w)
+    dh = -(-k // stride)  # phase taps per axis
+    whole = None
+    for _ in _band_budgets(monkeypatch):
         y, _ = ad._correlate(xd, kd, stride, pad, pad)
         dx = ad._conv_transpose(gd, kd, stride, pad, pad, h, w)
         assert dx.shape == xd.shape
         lhs, rhs = float((y * gd).sum()), float((xd * dx).sum())
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+        whole = dx if whole is None else whole
+        assert _same_sums(dx, whole, 4 * dh * dh, abs_sums)
 
 
 def test_bands_split_images_then_rows(monkeypatch):
-    row = 10  # elements of one output row's patches, 80 bytes
-    monkeypatch.setattr(ad, "BAND_BYTES", 2 * 5 * 80)  # two 5-row images
+    row = 10  # elements of one output row's patches: 80 bytes, 400 per 5-row image
+    monkeypatch.setattr(ad, "CACHE_BYTES", 1200)  # three images leave the cache
+    monkeypatch.setattr(ad, "BAND_BYTES", 800)  # two images
+    assert ad._bands(2, 5, row) == [(0, 2, 0, 5)]
     assert ad._bands(3, 5, row) == [(0, 2, 0, 5), (2, 3, 0, 5)]
-    assert ad._bands(2, 5, row) == [(0, 2, 0, 5)]  # a matrix that fits is one band
     monkeypatch.setattr(ad, "BAND_BYTES", 2 * 80 + 79)  # two rows, not a whole image
-    assert ad._bands(2, 5, row) == [(0, 1, 0, 2), (0, 1, 2, 4), (0, 1, 4, 5),
-                                    (1, 2, 0, 2), (1, 2, 2, 4), (1, 2, 4, 5)]
-    monkeypatch.setattr(ad, "BAND_BYTES", 1)  # less than a row: one row per band
+    assert ad._bands(3, 5, row) == [(i, i + 1, r, min(r + 2, 5)) for i in range(3)
+                                    for r in (0, 2, 4)]
+    _row_bands(monkeypatch)  # less than a row: one row per band
     assert ad._bands(1, 3, row) == [(0, 1, 0, 1), (0, 1, 1, 2), (0, 1, 2, 3)]
-
-
-def _same_sums(got, want, terms, abs_sums):
-    # two summation orders of the same `terms` products, each with its own
-    # rounding, differ by at most 2 * terms * u * sum(|product|), u = eps / 2
-    return np.all(np.abs(got - want) <= terms * np.finfo(np.float64).eps * abs_sums)
 
 
 BAND_CASES = [  # (n, c, oc, h, w, k, stride, pad)
@@ -336,7 +349,6 @@ def test_bands_are_exact(case, monkeypatch):
     kd = rng.normal(size=(oc, c, k, k))
     oh, ow = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
     gd = rng.normal(size=(n, oc, oh, ow))
-    monkeypatch.setattr(ad, "BAND_BYTES", 2**40)  # one gather of the whole matrix
     whole, dk_whole = ad._correlate(xd, kd, stride, pad, pad, gd)
     abs_sums = ad._correlate(np.abs(xd), np.abs(kd), stride, pad, pad)[0]
     dk_ref = conv2d_kernel_grad_naive(xd, gd, k, k, stride, pad)
@@ -344,6 +356,7 @@ def test_bands_are_exact(case, monkeypatch):
     row_bytes = 8 * c * k * k * ow
     # whole images per band (a partial last band when n = 3), rows of one
     # image with a partial last band, and one row per band
+    monkeypatch.setattr(ad, "CACHE_BYTES", 0)
     for budget in [(n - 1 or 1) * oh * row_bytes, 2 * row_bytes, 1]:
         monkeypatch.setattr(ad, "BAND_BYTES", budget)
         bands = ad._bands(n, oh, c * k * k * ow)
@@ -355,24 +368,6 @@ def test_bands_are_exact(case, monkeypatch):
             assert np.array_equal(out, whole) and np.array_equal(dk, dk_whole)
         else:  # a row band is a narrower GEMM, which BLAS may round differently
             assert _same_sums(out, whole, c * k * k, abs_sums)
-
-
-@pytest.mark.parametrize("case", TRANSPOSE_CASES[:5], ids=lambda c: "k{}s{}p{}_{}x{}".format(*c))
-def test_conv_transpose_phases_in_bands(case, monkeypatch):
-    k, stride, pad, h, w = case
-    rng = np.random.default_rng(71 + sum(case))
-    kd = rng.normal(size=(4, 3, k, k))
-    gd = rng.normal(size=ad._correlate(rng.normal(size=(2, 3, h, w)), kd, stride, pad, pad)[0].shape)
-    whole = ad._conv_transpose(gd, kd, stride, pad, pad, h, w)
-    abs_sums = ad._conv_transpose(np.abs(gd), np.abs(kd), stride, pad, pad, h, w)
-    calls = []
-    real = ad._im2col
-    monkeypatch.setattr(ad, "_im2col", lambda *a: calls.append(1) or real(*a))
-    monkeypatch.setattr(ad, "BAND_BYTES", 1)
-    banded = ad._conv_transpose(gd, kd, stride, pad, pad, h, w)
-    assert len(calls) > 1  # the phase correlation ran in bands
-    dh = -(-k // stride)  # phase taps per axis
-    assert _same_sums(banded, whole, 4 * dh * dh, abs_sums)
 
 
 def test_strided_conv2d_gathers_in_bands():
@@ -444,7 +439,7 @@ def test_deconv2d_forward_builds_no_canvas():
 @pytest.mark.parametrize("kernel", ["im2col", "shifted"])
 def test_deconv2d_phases_match_adjoint_reference(kernel, monkeypatch):
     if kernel == "shifted":  # where the phase channels allow it (factor 1 here)
-        monkeypatch.setattr(ad, "SHIFTED_MIN_BYTES", 0)
+        monkeypatch.setattr(ad, "CACHE_BYTES", 0)
     rng = np.random.default_rng(43)
     zd = rng.normal(size=(2, 3, 3, 4))
     for kshape, factor in [((3, 2, 4, 4), 2), ((3, 2, 4, 2), 2), ((3, 2, 8, 8), 4),
@@ -481,8 +476,7 @@ def test_deconv2d_kernel_grad_reuses_the_input_gradients_patches(factor, monkeyp
         return g.backward(loss, {"k": k})["k"], list(gathered), list(padded)
 
     # one band of both images, then one band per row of x's 3 per image
-    for budget, bands in zip(BAND_BUDGETS, ([2], [1] * 6)):
-        monkeypatch.setattr(ad, "BAND_BYTES", budget)
+    for _, bands in zip(_band_budgets(monkeypatch), ([2], [1] * 6)):
         reused, reused_gathers, reused_pads = kernel_grad(True)
         fresh, fresh_gathers, fresh_pads = kernel_grad(False)
         assert reused_gathers == fresh_gathers == bands
@@ -493,7 +487,7 @@ def test_deconv2d_kernel_grad_reuses_the_input_gradients_patches(factor, monkeyp
 def test_grad_conv2d_shifted_kernel(monkeypatch):
     # every narrowing stride-1 correlation takes the shifted GEMM: the forward
     # and the kernel gradient; the input gradient widens and takes im2col
-    monkeypatch.setattr(ad, "SHIFTED_MIN_BYTES", 0)
+    monkeypatch.setattr(ad, "CACHE_BYTES", 0)
     calls = []
     real = ad._conv_shifted
     monkeypatch.setattr(ad, "_conv_shifted", lambda *a: calls.append(1) or real(*a))
@@ -508,9 +502,9 @@ def test_grad_conv2d_shifted_kernel(monkeypatch):
 
 
 def test_grad_conv_in_row_bands(monkeypatch):
-    # every im2col matrix gathered one output row per band: the forwards, the
-    # input gradients' phase correlations and both kernel gradients
-    monkeypatch.setattr(ad, "BAND_BYTES", 1)
+    # the forwards, the input gradients' phase correlations and both kernel
+    # gradients, every im2col matrix gathered one output row per band
+    _row_bands(monkeypatch)
     rng = np.random.default_rng(59)
     for stride, k in [(1, 3), (2, 3), (4, 5)]:
         x = rng.normal(size=(2, 3, 9, 8))
@@ -769,7 +763,7 @@ def _values_and_grads(build, arrays, nan_at=None):
 @pytest.mark.parametrize("case,shifted", [(c, False) for c in FUSED_CASES] + [("conv-s1", True)])
 def test_fused_activation_is_bitwise_the_composed_ops(monkeypatch, case, shifted, act):
     if shifted:  # the forward and both gradients take the shifted GEMM
-        monkeypatch.setattr(ad, "SHIFTED_MIN_BYTES", 0)
+        monkeypatch.setattr(ad, "CACHE_BYTES", 0)
     build, arrays = FUSED_CASES[case][2], _fused_arrays(case, seed=1)
     fused, fused_nodes = _values_and_grads(lambda *a: build(*a, act=act), arrays)
     composed, composed_nodes = _values_and_grads(lambda *a: ACTS[act](build(*a, act=None)), arrays)
@@ -780,7 +774,7 @@ def test_fused_activation_is_bitwise_the_composed_ops(monkeypatch, case, shifted
 
 @pytest.mark.parametrize("case", list(FUSED_CASES))
 def test_fused_activation_is_bitwise_the_composed_ops_in_row_bands(monkeypatch, case):
-    monkeypatch.setattr(ad, "BAND_BYTES", 1)  # one output row per band
+    _row_bands(monkeypatch)
     build, arrays = FUSED_CASES[case][2], _fused_arrays(case, seed=3)
     for act in ACTS:
         fused, _ = _values_and_grads(lambda *a: build(*a, act=act), arrays)
