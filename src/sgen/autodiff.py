@@ -61,25 +61,29 @@ gen.out.conv (8 -> 1 at 368x304; 2-core Xeon VM, one BLAS thread) the
 shifted GEMM takes 6.3-6.4 ms, im2col in bands 6.8-8.5 ms.  A
 channel-preserving SGU gate (8 -> 8 at 184x152) takes 5.4 ms shifted and
 2.7 ms in bands.  On small inputs the patch matrix stays in cache and
-im2col wins: there, with the whole matrix gathered at once, it won up to
-0.84 MiB, the two tied at 1.3-1.4 MiB and the shifted GEMM won from 1.7 MiB
-on.
+im2col wins, which sets CACHE_BYTES: with the whole matrix gathered at
+once, im2col won up to 0.84 MiB, the two tied at 1.3-1.4 MiB and the
+shifted GEMM won from 1.7 MiB on.
 
-Bands.  No im2col matrix larger than BAND_BYTES is built whole.  _banded
-gathers it in bands, each into the same buffer: whole images per band while
-one image's matrix fits, else rows of one image.  Each band's GEMM writes
-straight into its slice of the output while the band is still in the 2 MiB
-L2 cache, where a whole matrix went out to memory and back (16.1 MB for
-gen.enc.stem2 on a 368x304 restore).  A matrix that fits is one band, the
-single gather.  The budget was chosen by timing every correlation and
-kernel-gradient shape that each benchmark workload issues, interleaved with
-the single gather, min of 5 per shape: against the single gather, the 48
-restore requests took 0.78-0.82x with 768 KiB bands (0.78-0.83x with 512
-KiB, 0.83-0.87x with 1 MiB), one eval_model call 1.00-1.04x (512 KiB:
-1.05-1.09x) and three adversarial batch-8 train steps 0.92-0.94x (512 KiB:
-0.93-0.98x).  Whole-image bands run the very GEMMs of the single gather; a
-row band is a narrower GEMM, which BLAS may round differently in the last
-bits.
+Bands.  A patch matrix smaller than CACHE_BYTES (2 MiB, the L2 cache of the
+2-core Xeon VM) stays in cache and is gathered whole.  A larger one is
+never built whole: _banded gathers it in bands of at most BAND_BYTES (768
+KiB), each into the same buffer -- whole images per band while one image's
+matrix fits, else rows of one image -- and each band's GEMM writes straight
+into its slice of the output while the band is still in cache.  The whole
+matrix went out to memory and back: 16.1 MB for gen.enc.stem2 on a 368x304
+restore, whose forward now peaks at 9.3 MiB traced instead of 22.3.  Both
+sizes were chosen by timing every correlation and kernel-gradient shape
+that each benchmark workload issues (the 48 requests of a restore pool, one
+eval_model call, three adversarial batch-8 train steps), interleaved with
+the single gather in one process, min of 5 per shape, summed per workload.
+Against the single gather, 768 KiB bands with no threshold took 0.78-0.82x
+on restore, 1.00-1.07x on eval and 0.92-0.97x on training; with the 2 MiB
+threshold 0.80-0.81x, 0.99-1.02x and 0.89-0.91x (1.5 and 3 MiB did no
+better).  512 KiB bands tied on restore and lost on training, 1 MiB bands
+lost on restore.  Whole-image bands run the very GEMMs of the single
+gather; a row band is a narrower GEMM, which BLAS may round differently in
+the last bits (by up to ~1e-14 with OpenBLAS's SkylakeX kernels).
 
 The tape rule.  A conv2d or deconv2d node keeps its input, its kernel and
 its activated output, and no patch matrix.  The activation that follows a
