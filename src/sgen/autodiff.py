@@ -344,19 +344,19 @@ def _kernel_grad(a: np.ndarray, g: np.ndarray, kh: int, kw: int, stride: int,
     """
     n, c, _, w = a.shape
     _, oc, oh, ow = g.shape
-    if not (stride == 1 and _use_shifted(n, c, oc, kh, kw, oh, ow)):
-        return _banded(a, None, g, kh, kw, stride, ph, pw)[1]
-    wp = w + 2 * pw
-    span = oh * wp
-    flat = _padded(a, ph, ph + 1, pw, pw).reshape(n, c, -1)
-    # zeros where the forward's cropped columns were
-    gw = _padded(g, 0, 0, 0, wp - ow).reshape(n, oc, span)
-    dk = np.empty((oc, c, kh, kw))
-    for tap in range(kh * kw):
-        off = (tap // kw) * wp + tap % kw
-        part = np.matmul(gw, flat[:, :, off:off + span].transpose(0, 2, 1))
-        dk[:, :, tap // kw, tap % kw] = part.sum(axis=0)
-    return dk
+    if stride == 1 and _use_shifted(n, c, oc, kh, kw, oh, ow):
+        wp = w + 2 * pw
+        span = oh * wp
+        flat = _padded(a, ph, ph + 1, pw, pw).reshape(n, c, -1)
+        # zeros where the forward's cropped columns were
+        gw = _padded(g, 0, 0, 0, wp - ow).reshape(n, oc, span)
+        dk = np.empty((oc, c, kh, kw))
+        for tap in range(kh * kw):
+            off = (tap // kw) * wp + tap % kw
+            part = np.matmul(gw, flat[:, :, off:off + span].transpose(0, 2, 1))
+            dk[:, :, tap // kw, tap % kw] = part.sum(axis=0)
+        return dk
+    return _banded(a, None, g, kh, kw, stride, ph, pw)[1]
 
 
 def _banded(a: np.ndarray, kernel: np.ndarray | None, g: np.ndarray | None,
