@@ -74,7 +74,7 @@ into its slice of the output while the band is still in cache.  The whole
 matrix went out to memory and back: 16.1 MB for gen.enc.stem2 on a 368x304
 restore, whose forward now peaks at 9.3 MiB traced instead of 22.3.  Both
 sizes were chosen by timing every correlation and kernel-gradient shape
-that each benchmark workload issues (the 48 requests of a restore pool, one
+that each benchmark workload runs (the 48 requests of a restore pool, one
 eval_model call, three adversarial batch-8 train steps), interleaved with
 the single gather in one process, min of 5 per shape, summed per workload.
 Against the single gather, 768 KiB bands with no threshold took 0.78-0.82x
