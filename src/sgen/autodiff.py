@@ -230,11 +230,10 @@ def _padded(a: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.n
     return out
 
 
-def _im2col(a: np.ndarray, kh: int, kw: int, stride: int,
-            buf: np.ndarray | None = None) -> np.ndarray:
+def _im2col(a: np.ndarray, kh: int, kw: int, stride: int, buf: np.ndarray) -> np.ndarray:
     """Padded (n, c, h, w) -> (n, c*kh*kw, oh*ow) patch matrix of the windows that fit.
 
-    Written into the front of the flat array `buf` when one is given.
+    Written into the front of the flat array `buf`.
     """
     n, c, h, w = a.shape
     oh = _conv_out_size(h, kh, stride, 0)
@@ -242,8 +241,6 @@ def _im2col(a: np.ndarray, kh: int, kw: int, stride: int,
     s0, s1, s2, s3 = a.strides
     view = np.lib.stride_tricks.as_strided(
         a, (n, c, kh, kw, oh, ow), (s0, s1, s2, s3, s2 * stride, s3 * stride))
-    if buf is None:
-        return view.reshape(n, c * kh * kw, oh * ow)  # reshape copies out of the view
     cols = buf[:view.size].reshape(view.shape)
     np.copyto(cols, view)
     return cols.reshape(n, c * kh * kw, oh * ow)
@@ -382,10 +379,8 @@ def _banded(a: np.ndarray, kernel: np.ndarray | None, g: np.ndarray | None,
         dk = np.zeros((g.shape[1], c * kh * kw))
     a = _padded(a, ph, ph, pw, pw)
     bands = _bands(n, oh, row)
-    buf = None  # one band is gathered as a whole
-    if len(bands) > 1:
-        i0, i1, r0, r1 = bands[0]  # no band is larger than the first
-        buf = np.empty((i1 - i0) * (r1 - r0) * row)
+    i0, i1, r0, r1 = bands[0]  # no band is larger than the first
+    buf = np.empty((i1 - i0) * (r1 - r0) * row)
     for i0, i1, r0, r1 in bands:
         cols = _im2col(a[i0:i1, :, r0 * stride:(r1 - 1) * stride + kh], kh, kw, stride, buf)
         if out is not None:

@@ -760,27 +760,21 @@ def _values_and_grads(build, arrays, nan_at=None):
 
 
 @pytest.mark.parametrize("act", list(ACTS))
-@pytest.mark.parametrize("case,shifted", [(c, False) for c in FUSED_CASES] + [("conv-s1", True)])
-def test_fused_activation_is_bitwise_the_composed_ops(monkeypatch, case, shifted, act):
-    if shifted:  # the forward and both gradients take the shifted GEMM
+@pytest.mark.parametrize("case,kernel", (
+    [pytest.param(c, "im2col", id=f"{c}-False") for c in FUSED_CASES]
+    + [pytest.param("conv-s1", "shifted", id="conv-s1-True")]
+    + [pytest.param(c, "row-bands", id=f"{c}-row-bands") for c in FUSED_CASES]))
+def test_fused_activation_is_bitwise_the_composed_ops(monkeypatch, case, kernel, act):
+    if kernel == "shifted":  # the forward and both gradients take the shifted GEMM
         monkeypatch.setattr(ad, "CACHE_BYTES", 0)
+    elif kernel == "row-bands":
+        _row_bands(monkeypatch)
     build, arrays = FUSED_CASES[case][2], _fused_arrays(case, seed=1)
     fused, fused_nodes = _values_and_grads(lambda *a: build(*a, act=act), arrays)
     composed, composed_nodes = _values_and_grads(lambda *a: ACTS[act](build(*a, act=None)), arrays)
     assert fused_nodes == composed_nodes - 1
     for f, c in zip(fused, composed):
         assert np.array_equal(f, c)
-
-
-@pytest.mark.parametrize("case", list(FUSED_CASES))
-def test_fused_activation_is_bitwise_the_composed_ops_in_row_bands(monkeypatch, case):
-    _row_bands(monkeypatch)
-    build, arrays = FUSED_CASES[case][2], _fused_arrays(case, seed=3)
-    for act in ACTS:
-        fused, _ = _values_and_grads(lambda *a: build(*a, act=act), arrays)
-        composed, _ = _values_and_grads(lambda *a: ACTS[act](build(*a, act=None)), arrays)
-        for f, c in zip(fused, composed):
-            assert np.array_equal(f, c)
 
 
 @pytest.mark.parametrize("act", ["relu", "lrelu"])
