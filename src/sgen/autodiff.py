@@ -46,24 +46,27 @@ is added: the conv padding, the shifted GEMM's spare row and cropped
 columns, the zero rows and columns of the gradient and the zero taps of the
 phase kernel.  _im2col gathers from an array that is already padded.
 
-Every stride-1 correlation -- the conv2d forward and the phase correlation
-of _conv_transpose -- picks its kernel by a fixed rule on shapes alone:
-with c input and oc output channels, the shifted GEMM runs when
+Every correlation -- the conv2d forward, the phase correlation of
+_conv_transpose and both ops' kernel gradients -- goes through _correlate,
+which picks its walker by a fixed rule on shapes alone: with c input and oc
+output channels,
 
-    oc < c  and  its im2col matrix would take >= CACHE_BYTES (2 MiB),
+    the shifted GEMM (_shifted) for a stride-1 correlation with oc < c,
 
-and im2col runs otherwise, as at every other stride.  The kernel gradient
-follows the same rule.  The shifted GEMM accumulates one (oc, c) GEMM per
-kernel tap over contiguous slices of the padded input, so it builds no
-patch matrix, but it passes over the input and adds into the output once
-per tap.  That pays only where the output is narrower than the input: for
-gen.out.conv (8 -> 1 at 368x304; 2-core Xeon VM, one BLAS thread) the
-shifted GEMM takes 6.3-6.4 ms, im2col in bands 6.8-8.5 ms.  A
-channel-preserving SGU gate (8 -> 8 at 184x152) takes 5.4 ms shifted and
-2.7 ms in bands.  On small inputs the patch matrix stays in cache and
-im2col wins, which sets CACHE_BYTES: with the whole matrix gathered at
-once, im2col won up to 0.84 MiB, the two tied at 1.3-1.4 MiB and the
-shifted GEMM won from 1.7 MiB on.
+and im2col bands (_banded) otherwise.  The shifted GEMM accumulates one
+(oc, c) GEMM per kernel tap over contiguous slices of the padded input, so
+it builds no patch matrix, but it passes over the input and adds into the
+output once per tap.  That pays only where the output is narrower than the
+input.  The program's narrowing correlations are gen.out.conv's forward and
+kernel gradient (8 -> 1), disc.fc's (64 -> 1) and the input-gradient phase
+correlation of disc.conv1 (8 -> 4 phases).  Timed in-process against the
+bands (2-core Xeon VM, one BLAS thread, min of 9 runs), forward / kernel
+gradient in us: gen.out.conv at 1x8x48x48 103 / 87 against 187 / 152, at
+1x8x64x48 100 / 95 against 172 / 214; disc.fc at batch 8 6.3 / 8.3 against
+11.1 / 25.8; disc.conv1's phase correlation of a batch-8 24x16 gradient 73
+against 100.  At 368x304 gen.out.conv's forward ties (5.9 ms) and its
+kernel gradient takes 4.5 against 6.4 ms.  A channel-preserving SGU gate
+(8 -> 8 at 184x152) takes 4.5 ms shifted and 1.8 ms in bands.
 
 Bands.  A patch matrix smaller than CACHE_BYTES (2 MiB, the L2 cache of the
 2-core Xeon VM) stays in cache and is gathered whole.  A larger one is
@@ -89,12 +92,16 @@ The tape rule.  A conv2d or deconv2d node keeps its input, its kernel and
 its activated output, and no patch matrix.  The activation that follows a
 layer (`act`: relu, lrelu, sigmoid or tanh) runs on the layer's fresh
 output, in place, and its gradient is read from the activated output, so
-the pre-activation array is never kept.  Both ops have one kernel gradient,
-_kernel_grad, which gathers the patches again in the forward's bands and
-adds one GEMM per image of each band, so each band's gather is in cache
-for its GEMMs.  deconv2d's input gradient is a correlation over the very
-patch matrix its kernel gradient reads, so when both are wanted one walk
-over the bands computes both, and each band is gathered once.
+the pre-activation array is never kept.  Both ops take the kernel gradient
+from _correlate, on the walker that the correlation it differentiates runs:
+the bands gather the patches again in the forward's bands and add one GEMM
+per image of each band, so each band's gather is in cache for its GEMMs;
+the shifted GEMM adds one batched GEMM per tap.  deconv2d's input gradient
+is a correlation over the very patches its kernel gradient reads, so when
+both are wanted one _correlate call computes both, from one walk over the
+bands or one padded copy.  A node asked for neither -- conv2d in the
+generator step's frozen discriminator, where x is tracked and the kernel is
+not -- gathers nothing for its kernel.
 """
 
 from __future__ import annotations
@@ -287,73 +294,56 @@ def _col2im(cols: np.ndarray, shape: tuple[int, int, int, int], kh: int, kw: int
     return out
 
 
-def _use_shifted(n: int, c: int, oc: int, kh: int, kw: int, oh: int, ow: int) -> bool:
-    """The shape rule for stride-1 correlations (see the module docstring)."""
-    return oc < c and 8 * n * c * kh * kw * oh * ow >= CACHE_BYTES
+def _correlate(a: np.ndarray, kernel: np.ndarray | None, g: np.ndarray | None,
+               kh: int, kw: int, stride: int, ph: int, pw: int):
+    """(correlation of (n, c, h, w) with an (oc, c, kh, kw) kernel, no bias; kernel gradient).
+
+    The kernel gradient is taken for g, a gradient of the correlation's
+    output.  Either of kernel and g may be None and its result is then None;
+    with both None nothing is gathered.  The one place the shape rule is
+    evaluated: the shifted GEMM for a stride-1 correlation with oc < c, im2col
+    bands otherwise.
+    """
+    if kernel is None and g is None:
+        return None, None
+    oc = len(kernel) if kernel is not None else g.shape[1]
+    walker = _shifted if stride == 1 and oc < a.shape[1] else _banded
+    return walker(a, kernel, g, kh, kw, stride, ph, pw)
 
 
-def _conv_shifted(a: np.ndarray, kernel: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """Stride-1 correlation as kh*kw GEMMs over shifted slices, with no patch matrix.
+def _shifted(a: np.ndarray, kernel: np.ndarray | None, g: np.ndarray | None,
+             kh: int, kw: int, stride: int, ph: int, pw: int):
+    """_banded's results for stride 1, as one GEMM per tap over shifted slices.
 
     In the flattened padded input, tap (i, j) of every output pixel sits at
     offset i*wp + j from the pixel's own index, so one contiguous slice per tap
-    feeds an (oc, c) GEMM.  Each output row then carries wp - ow columns that
-    straddle the row end; they are cropped at the end.  A spare bottom row of
-    padding keeps the last tap's slice in bounds.
+    feeds an (oc, c) GEMM of the correlation and a batched GEMM of the kernel
+    gradient, both from the same padded copy.  Each output row then carries
+    wp - ow columns that straddle the row end; the correlation crops them at
+    the end, and g gets zeros there.  A spare bottom row of padding keeps the
+    last tap's slice in bounds.
     """
     n, c, h, w = a.shape
-    oc, _, kh, kw = kernel.shape
     oh, ow, wp = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1, w + 2 * pw
-    flat = _padded(a, ph, ph + 1, pw, pw).reshape(n, c, -1)
     span = oh * wp
-    out = np.matmul(kernel[:, :, 0, 0], flat[:, :, :span])
-    tmp = np.empty_like(out)
-    for tap in range(1, kh * kw):
-        off = (tap // kw) * wp + tap % kw
-        np.matmul(kernel[:, :, tap // kw, tap % kw], flat[:, :, off:off + span], out=tmp)
-        out += tmp
-    return np.ascontiguousarray(out.reshape(n, oc, oh, wp)[:, :, :, :ow])
-
-
-def _correlate(a: np.ndarray, kernel: np.ndarray, stride: int, ph: int, pw: int,
-               g: np.ndarray | None = None):
-    """Cross-correlate (n, c, h, w) with an (oc, c, kh, kw) kernel, no bias.
-
-    Returns (out, dk): with g, a gradient of out, dk is the kernel gradient
-    (deconv2d's input and kernel gradients gather the same patches), else None.
-    """
-    n, c, h, w = a.shape
-    oc, _, kh, kw = kernel.shape
-    oh = _conv_out_size(h, kh, stride, ph)
-    ow = _conv_out_size(w, kw, stride, pw)
-    if stride == 1 and _use_shifted(n, c, oc, kh, kw, oh, ow):
-        dk = None if g is None else _kernel_grad(a, g, kh, kw, 1, ph, pw)
-        return _conv_shifted(a, kernel, ph, pw), dk
-    return _banded(a, kernel, g, kh, kw, stride, ph, pw)
-
-
-def _kernel_grad(a: np.ndarray, g: np.ndarray, kh: int, kw: int, stride: int,
-                 ph: int, pw: int) -> np.ndarray:
-    """Kernel gradient of _correlate(a, kernel, stride, ph, pw) for output gradient g.
-
-    Takes the shifted GEMM's taps where _correlate's shape rule picks them,
-    else the im2col bands.
-    """
-    n, c, _, w = a.shape
-    _, oc, oh, ow = g.shape
-    if stride == 1 and _use_shifted(n, c, oc, kh, kw, oh, ow):
-        wp = w + 2 * pw
-        span = oh * wp
-        flat = _padded(a, ph, ph + 1, pw, pw).reshape(n, c, -1)
-        # zeros where the forward's cropped columns were
-        gw = _padded(g, 0, 0, 0, wp - ow).reshape(n, oc, span)
-        dk = np.empty((oc, c, kh, kw))
-        for tap in range(kh * kw):
-            off = (tap // kw) * wp + tap % kw
-            part = np.matmul(gw, flat[:, :, off:off + span].transpose(0, 2, 1))
-            dk[:, :, tap // kw, tap % kw] = part.sum(axis=0)
-        return dk
-    return _banded(a, None, g, kh, kw, stride, ph, pw)[1]
+    flat = _padded(a, ph, ph + 1, pw, pw).reshape(n, c, -1)
+    out = dk = None
+    if g is not None:
+        gw = _padded(g, 0, 0, 0, wp - ow).reshape(n, -1, span)
+        dk = np.empty((gw.shape[1], c, kh, kw))
+    for tap in range(kh * kw):
+        i, j = divmod(tap, kw)
+        src = flat[:, :, i * wp + j:i * wp + j + span]
+        if kernel is not None and tap == 0:
+            out = np.matmul(kernel[:, :, 0, 0], src)
+            tmp = np.empty_like(out)
+        elif kernel is not None:
+            out += np.matmul(kernel[:, :, i, j], src, out=tmp)
+        if g is not None:
+            dk[:, :, i, j] = np.matmul(gw, src.transpose(0, 2, 1)).sum(axis=0)
+    if out is not None:
+        out = np.ascontiguousarray(out.reshape(n, -1, oh, wp)[:, :, :, :ow])
+    return out, dk
 
 
 def _banded(a: np.ndarray, kernel: np.ndarray | None, g: np.ndarray | None,
@@ -419,7 +409,7 @@ def _conv_transpose(g: np.ndarray, kernel: np.ndarray, stride: int, ph: int, pw:
     # zero rows and columns of g, so that the phases reach the last pixel of the input
     eh = max(-(-(ph + h) // s) + th - (oh + dh - 1), 0)
     ew = max(-(-(pw + w) // s) + tw - (ow + dw - 1), 0)
-    y = _correlate(_padded(g, 0, eh, 0, ew), phases, 1, dh - 1 - th, dw - 1 - tw)[0]
+    y = _correlate(_padded(g, 0, eh, 0, ew), phases, None, dh, dw, 1, dh - 1 - th, dw - 1 - tw)[0]
     return _col2im(y, (n, ic, h, w), s, s, ph - s * th, pw - s * tw)
 
 
@@ -521,23 +511,18 @@ def _conv_node(op: str, x: Tensor, kernel: Tensor, bias: Tensor, stride: int, ph
         out = _conv_transpose(x.data, kernel.data, stride, ph, pw,
                               (h - 1) * stride + kh - 2 * ph, (w - 1) * stride + kw - 2 * pw)
     else:
-        out = _correlate(x.data, kernel.data, stride, ph, pw)[0]
+        out = _correlate(x.data, kernel.data, None, kh, kw, stride, ph, pw)[0]
     out += bias.data
     out = activate(out, alpha)
 
     def backward(gout: np.ndarray):
         gout = act_grad(gout, out, alpha)
-        dx = dk = db = None
-        if x.requires_grad and transposed:
-            dx, dk = _correlate(gout, kernel.data, stride, ph, pw,
-                                x.data if kernel.requires_grad else None)
-        elif x.requires_grad:
+        a, g = (gout, x.data) if transposed else (x.data, gout)
+        dx, dk = _correlate(a, kernel.data if transposed and x.requires_grad else None,
+                            g if kernel.requires_grad else None, kh, kw, stride, ph, pw)
+        if x.requires_grad and not transposed:
             dx = _conv_transpose(gout, kernel.data, stride, ph, pw, h, w)
-        if kernel.requires_grad and dk is None:
-            a, g = (gout, x.data) if transposed else (x.data, gout)
-            dk = _kernel_grad(a, g, kh, kw, stride, ph, pw)
-        if bias.requires_grad:
-            db = gout.sum(axis=(0, 2, 3)).reshape(bias.shape)
+        db = gout.sum(axis=(0, 2, 3)).reshape(bias.shape) if bias.requires_grad else None
         return dx, dk, db
 
     return _record(op, (x, kernel, bias), out, backward)

@@ -7,10 +7,17 @@ import os
 import sys
 
 
+def _thread_count_ok(n: str) -> bool:
+    """Whether an SGEN_THREADS value is a positive integer in ASCII digits."""
+    # str.isdigit() also accepts digits that int() refuses (superscript two)
+    # or that the BLAS libraries cannot parse (Arabic-Indic one)
+    return n.isascii() and n.isdigit() and int(n) >= 1
+
+
 def _bound_threads() -> None:
     """Propagate SGEN_THREADS to the BLAS thread knobs before numpy loads."""
     n = os.environ.get("SGEN_THREADS", "")
-    if n.isdigit() and int(n) >= 1:
+    if _thread_count_ok(n):
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
             os.environ.setdefault(var, n)
@@ -226,7 +233,7 @@ _COMMANDS = {"train": cmd_train, "eval": cmd_eval, "restore": cmd_restore,
 
 def main(argv=None) -> int:
     threads = os.environ.get("SGEN_THREADS")
-    if threads is not None and not (threads.isdigit() and int(threads) >= 1):
+    if threads is not None and not _thread_count_ok(threads):
         print(f"sgen: error: SGEN_THREADS must be a positive integer, got {threads!r}",
               file=sys.stderr)
         return 2

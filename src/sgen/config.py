@@ -32,6 +32,8 @@ class _RunKeys:
     out: str = "sgen_out"
 
     def __post_init__(self):
+        if self.synthetic < 0:
+            raise ConfigError(f"synthetic must be >= 0, got {self.synthetic}")
         if self.synthetic_offset < 0:  # procedural ids seed numpy generators
             raise ConfigError(f"synthetic_offset must be >= 0, got {self.synthetic_offset}")
         # every part checks its own keys, so a bad value fails here, before

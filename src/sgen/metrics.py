@@ -15,13 +15,8 @@ Xeon VM, one BLAS thread), batch 1 -> the batch this rule gives (best batch):
     128x128  9.8 ms at 1; every batch of 2 to 8 took 11.4-12.9 ms per image
 
 Larger batches gain little: with every layer on im2col the per-image time
-levels off at 10-15k pixels per call.  At these batches the shape rule of
-autodiff.CACHE_BYTES sends one layer, gen.out.conv, to the shifted
-GEMM, and the whole forward gains by it: per image, as selected against every layer on im2col (median of 20
-interleaved rounds, default SgenConfig), 48x32 at 6 took 2.07 against
-2.37 ms, 64x48 at 3 3.98 against 4.54 ms and 80x64 at 2 6.33 against
-7.27 ms.  In a held-out eval run (4 images per scale) twice this budget was
-6% slower and took 10% more peak memory.
+levels off at 10-15k pixels per call.  In a held-out eval run (4 images per
+scale) twice this budget was 6% slower and took 10% more peak memory.
 """
 
 from __future__ import annotations

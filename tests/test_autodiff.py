@@ -257,6 +257,20 @@ def _band_budgets(monkeypatch):
     yield
 
 
+def _correlate(a, kernel, stride, pad, g=None):
+    # the correlation and, for an output gradient g, its kernel gradient
+    return ad._correlate(a, kernel, g, *kernel.shape[2:], stride, pad, pad)
+
+
+def _spy_walkers(monkeypatch):
+    # the names of the walkers _correlate runs, in call order
+    ran = []
+    for name in ("_shifted", "_banded"):
+        real = getattr(ad, name)
+        monkeypatch.setattr(ad, name, lambda *a, real=real, name=name: ran.append(name) or real(*a))
+    return ran
+
+
 @pytest.mark.parametrize("case", STRIDE1_CASES, ids=lambda c: "x".join(map(str, c)))
 def test_stride1_kernels_match_naive(case, monkeypatch):
     n, ic, oc, h, w, k, pad = case
@@ -266,18 +280,26 @@ def test_stride1_kernels_match_naive(case, monkeypatch):
     ref = conv2d_naive(xd, kd, np.zeros(oc), stride=1, pad=pad)
     gout = rng.normal(size=ref.shape)
     dk_ref = conv2d_kernel_grad_naive(xd, gout, k, k, 1, pad)
-    assert np.abs(ad._conv_shifted(xd, kd, pad, pad) - ref).max() < 1e-10
-    for _ in _band_budgets(monkeypatch):
-        # im2col at these sizes; with an output gradient the same bands also
-        # give the kernel gradient, as deconv2d's backward asks
-        gemm, dk = ad._correlate(xd, kd, 1, pad, pad, gout)
-        assert np.abs(gemm - ref).max() < 1e-10
+
+    def check(walker):
+        # the correlation and its kernel gradient, together and each alone
+        out, dk = walker(xd, kd, gout, k, k, 1, pad, pad)
+        assert np.abs(out - ref).max() < 1e-10
         assert np.abs(dk - dk_ref).max() < 1e-10
-        assert np.array_equal(ad._kernel_grad(xd, gout, k, k, 1, pad, pad), dk)
-    # the shifted GEMM's taps, where the shape rule picks them
-    monkeypatch.setattr(ad, "CACHE_BYTES", 0)
-    assert ad._use_shifted(n, ic, oc, k, k, *ref.shape[2:]) == (oc < ic)
-    assert np.abs(ad._kernel_grad(xd, gout, k, k, 1, pad, pad) - dk_ref).max() < 1e-10
+        assert np.array_equal(walker(xd, kd, None, k, k, 1, pad, pad)[0], out)
+        assert np.array_equal(walker(xd, None, gout, k, k, 1, pad, pad)[1], dk)
+
+    check(ad._shifted)
+    for _ in _band_budgets(monkeypatch):
+        check(ad._banded)
+    # the shape rule: the shifted GEMM exactly where the output narrows, and
+    # with nothing asked no walker runs
+    ran = _spy_walkers(monkeypatch)
+    _correlate(xd, kd, 1, pad, gout)
+    _correlate(xd, kd, 1, pad)
+    ad._correlate(xd, None, gout, k, k, 1, pad, pad)
+    assert ad._correlate(xd, None, None, k, k, 1, pad, pad) == (None, None)
+    assert ran == ["_shifted" if oc < ic else "_banded"] * 3
 
 
 TRANSPOSE_CASES = [  # (k, stride, padding, h, w): the program's strided layers, then edge cases
@@ -304,12 +326,12 @@ def test_conv_transpose_is_correlate_adjoint(case, monkeypatch):
     rng = np.random.default_rng(sum(case))
     xd = rng.normal(size=(2, 3, h, w))
     kd = rng.normal(size=(4, 3, k, k))
-    gd = rng.normal(size=ad._correlate(xd, kd, stride, pad, pad)[0].shape)
+    gd = rng.normal(size=_correlate(xd, kd, stride, pad)[0].shape)
     abs_sums = ad._conv_transpose(np.abs(gd), np.abs(kd), stride, pad, pad, h, w)
     dh = -(-k // stride)  # phase taps per axis
     whole = None
     for _ in _band_budgets(monkeypatch):
-        y, _ = ad._correlate(xd, kd, stride, pad, pad)
+        y, _ = _correlate(xd, kd, stride, pad)
         dx = ad._conv_transpose(gd, kd, stride, pad, pad, h, w)
         assert dx.shape == xd.shape
         lhs, rhs = float((y * gd).sum()), float((xd * dx).sum())
@@ -349,8 +371,8 @@ def test_bands_are_exact(case, monkeypatch):
     kd = rng.normal(size=(oc, c, k, k))
     oh, ow = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
     gd = rng.normal(size=(n, oc, oh, ow))
-    whole, dk_whole = ad._correlate(xd, kd, stride, pad, pad, gd)
-    abs_sums = ad._correlate(np.abs(xd), np.abs(kd), stride, pad, pad)[0]
+    whole, dk_whole = ad._banded(xd, kd, gd, k, k, stride, pad, pad)
+    abs_sums = ad._banded(np.abs(xd), np.abs(kd), None, k, k, stride, pad, pad)[0]
     dk_ref = conv2d_kernel_grad_naive(xd, gd, k, k, stride, pad)
     assert np.abs(dk_whole - dk_ref).max() < 1e-10
     row_bytes = 8 * c * k * k * ow
@@ -361,7 +383,7 @@ def test_bands_are_exact(case, monkeypatch):
         monkeypatch.setattr(ad, "BAND_BYTES", budget)
         bands = ad._bands(n, oh, c * k * k * ow)
         assert len(bands) > 1 or n == 1
-        out, dk = ad._correlate(xd, kd, stride, pad, pad, gd)
+        out, dk = ad._banded(xd, kd, gd, k, k, stride, pad, pad)
         assert np.abs(dk - dk_ref).max() < 1e-10
         if all(r1 - r0 == oh for _, _, r0, r1 in bands):
             # the same per-image GEMMs, and the kernel gradient adds the images in order
@@ -408,7 +430,7 @@ def test_conv_transpose_writes_phases_as_canvas_then_crop(stride, monkeypatch):
             for h, w in [(2 * stride + 3, 3 * stride + 1), (k + 1, k + stride - 1)]:
                 if h + 2 * pad >= k and w + 2 * pad >= k:
                     kd = rng.normal(size=(3, 2, k, k))
-                    y, _ = ad._correlate(rng.normal(size=(2, 2, h, w)), kd, stride, pad, pad)
+                    y, _ = _correlate(rng.normal(size=(2, 2, h, w)), kd, stride, pad)
                     cases.append((rng.normal(size=y.shape), kd, stride, pad, pad, h, w))
     real_col2im, tops = ad._col2im, set()
     monkeypatch.setattr(ad, "_col2im", lambda *a: tops.add(a[4] % stride) or real_col2im(*a))
@@ -436,17 +458,25 @@ def test_deconv2d_forward_builds_no_canvas():
     assert peak < 2.5 * out.data.nbytes, f"{peak / out.data.nbytes:.2f}x the output"
 
 
-@pytest.mark.parametrize("kernel", ["im2col", "shifted"])
+PHASE_CASES = {  # the phase correlation's walker -> [(deconv2d kernel shape, factor)]
+    # ic * s^2 phases from oc channels: narrowing only at factor 1 here
+    "im2col": [((3, 2, 4, 4), 2), ((3, 2, 4, 2), 2), ((3, 2, 8, 8), 4), ((3, 2, 16, 16), 8),
+               ((3, 2, 5, 3), 3)],
+    "shifted": [((3, 2, 1, 1), 1), ((3, 2, 3, 3), 1), ((3, 2, 5, 3), 1)],
+}
+
+
+@pytest.mark.parametrize("kernel", list(PHASE_CASES))
 def test_deconv2d_phases_match_adjoint_reference(kernel, monkeypatch):
-    if kernel == "shifted":  # where the phase channels allow it (factor 1 here)
-        monkeypatch.setattr(ad, "CACHE_BYTES", 0)
+    ran = _spy_walkers(monkeypatch)
     rng = np.random.default_rng(43)
     zd = rng.normal(size=(2, 3, 3, 4))
-    for kshape, factor in [((3, 2, 4, 4), 2), ((3, 2, 4, 2), 2), ((3, 2, 8, 8), 4),
-                           ((3, 2, 16, 16), 8), ((3, 2, 1, 1), 1), ((3, 2, 5, 3), 3)]:
+    for kshape, factor in PHASE_CASES[kernel]:
         kd = rng.normal(size=kshape)
         ph, pw = (kshape[2] - factor) // 2, (kshape[3] - factor) // 2
+        ran.clear()
         out = ad._conv_transpose(zd, kd, factor, ph, pw, 3 * factor, 4 * factor)
+        assert ran == ["_shifted" if kernel == "shifted" else "_banded"]
         assert np.abs(out - deconv2d_adjoint_naive(zd, kd, factor)).max() < 1e-10
 
 
@@ -487,10 +517,9 @@ def test_deconv2d_kernel_grad_reuses_the_input_gradients_patches(factor, monkeyp
 def test_grad_conv2d_shifted_kernel(monkeypatch):
     # every narrowing stride-1 correlation takes the shifted GEMM: the forward
     # and the kernel gradient; the input gradient widens and takes im2col
-    monkeypatch.setattr(ad, "CACHE_BYTES", 0)
-    calls = []
-    real = ad._conv_shifted
-    monkeypatch.setattr(ad, "_conv_shifted", lambda *a: calls.append(1) or real(*a))
+    asked, real = set(), ad._shifted
+    monkeypatch.setattr(ad, "_shifted", lambda a, k, g, *rest:
+                        asked.add((k is not None, g is not None)) or real(a, k, g, *rest))
     rng = np.random.default_rng(47)
     for ic, oc, k in [(3, 2, 3), (4, 3, 3), (2, 1, 3), (3, 2, 1)]:
         x = rng.normal(size=(2, ic, 5, 4))
@@ -498,7 +527,7 @@ def test_grad_conv2d_shifted_kernel(monkeypatch):
         b = rng.normal(size=(1, oc, 1, 1))
         _gradcheck(lambda xs, ks, bs, p=k // 2: conv2d(xs, ks, bs, stride=1, padding=p),
                    [x, kd, b])
-    assert calls
+    assert asked == {(True, False), (False, True)}
 
 
 def test_grad_conv_in_row_bands(monkeypatch):
@@ -700,8 +729,10 @@ def test_grad_many_random_shapes():
 
 ACTS = {"relu": relu, "lrelu": lambda t: lrelu(t, 0.3), "sigmoid": sigmoid, "tanh": tanh}
 FUSED_CASES = {  # name -> (x shape, kernel shape, build(x, k, b, act))
-    "conv-s1": ((2, 3, 5, 4), (2, 3, 3, 3),  # narrowing, so the shifted GEMM may run
+    "conv-s1": ((2, 3, 5, 4), (2, 3, 3, 3),  # narrowing: the shifted GEMM runs
                 lambda *a, act: conv2d(*a, stride=1, padding=1, act=act, alpha=0.3)),
+    "conv-gate": ((2, 3, 5, 4), (3, 3, 3, 3),  # channel-preserving, as an SGU gate: im2col
+                  lambda *a, act: conv2d(*a, stride=1, padding=1, act=act, alpha=0.3)),
     "conv-s2": ((2, 2, 6, 5), (3, 2, 4, 4),
                 lambda *a, act: conv2d(*a, stride=2, padding=1, act=act, alpha=0.3)),
     "deconv-f2": ((2, 3, 3, 2), (3, 2, 4, 4),
@@ -762,12 +793,9 @@ def _values_and_grads(build, arrays, nan_at=None):
 @pytest.mark.parametrize("act", list(ACTS))
 @pytest.mark.parametrize("case,kernel", (
     [pytest.param(c, "im2col", id=f"{c}-False") for c in FUSED_CASES]
-    + [pytest.param("conv-s1", "shifted", id="conv-s1-True")]
     + [pytest.param(c, "row-bands", id=f"{c}-row-bands") for c in FUSED_CASES]))
 def test_fused_activation_is_bitwise_the_composed_ops(monkeypatch, case, kernel, act):
-    if kernel == "shifted":  # the forward and both gradients take the shifted GEMM
-        monkeypatch.setattr(ad, "CACHE_BYTES", 0)
-    elif kernel == "row-bands":
+    if kernel == "row-bands":
         _row_bands(monkeypatch)
     build, arrays = FUSED_CASES[case][2], _fused_arrays(case, seed=1)
     fused, fused_nodes = _values_and_grads(lambda *a: build(*a, act=act), arrays)

@@ -358,6 +358,18 @@ def test_negative_seeds_exit_2(argv, key, tmp_path, capsys):
     assert not dst.exists() and not out.exists()
 
 
+def test_negative_synthetic_exits_2(tmp_path, capsys):
+    # with a corpus set, a negative count would otherwise fall through to it
+    corpus, out = tmp_path / "faces", tmp_path / "o"
+    corpus.mkdir()
+    for i in range(10):
+        write_netpbm(synth_face(i, 32, 32), corpus / f"{i:02d}.pgm")
+    cfg = write_config(tmp_path / "run.cfg", synthetic=0, corpus=corpus)
+    assert main(["train", "--config", cfg, "--synthetic", "-4", "--out", str(out)]) == 2
+    assert "synthetic must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["restore", "--levels", "2", "--checkpoint", "m.ckpt", "in.pgm", "out.pgm"],
     ["degrade", "--scales", "32x32", "in.pgm", "out.pgm"],
@@ -384,6 +396,16 @@ def test_invalid_sgen_threads_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("SGEN_THREADS", "zero")
     assert main(["train", "--steps", "0"]) == 2
     assert "SGEN_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["\u00b2", "\u0661"], ids=["superscript-two", "arabic-one"])
+def test_non_ascii_sgen_threads_exits_2(value):
+    # read when sgen.cli is imported, before main runs: no traceback there
+    env = dict(os.environ, SGEN_THREADS=value)
+    proc = subprocess.run([sys.executable, "-m", "sgen", "train", "--steps", "0"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("sgen: error: SGEN_THREADS must be a positive integer")
 
 
 def test_module_invocation_subprocess(tmp_path):
