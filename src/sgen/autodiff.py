@@ -41,6 +41,23 @@ node, _conv_node, computes conv2d with _correlate forward and
 _conv_transpose backward, and deconv2d with the two swapped, so deconv2d's
 input gradient is a strided correlation of its output gradient.
 
+The phase kernel.  phase_kernel turns a kernel into that stride-1
+correlation's kernel: a zero-pad to whole phases, a reshape, a flip and one
+transposed copy.  conv2d's input gradient builds it on every call, and so
+does deconv2d's forward unless its caller passes one prebuilt.  Inference
+over fixed weights does: generator_forward fills a dict its caller owns
+with each deconv layer's phase kernel, keyed by layer path, on first use,
+and model_restorer keeps one such dict for its life, so each restorer
+builds the six of the default generator once, not once per forward.  Timed
+alone they take 0.33-0.35 ms per forward (base3's x8 kernel 170 us; 2-core
+Xeon VM, one BLAS thread, min of 7 x 500); in traced eval-heldout runs
+deconv2d's time per eval_model call, 5 forwards, fell from 14.6 to 10.6 ms.
+A restorer therefore reads the weights once; build a new one after
+changing them, as training's validation does.  The cache is no global
+keyed by a kernel's id(), which an in-place Adam step would leave stale,
+and deconv2d refuses a prebuilt kernel while a Graph is active: training,
+gate dumps and every tape build their own.
+
 All zero-padding goes through _padded, which returns its input when nothing
 is added: the conv padding, the shifted GEMM's spare row and cropped
 columns, the zero rows and columns of the gradient and the zero taps of the
@@ -382,19 +399,14 @@ def _banded(a: np.ndarray, kernel: np.ndarray | None, g: np.ndarray | None,
             None if dk is None else dk.reshape(-1, c, kh, kw))
 
 
-def _conv_transpose(g: np.ndarray, kernel: np.ndarray, stride: int, ph: int, pw: int,
-                    h: int, w: int) -> np.ndarray:
-    """Adjoint of _correlate(., kernel, stride, ph, pw) on an (n, ic, h, w) input.
+def phase_kernel(kernel: np.ndarray, stride: int) -> np.ndarray:
+    """The (ic*s*s, oc, ceil(kh/s), ceil(kw/s)) phase kernel of an (oc, ic, kh, kw) kernel.
 
-    Sub-pixel form: pixel s*q + r of the padded canvas sums g[q - d] times
-    kernel tap s*d + r, so one stride-1 correlation of g with the phase
-    kernel -- entry ((c, rh, rw), o, uh, uw) is tap (s*(dh-1-uh) + rh,
-    s*(dw-1-uw) + rw) of kernel[o, c], zero past the kernel -- computes
-    every phase r of every q, and depth-to-space places them straight into
-    the (n, ic, h, w) input, skipping the canvas's padding.  Canvas pixels
-    past the last window get zero rows and columns of g.
+    Entry ((c, rh, rw), o, uh, uw) is tap (s*(dh-1-uh) + rh, s*(dw-1-uw) +
+    rw) of kernel[o, c], zero past the kernel's edge: the stride-1
+    correlation kernel of _conv_transpose.  A deconv2d kernel, laid out
+    (in_c, out_c, kh, kw), is already in this layout.
     """
-    n, _, oh, ow = g.shape
     oc, ic, kh, kw = kernel.shape
     s = stride
     dh, dw = -(-kh // s), -(-kw // s)
@@ -403,7 +415,25 @@ def _conv_transpose(g: np.ndarray, kernel: np.ndarray, stride: int, ph: int, pw:
     # contiguous: for a 1x1 kernel the transpose is a view, which the GEMM
     # would read in another order and round differently
     phases = np.ascontiguousarray(phases.transpose(1, 3, 5, 0, 2, 4))
-    phases = phases.reshape(ic * s * s, oc, dh, dw)
+    return phases.reshape(ic * s * s, oc, dh, dw)
+
+
+def _conv_transpose(g: np.ndarray, kernel: np.ndarray, stride: int, ph: int, pw: int,
+                    h: int, w: int, phases: np.ndarray | None = None) -> np.ndarray:
+    """Adjoint of _correlate(., kernel, stride, ph, pw) on an (n, ic, h, w) input.
+
+    Sub-pixel form: pixel s*q + r of the padded canvas sums g[q - d] times
+    kernel tap s*d + r, so one stride-1 correlation of g with the phase
+    kernel (phase_kernel(kernel, s), built here unless `phases` holds it)
+    computes every phase r of every q, and depth-to-space places them
+    straight into the (n, ic, h, w) input, skipping the canvas's padding.
+    Canvas pixels past the last window get zero rows and columns of g.
+    """
+    n, _, oh, ow = g.shape
+    ic, s = kernel.shape[1], stride
+    if phases is None:
+        phases = phase_kernel(kernel, s)
+    dh, dw = phases.shape[2:]
     # phase rows (columns) that lie wholly in the top (left) padding are not computed
     th, tw = min(ph // s, dh - 1), min(pw // s, dw - 1)
     # zero rows and columns of g, so that the phases reach the last pixel of the input
@@ -489,14 +519,16 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def _conv_node(op: str, x: Tensor, kernel: Tensor, bias: Tensor, stride: int, ph: int, pw: int,
-               transposed: bool, act: str | None, alpha: float) -> Tensor:
+               transposed: bool, act: str | None, alpha: float,
+               phases: np.ndarray | None = None) -> Tensor:
     """conv2d (transposed False) or deconv2d (transposed True), stride and padding checked.
 
     The two are adjoint: each one's forward is the other's input gradient.
     _correlate maps conv2d's input to its output and deconv2d's output to
     its input, so deconv2d's kernel gradient is conv2d's with the input and
     the output gradient swapped, over the patches its input gradient reads:
-    one walk over their bands gives both.
+    one walk over their bands gives both.  `phases`, deconv2d's prebuilt
+    phase kernel, skips building it for the forward.
     """
     _, c, h, w = x.shape
     oc, ic, kh, kw = kernel.shape
@@ -509,7 +541,8 @@ def _conv_node(op: str, x: Tensor, kernel: Tensor, bias: Tensor, stride: int, ph
     activate, act_grad = _activation(act)
     if transposed:
         out = _conv_transpose(x.data, kernel.data, stride, ph, pw,
-                              (h - 1) * stride + kh - 2 * ph, (w - 1) * stride + kw - 2 * pw)
+                              (h - 1) * stride + kh - 2 * ph, (w - 1) * stride + kw - 2 * pw,
+                              phases)
     else:
         out = _correlate(x.data, kernel.data, None, kh, kw, stride, ph, pw)[0]
     out += bias.data
@@ -552,13 +585,17 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
 
 
 def deconv2d(x: Tensor, kernel: Tensor, bias: Tensor, factor: int = 1,
-             act: str | None = None, alpha: float = 0.2) -> Tensor:
+             act: str | None = None, alpha: float = 0.2,
+             phases: np.ndarray | None = None) -> Tensor:
     """Transposed convolution upsampling spatial dims by exactly `factor`.
 
     Kernel layout is (in_c, out_c, kh, kw) with stride = factor and implied
     padding (k - factor) / 2 per axis, so (k - factor) must be even and >= 0;
     the forward map is the exact adjoint of conv2d with the same kernel,
     stride and padding.  `act` and `alpha` fuse an activation as in conv2d.
+    `phases`, if given, is phase_kernel(kernel.data, factor), built once by
+    the caller for a kernel that does not change; it is refused while a
+    Graph is active, since an optimizer step would leave it stale.
     """
     kh, kw = kernel.shape[2:]
     if factor < 1:
@@ -567,8 +604,10 @@ def deconv2d(x: Tensor, kernel: Tensor, bias: Tensor, factor: int = 1,
         raise ConfigError(
             f"deconv2d: kernel {kh}x{kw} cannot upsample by exactly x{factor}; "
             f"kernel size minus factor must be even and non-negative")
+    if phases is not None and _GRAPH_STACK:
+        raise UsageError("deconv2d: a prebuilt phase kernel cannot be used while a Graph records")
     return _conv_node("deconv2d", x, kernel, bias, factor, (kh - factor) // 2,
-                      (kw - factor) // 2, True, act, alpha)
+                      (kw - factor) // 2, True, act, alpha, phases)
 
 
 # ---------------------------------------------------------------------------

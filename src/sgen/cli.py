@@ -195,31 +195,29 @@ def cmd_ablate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     def one_run(name, mcfg, mse_only):
+        """Train one variant; returns a restorer over its final weights."""
         tcfg = replace(run.train_config(), mse_only=mse_only)
         state = train(tcfg, mcfg, train_corpus, scales, spec, out / f"ablate_{name}",
                       val_corpus=val_corpus)
         print(f"trained {name} variant ({tcfg.steps} steps)", flush=True)
-        return state.params
+        return model_restorer(state.params, mcfg)
 
-    def report_rows(name, params, mcfg, eval_spec):
-        report = eval_model(model_restorer(params, mcfg), val_corpus, scales,
-                            eval_spec, seed=run.seed)
+    def report_rows(name, restore, eval_spec):
+        report = eval_model(restore, val_corpus, scales, eval_spec, seed=run.seed)
         return [f"{name},{line}" for line in report.to_csv().splitlines()[1:]]
 
     lines = ["variant,scale,psnr,ssim,n"]
     for comb in COMBINERS:
-        mcfg = replace(run.sgen_config(), combiner=comb)
-        params = one_run(comb, mcfg, mse_only=True)
-        lines.extend(report_rows(comb, params, mcfg, spec))
+        restore = one_run(comb, replace(run.sgen_config(), combiner=comb), mse_only=True)
+        lines.extend(report_rows(comb, restore, spec))
         if comb == "sgu":
-            sgu_mse = (params, mcfg)
+            sgu_mse = restore  # the noise sweep reuses its phase kernels
 
-    mcfg = replace(run.sgen_config(), combiner="sgu")
-    params = one_run("sgu_adv", mcfg, mse_only=False)
-    lines.extend(report_rows("sgu_adv", params, mcfg, spec))
+    restore = one_run("sgu_adv", replace(run.sgen_config(), combiner="sgu"), mse_only=False)
+    lines.extend(report_rows("sgu_adv", restore, spec))
 
     for sweep_spec in sweep_specs:
-        lines.extend(report_rows(f"sgu@sigma{sweep_spec.sigma:g}", *sgu_mse, sweep_spec))
+        lines.extend(report_rows(f"sgu@sigma{sweep_spec.sigma:g}", sgu_mse, sweep_spec))
 
     with atomic_write(out / "ablation.csv") as fh:
         fh.write(("\n".join(lines) + "\n").encode())

@@ -110,9 +110,10 @@ def synth_face(seed, h, w) -> np.ndarray:
         raise ConfigError(f"synthetic faces need h, w >= 16, got {h}x{w}")
     rng = np.random.default_rng(seed)
     u = rng.uniform
-    ys = (np.arange(h) + 0.5) / h * 2.0 - 1.0
-    xs = (np.arange(w) + 0.5) / w * 2.0 - 1.0
-    yy, xx = np.meshgrid(ys, xs, indexing="ij")
+    # pixel-center coordinates in (-1, 1): an (h, 1) column and a (1, w) row,
+    # which broadcast to (h, w) only in the expressions that need both
+    yy = ((np.arange(h) + 0.5) / h * 2.0 - 1.0)[:, None]
+    xx = ((np.arange(w) + 0.5) / w * 2.0 - 1.0)[None, :]
 
     img = u(96.0, 144.0) + u(-28.0, 28.0) * xx + u(-28.0, 28.0) * yy
 
@@ -120,7 +121,7 @@ def synth_face(seed, h, w) -> np.ndarray:
     ry, rx = u(0.58, 0.78), u(0.5, 0.68)
     face = ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
     skin = u(150.0, 200.0)
-    img[face] = skin + u(-20.0, 20.0) * yy[face]
+    img = np.where(face, skin + u(-20.0, 20.0) * yy, img)
 
     eye_y = cy - ry * u(0.28, 0.42)
     eye_r = u(0.07, 0.13)

@@ -22,6 +22,7 @@ scale) twice this budget was 6% slower and took 10% more peak memory.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +91,27 @@ def _window_means(maps: np.ndarray) -> np.ndarray:
     return out
 
 
+def _ssim_batch(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """Mean local SSIM of each image pair of two (n, h, w) grayscale stacks.
+
+    Every map of every pair goes through one _window_means call; each image's
+    value is exactly the one a call on that pair alone gives.
+    """
+    n, h, w = a.shape
+    if h < SSIM_WINDOW or w < SSIM_WINDOW:
+        raise ConfigError(f"ssim: image {h}x{w} is smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window")
+    maps = np.stack([a, b, a * a, b * b, a * b]).reshape(5 * n, h, w)
+    mu_a, mu_b, e_aa, e_bb, e_ab = _window_means(maps).reshape(5, n, h - SSIM_WINDOW + 1, -1)
+    var_a = e_aa - mu_a * mu_a
+    var_b = e_bb - mu_b * mu_b
+    cov = e_ab - mu_a * mu_b
+    c1 = (SSIM_K1 * SSIM_L) ** 2
+    c2 = (SSIM_K2 * SSIM_L) ** 2
+    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    return [float(np.mean(m)) for m in num / den]
+
+
 def ssim(a, b) -> float:
     """Mean local SSIM over fully valid 11x11 Gaussian windows (8-bit scale).
 
@@ -99,18 +121,7 @@ def ssim(a, b) -> float:
     b = _as_gray(b)
     if a.shape != b.shape:
         raise ConfigError(f"ssim: shape mismatch {a.shape} vs {b.shape}")
-    h, w = a.shape
-    if h < SSIM_WINDOW or w < SSIM_WINDOW:
-        raise ConfigError(f"ssim: image {h}x{w} is smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window")
-    mu_a, mu_b, e_aa, e_bb, e_ab = _window_means(np.stack([a, b, a * a, b * b, a * b]))
-    var_a = e_aa - mu_a * mu_a
-    var_b = e_bb - mu_b * mu_b
-    cov = e_ab - mu_a * mu_b
-    c1 = (SSIM_K1 * SSIM_L) ** 2
-    c2 = (SSIM_K2 * SSIM_L) ** 2
-    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-    return float(np.mean(num / den))
+    return _ssim_batch(a[None], b[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -158,19 +169,25 @@ def pad_to_divisor(img: np.ndarray, divisor: int) -> np.ndarray:
     return img
 
 
-def model_restorer(params: dict, config) -> callable:
+def model_restorer(params: dict, config) -> Callable[[np.ndarray], np.ndarray]:
     """Wrap generator parameters as a restore function over image batches.
 
     The returned callable maps a [-1, 1] float batch (n, c, h, w) to its
     restored version of the same shape, edge-padding to the generator
     divisor and cropping back, so any size at or above the divisor works.
+    It builds each deconv layer's phase kernel on its first call and keeps
+    it (see generator_forward), so it reads the weights once: build a new
+    restorer after changing them.
     """
+    phases: dict = {}
+
     def restore(s):
         arr = np.asarray(s, dtype=np.float64)
         if arr.ndim != 4:
             raise ConfigError(f"restore expects an (n, c, h, w) batch, got shape {arr.shape}")
         h, w = arr.shape[-2:]
-        out, _ = generator_forward(Tensor(pad_to_divisor(arr, config.divisor)), params, config)
+        out, _ = generator_forward(Tensor(pad_to_divisor(arr, config.divisor)), params, config,
+                                   phases)
         return out.data[:, :, :h, :w]
 
     return restore
@@ -189,7 +206,7 @@ def eval_model(restore, corpus, scales, spec, seed: int = 0, limit: int | None =
     gets the images of one scale eval_batch(h, w) at a time.  Each (scale,
     image) pair gets its own derived rng, so results do not depend on
     iteration order or batching.  Metrics are computed per image on
-    quantized 8-bit values.
+    quantized 8-bit values, the SSIM maps of a whole batch in one pass.
     """
     rows = []
     count = len(corpus) if limit is None else min(limit, len(corpus))
@@ -207,10 +224,9 @@ def eval_model(restore, corpus, scales, spec, seed: int = 0, limit: int | None =
             out = np.asarray(restore(s), dtype=np.float64)
             if out.shape != s.shape:
                 raise ConfigError(f"restore returned shape {out.shape} for a batch of {s.shape}")
-            for img8, restored in zip(clean, out):
-                a = to_bytes(restored).astype(np.float64)
-                b = to_bytes(to_unit(img8)).astype(np.float64)
-                psnrs.append(psnr(a, b))
-                ssims.append(ssim(a, b))
+            a = to_bytes(out).astype(np.float64)
+            b = to_bytes(to_unit(np.stack(clean))).astype(np.float64)
+            psnrs.extend(psnr(ai, bi) for ai, bi in zip(a, b))
+            ssims.extend(_ssim_batch(a.mean(axis=1), b.mean(axis=1)))
         rows.append(ScaleRow(scale, float(np.mean(psnrs)), float(np.mean(ssims)), count))
     return MetricReport(rows)

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import (Tensor, add, affine, concat_channels, conv2d, deconv2d,
-                       global_avg_pool, maximum, mul)
+                       global_avg_pool, maximum, mul, phase_kernel)
 from .data import atomic_write, save_image
 from .errors import CheckpointError, ConfigError, NumericsError
 
@@ -218,7 +218,7 @@ def split_params(params: dict) -> tuple[dict, dict]:
 # forward passes
 
 
-def generator_forward(s: Tensor, params: dict, config: SgenConfig):
+def generator_forward(s: Tensor, params: dict, config: SgenConfig, phases: dict | None = None):
     """Run the generator; returns (output tensor, activations).
 
     `s` must have spatial dims divisible by 2^(levels+1); callers pad and
@@ -227,6 +227,12 @@ def generator_forward(s: Tensor, params: dict, config: SgenConfig):
     order: "gen.enc.stem2", "gen.enc.trunk{k}", "gen.{enc,dec}.base{k}",
     "gen.{enc,dec}.junction{k}" and "gen.dec.merge{k}", plus the gate maps
     "gen.{enc,dec}.sgu{k}.ga" and ".gp" of the sgu combiner.
+
+    `phases`, a dict the caller owns, keeps each deconv layer's phase kernel
+    under its path ("gen.dec.base{k}", "gen.dec.merge{k}"), built on first
+    use and reused by every later call given the same dict.  It is valid
+    only while the weights stay as they were and no Graph records: pass one
+    for inference over fixed weights (model_restorer), none for training.
     """
     n_, c_in, h, w = s.shape
     if c_in != config.image_channels:
@@ -251,7 +257,13 @@ def generator_forward(s: Tensor, params: dict, config: SgenConfig):
                       act="lrelu", alpha=al)
 
     def deconv(t, path, factor):
-        return deconv2d(t, params[path + ".w"], params[path + ".b"], factor, act="relu")
+        kernel = params[path + ".w"]
+        built = None
+        if phases is not None:
+            built = phases.get(path)
+            if built is None:
+                built = phases[path] = phase_kernel(kernel.data, factor)
+        return deconv2d(t, kernel, params[path + ".b"], factor, act="relu", phases=built)
 
     def junction(stage, k, active, passive):
         sgu = f"gen.{stage}.sgu{k}"

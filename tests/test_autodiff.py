@@ -226,6 +226,22 @@ def test_deconv2d_is_exact_conv2d_adjoint():
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
+def test_deconv2d_prebuilt_phase_kernel():
+    # a prebuilt phase kernel gives exactly the forward that builds its own,
+    # and is refused while a Graph records, since Adam would change the
+    # kernel in place
+    rng = np.random.default_rng(8)
+    x = t4(rng.normal(size=(2, 3, 5, 4)))
+    b = t4(rng.normal(size=(1, 2, 1, 1)))
+    for factor, k in [(2, 4), (4, 8)]:
+        kernel = Tensor(rng.normal(size=(3, 2, k, k)), requires_grad=True)
+        built = ad.phase_kernel(kernel.data, factor)
+        assert np.array_equal(deconv2d(x, kernel, b, factor, act="relu", phases=built).data,
+                              deconv2d(x, kernel, b, factor, act="relu").data)
+        with Graph(), pytest.raises(UsageError, match="Graph"):
+            deconv2d(x, kernel, b, factor, phases=built)
+
+
 def test_deconv2d_bad_kernel_factor_combo():
     x = t4(np.zeros((1, 1, 3, 3)))
     b = t4(np.zeros((1, 1, 1, 1)))

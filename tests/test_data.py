@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,26 @@ def test_synth_face_distinct_and_contrastful():
 def test_synth_face_minimum_size():
     with pytest.raises(ConfigError):
         synth_face(0, 8, 32)
+
+
+# sha256 of synth_face rasters: the smallest size, a default scale, odd
+# sizes, and ids of the benchmark's eval (2e9) and restore (3e9) ranges.
+# Every pixel is exact float arithmetic on one PCG64 stream, so any change
+# to the procedural training data fails here.
+FACE_DIGESTS = [
+    (0, 16, 16, "b96a29da5a82d9acd906a336f3b3ee2780e73839f341028577b2017e134940be"),
+    (12, 48, 32, "9b999632b6bdb94f3c00a0c5c3baf7d9b8b3f6259079f5b2c91eeaf7eeeacab3"),
+    (101, 17, 23, "bc079737f6f3e305ea28a42765dc4dcc7d563810fb9c4481f83072a24872adbd"),
+    (4093, 81, 65, "253350e084e32135da2e796424a659800ec5df85b899886073004fd65b3476ac"),
+    (2000000003, 64, 48, "a1b58117192f722fdfefe372f32d27b9a47ca7647563eafce20a30a36a90cee2"),
+    (3000000017, 368, 300, "4f7a57c2e93dd5c340db95ff4145381564ec8d6e6033f27f2f8288b5a1db78f7"),
+]
+
+
+@pytest.mark.parametrize("seed,h,w,digest", FACE_DIGESTS,
+                         ids=[f"{seed}-{h}x{w}" for seed, h, w, _ in FACE_DIGESTS])
+def test_synth_face_is_pinned(seed, h, w, digest):
+    assert hashlib.sha256(synth_face(seed, h, w).tobytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ from sgen.errors import ConfigError
 import sgen.metrics as metrics
 from sgen.metrics import (MetricReport, ScaleRow, eval_batch, eval_model, model_restorer,
                           psnr, ssim)
-from sgen.model import SgenConfig, init_params
+import sgen.model as model
+from sgen.autodiff import Tensor, phase_kernel
+from sgen.model import SgenConfig, generator_forward, init_params
 
 from oracles import ssim_windowed_naive
 
@@ -51,11 +53,20 @@ def test_ssim_penalizes_inversion():
     assert ssim(a, 255.0 - a) < 0.2
 
 
-def test_ssim_matches_windowed_oracle():
+@pytest.mark.parametrize("shape", [(1, 1, 20, 26), (4, 1, 48, 32), (3, 1, 64, 48),
+                                   (2, 1, 80, 64), (2, 3, 48, 32)],
+                         ids=["1x20x26", "4x48x32", "3x64x48", "2x80x64", "2x3x48x32-colour"])
+def test_ssim_matches_windowed_oracle(shape):
+    # the first image against the per-window loop; the batched core that
+    # eval_model runs on each (n, c, h, w) batch, at its batch shapes, gives
+    # every image exactly its per-image value
     rng = np.random.default_rng(3)
-    a = rng.uniform(0, 255, (20, 26))
+    a = rng.uniform(0, 255, shape)
     b = np.clip(a + rng.normal(0, 12, a.shape), 0, 255)
-    assert ssim(a, b) == pytest.approx(ssim_windowed_naive(a, b), abs=1e-8)
+    per_image = [ssim(ai, bi) for ai, bi in zip(a, b)]
+    assert metrics._ssim_batch(a.mean(axis=1), b.mean(axis=1)) == per_image
+    oracle = ssim_windowed_naive(a[0].mean(axis=0), b[0].mean(axis=0))
+    assert per_image[0] == pytest.approx(oracle, abs=1e-8)
 
 
 def test_ssim_symmetric():
@@ -171,6 +182,41 @@ def test_model_restorer_pads_odd_sizes():
     assert out.min() >= -1.0 and out.max() <= 1.0
     with pytest.raises(ConfigError, match="batch"):
         restore(np.zeros((1, 50, 34)))
+
+
+@pytest.mark.parametrize("levels", [2, 3])
+def test_restorer_reuses_its_phase_kernels_bitwise(levels, monkeypatch):
+    # one restorer over several sizes and batch sizes gives exactly what a
+    # fresh restorer gives each call, and builds each deconv's phase kernel
+    # on its first call only
+    builds = []
+    monkeypatch.setattr(model, "phase_kernel",
+                        lambda k, s: builds.append(k.shape) or phase_kernel(k, s))
+    cfg = SgenConfig(levels=levels, base_channels=2)
+    params = init_params(cfg, seed=1)
+    restore = model_restorer(params, cfg)
+    rng = np.random.default_rng(0)
+    cases = [(1, 48, 32), (3, 64, 48), (2, 50, 34), (1, 80, 64), (4, 48, 32)]
+    for n, h, w in cases:
+        s = rng.uniform(-1.0, 1.0, (n, 1, h, w))
+        assert np.array_equal(restore(s), model_restorer(params, cfg)(s))
+    assert len(builds) == 2 * levels * (1 + len(cases))
+
+
+def test_restorer_built_after_a_weight_change_uses_it():
+    # training changes the weights in place between validations and builds
+    # a new restorer for each; the phase kernels must come from the new weights
+    cfg = SgenConfig(levels=2, base_channels=2)
+    params = init_params(cfg, seed=0)
+    s = np.random.default_rng(1).uniform(-1.0, 1.0, (2, 1, 48, 32))
+    before = model_restorer(params, cfg)(s)
+    for name, p in params.items():
+        if name.startswith("gen.dec.") and name.endswith(".w"):
+            p.data *= -1.5
+    after = model_restorer(params, cfg)(s)
+    assert not np.array_equal(after, before)
+    uncached, _ = generator_forward(Tensor(s), params, cfg)
+    assert np.array_equal(after, uncached.data)
 
 
 def test_batch_restore_matches_single_restores():

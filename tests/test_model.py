@@ -7,7 +7,7 @@ import pytest
 import sgen.autodiff as ad
 import sgen.model as model
 from sgen.autodiff import Graph, Tensor, mean_all, mul, sub, sum_all
-from sgen.errors import CheckpointError, ConfigError, NumericsError
+from sgen.errors import CheckpointError, ConfigError, NumericsError, UsageError
 from sgen.model import (COMBINERS, SgenConfig, combine, discriminator_forward,
                         dump_gates, generator_forward, init_params,
                         load_checkpoint, save_checkpoint, split_params)
@@ -189,6 +189,24 @@ def test_generator_level_shapes():
     _, acts = generator_forward(rand_input(cfg, 48, 32), init_params(cfg), cfg)
     assert not any(".sgu" in path for path in acts)
     assert acts["gen.dec.junction3"].shape == (1, 8, 24, 16)
+
+
+def test_generator_phase_kernels_by_layer_path():
+    # a caller's dict gets each deconv's phase kernel under its path on first
+    # use; a forward that reuses them is bitwise one that builds its own, and
+    # under a recording Graph the dict is refused
+    params = init_params(TINY)
+    s = rand_input(TINY, 48, 32, n=2)
+    phases = {}
+    first, _ = generator_forward(s, params, TINY, phases)
+    assert sorted(phases) == [f"gen.dec.{kind}{k}" for kind in ("base", "merge") for k in (1, 2)]
+    kept = dict(phases)
+    again, _ = generator_forward(s, params, TINY, phases)
+    assert all(phases[path] is kept[path] for path in kept)
+    uncached, _ = generator_forward(s, params, TINY)
+    assert np.array_equal(first.data, uncached.data) and np.array_equal(again.data, uncached.data)
+    with Graph(), pytest.raises(UsageError, match="Graph"):
+        generator_forward(s, params, TINY, phases)
 
 
 def test_generator_rejects_indivisible_input():
