@@ -29,15 +29,19 @@ columns that lie wholly in the conv padding are not computed (at stride 1
 this leaves the correlation of the gradient with the flipped kernel).
 _col2im skips the rest of the padding: it writes each phase (rh, rw) with
 one strided copy straight into the rows and columns of the result that
-phase owns, so no padded canvas is built and nothing is cropped.  A
-transposed convolution then holds the phase correlation's output and its
-result, 2.0x the result, where a canvas and its crop took 3.0x.  For x2
-from 184x152 with 8 channels (2-core Xeon VM, one BLAS thread) the phase
-copies take 2.5-2.6 ms, where the canvas's 6-D transposed copy, whose inner
-loop ran over s = 2 elements, took 4.5-4.8 ms and the crop another ~1.4 ms.
-At s = 8 the 64 copies take 1.0 ms against the transposed copy's 0.6 ms,
-and the dropped crop pays that back.  The pair runs both ways: one tape
-node, _conv_node, computes conv2d with _correlate forward and
+phase owns, so no padded canvas is built and nothing is cropped.  The phase
+correlation hands each band of phase rows (see Bands) to _col2im as soon as
+the band is computed, so no whole phase output exists either: a transposed
+convolution holds its result and one band, 1.28x the result for x2 from
+184x152 with 8 channels, where the whole phase output took 2.0x and a
+canvas and its crop 3.0x.  At stride 1 with nothing to crop (every 3x3,
+pad-1 conv2d's input gradient) the phase correlation is the result, and
+_col2im is not called.  For that x2 (2-core Xeon VM, one BLAS thread) the
+phase copies take 2.5-2.6 ms, where the canvas's 6-D transposed copy, whose
+inner loop ran over s = 2 elements, took 4.5-4.8 ms and the crop another
+~1.4 ms.  At s = 8 the 64 copies take 1.0 ms against the transposed copy's
+0.6 ms, and the dropped crop pays that back.  The pair runs both ways: one
+tape node, _conv_node, computes conv2d with _correlate forward and
 _conv_transpose backward, and deconv2d with the two swapped, so deconv2d's
 input gradient is a strided correlation of its output gradient.
 
@@ -59,9 +63,10 @@ and deconv2d refuses a prebuilt kernel while a Graph is active: training,
 gate dumps and every tape build their own.
 
 All zero-padding goes through _padded, which returns its input when nothing
-is added: the conv padding, the shifted GEMM's spare row and cropped
-columns, the zero rows and columns of the gradient and the zero taps of the
-phase kernel.  _im2col gathers from an array that is already padded.
+is added: the conv padding and the shifted GEMM's spare row, one band's
+rows at a time (_band_rows), the shifted GEMM's cropped columns of the
+gradient, the zero rows and columns of the gradient and the zero taps of
+the phase kernel.  _im2col gathers from a band that is already padded.
 
 Every correlation -- the conv2d forward, the phase correlation of
 _conv_transpose and both ops' kernel gradients -- goes through _correlate,
@@ -90,36 +95,43 @@ Bands.  A patch matrix smaller than CACHE_BYTES (2 MiB, the L2 cache of the
 never built whole: _banded gathers it in bands of at most BAND_BYTES (768
 KiB), each into the same buffer -- whole images per band while one image's
 matrix fits, else rows of one image -- and each band's GEMM writes straight
-into its slice of the output while the band is still in cache.  The whole
-matrix went out to memory and back: 16.1 MB for gen.enc.stem2 on a 368x304
-restore, whose forward now peaks at 9.3 MiB traced instead of 22.3.  Both
-sizes were chosen by timing every correlation and kernel-gradient shape
-that each benchmark workload runs (the 48 requests of a restore pool, one
-eval_model call, three adversarial batch-8 train steps), interleaved with
-the single gather in one process, min of 5 per shape, summed per workload.
-Against the single gather, 768 KiB bands with no threshold took 0.78-0.82x
-on restore, 1.00-1.07x on eval and 0.92-0.97x on training; with the 2 MiB
-threshold 0.80-0.81x, 0.99-1.02x and 0.89-0.91x (1.5 and 3 MiB did no
-better).  512 KiB bands tied on restore and lost on training, 1 MiB bands
-lost on restore.  Whole-image bands run the very GEMMs of the single
-gather; a row band is a narrower GEMM, which BLAS may round differently in
-the last bits (by up to ~1e-14 with OpenBLAS's SkylakeX kernels).
+into its slice of the output while the band is still in cache.  Each band
+zero-pads its own input rows, so no padded copy of the whole input is made
+either.  The whole matrix went out to memory and back: 16.1 MB for
+gen.enc.stem2 on a 368x304 restore, whose forward peaked at 22.3 MiB traced
+with it, 9.3 MiB with bands of a padded copy and 3.4 MiB (0.50x its input)
+with bands that pad their own rows.  The shifted GEMM's correlation walks
+the same bands of its padded input rows (c * wp elements per output row),
+each padded on its own: gen.out.conv on a 384x352 restore no longer copies
+its 8.3 MiB input.  Both sizes were chosen by timing every correlation and
+kernel-gradient shape that each benchmark workload runs (the 48 requests of
+a restore pool, one eval_model call, three adversarial batch-8 train
+steps), interleaved with the single gather in one process, min of 5 per
+shape, summed per workload. Against the single gather, 768 KiB bands with
+no threshold took 0.78-0.82x on restore, 1.00-1.07x on eval and 0.92-0.97x
+on training; with the 2 MiB threshold 0.80-0.81x, 0.99-1.02x and 0.89-0.91x
+(1.5 and 3 MiB did no better).  512 KiB bands tied on restore and lost on
+training, 1 MiB bands lost on restore.  Whole-image bands run the very
+GEMMs of the single gather; a row band is a narrower GEMM, which BLAS may
+round differently in the last bits (by up to ~1e-14 with OpenBLAS's
+SkylakeX kernels).
 
 The tape rule.  A conv2d or deconv2d node keeps its input, its kernel and
-its activated output, and no patch matrix.  The activation that follows a
-layer (`act`: relu, lrelu, sigmoid or tanh) runs on the layer's fresh
-output, in place, and its gradient is read from the activated output, so
-the pre-activation array is never kept.  Both ops take the kernel gradient
-from _correlate, on the walker that the correlation it differentiates runs:
-the bands gather the patches again in the forward's bands and add one GEMM
-per image of each band, so each band's gather is in cache for its GEMMs;
-the shifted GEMM adds one batched GEMM per tap.  deconv2d's input gradient
-is a correlation over the very patches its kernel gradient reads, so when
-both are wanted one _correlate call computes both, from one walk over the
-bands or one padded copy.  A node asked for neither -- conv2d in the
-generator step's frozen discriminator, where x is tracked and the kernel is
-not -- gathers nothing for its kernel.
-"""
+its activated output, and no patch matrix or band.  Without a Graph nothing
+is kept: a layer's output lives as long as its caller holds it, and
+generator_forward drops each feature map once its last reader has run.  The
+activation that follows a layer (`act`: relu, lrelu, sigmoid or tanh) runs
+on the layer's fresh output, in place, and its gradient is read from the
+activated output, so the pre-activation array is never kept.  Both ops take
+the kernel gradient from _correlate, on the walker that the correlation it
+differentiates runs: the bands gather the patches again in the forward's
+bands and add one GEMM per image of each band, so each band's gather is in
+cache for its GEMMs; the shifted GEMM adds one batched GEMM per tap.
+deconv2d's input gradient is a correlation over the very patches its kernel
+gradient reads, so when both are wanted one _correlate call computes both,
+from one walk over the bands or one padded copy.  A node asked for neither
+-- conv2d in the generator step's frozen discriminator, where x is tracked
+and the kernel is not -- gathers nothing for its kernel."""
 
 from __future__ import annotations
 
@@ -254,6 +266,19 @@ def _padded(a: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.n
     return out
 
 
+def _band_rows(a: np.ndarray, lo: int, hi: int, pw: int) -> np.ndarray:
+    """Rows lo:hi of `a` with pw zero columns per side, zero rows outside [0, h).
+
+    One band's slice of the padded input, so no padded copy of the whole
+    input is made.
+    """
+    h = a.shape[2]
+    start = min(max(lo, 0), h)
+    rows = a[:, :, start:max(min(hi, h), start)]
+    top = min(max(-lo, 0), hi - lo)  # a band may lie wholly in the padding
+    return _padded(rows, top, hi - lo - top - rows.shape[2], pw, pw)
+
+
 def _im2col(a: np.ndarray, kh: int, kw: int, stride: int, buf: np.ndarray) -> np.ndarray:
     """Padded (n, c, h, w) -> (n, c*kh*kw, oh*ow) patch matrix of the windows that fit.
 
@@ -289,18 +314,18 @@ def _bands(n: int, oh: int, row: int) -> list[tuple[int, int, int, int]]:
 
 
 def _col2im(cols: np.ndarray, shape: tuple[int, int, int, int], kh: int, kw: int,
-            top: int, left: int) -> np.ndarray:
+            top: int, left: int, out: np.ndarray) -> np.ndarray:
     """Adjoint of _im2col for kh x kw windows that tile a canvas, cropped to `shape`.
 
     cols is (n, c*kh*kw, qh, qw): entry ((c, rh, rw), q, p) is canvas pixel
     (kh*q + rh, kw*p + rw).  With stride (kh, kw) the windows do not overlap,
     so the adjoint is a permutation (depth-to-space) and needs no adds.  The
-    (n, c, h, w) output is the canvas from row `top` and column `left` on,
-    written one strided copy per phase (rh, rw), so no canvas is built.
+    canvas from row `top` and column `left` on is written into `out`, of
+    shape (n, c, h, w), one strided copy per phase (rh, rw), so no canvas is
+    built.
     """
     n, c, h, w = shape
     phases = cols.reshape(n, c, kh, kw, *cols.shape[-2:])
-    out = np.empty(shape)
     for rh in range(kh):
         y0 = (rh - top) % kh  # first output row of phase rh
         q0, rows = (y0 + top) // kh, len(range(y0, h, kh))
@@ -311,87 +336,115 @@ def _col2im(cols: np.ndarray, shape: tuple[int, int, int, int], kh: int, kw: int
     return out
 
 
+_Place = Callable[[int, int, int, int, np.ndarray], None]
+
+
 def _correlate(a: np.ndarray, kernel: np.ndarray | None, g: np.ndarray | None,
-               kh: int, kw: int, stride: int, ph: int, pw: int):
+               kh: int, kw: int, stride: int, ph: int, pw: int, place: _Place | None = None):
     """(correlation of (n, c, h, w) with an (oc, c, kh, kw) kernel, no bias; kernel gradient).
 
     The kernel gradient is taken for g, a gradient of the correlation's
     output.  Either of kernel and g may be None and its result is then None;
-    with both None nothing is gathered.  The one place the shape rule is
-    evaluated: the shifted GEMM for a stride-1 correlation with oc < c, im2col
-    bands otherwise.
+    with both None nothing is gathered.  Given `place`, the correlation is
+    handed over band by band instead of returned: place(i0, i1, r0, r1, y)
+    gets output rows r0:r1 of images i0:i1, in a buffer the next band
+    overwrites.  The one place the shape rule is evaluated: the shifted GEMM
+    for a stride-1 correlation with oc < c, im2col bands otherwise.
     """
     if kernel is None and g is None:
         return None, None
     oc = len(kernel) if kernel is not None else g.shape[1]
     walker = _shifted if stride == 1 and oc < a.shape[1] else _banded
-    return walker(a, kernel, g, kh, kw, stride, ph, pw)
+    return walker(a, kernel, g, kh, kw, stride, ph, pw, place)
 
 
 def _shifted(a: np.ndarray, kernel: np.ndarray | None, g: np.ndarray | None,
-             kh: int, kw: int, stride: int, ph: int, pw: int):
+             kh: int, kw: int, stride: int, ph: int, pw: int, place: _Place | None = None):
     """_banded's results for stride 1, as one GEMM per tap over shifted slices.
 
-    In the flattened padded input, tap (i, j) of every output pixel sits at
-    offset i*wp + j from the pixel's own index, so one contiguous slice per tap
-    feeds an (oc, c) GEMM of the correlation and a batched GEMM of the kernel
-    gradient, both from the same padded copy.  Each output row then carries
-    wp - ow columns that straddle the row end; the correlation crops them at
-    the end, and g gets zeros there.  A spare bottom row of padding keeps the
-    last tap's slice in bounds.
+    In a band's flattened padded rows, tap (i, j) of every output pixel sits
+    at offset i*wp + j from the pixel's own index, so one contiguous slice per
+    tap feeds an (oc, c) GEMM of the correlation and a batched GEMM of the
+    kernel gradient.  Each output row then carries wp - ow columns that
+    straddle the row end; the correlation crops them as it places the band,
+    and g gets zeros there.  A spare bottom row keeps the last tap's slice in
+    bounds.  The correlation alone walks _bands' bands of the padded input,
+    each padded on its own; with the kernel gradient the whole batch is one
+    band, so the gradient's GEMMs are those of one padded copy.
     """
     n, c, h, w = a.shape
     oh, ow, wp = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1, w + 2 * pw
-    span = oh * wp
-    flat = _padded(a, ph, ph + 1, pw, pw).reshape(n, c, -1)
     out = dk = None
+    if kernel is not None and place is None:
+        out = np.empty((n, len(kernel), oh, ow))
+
+        def place(i0, i1, r0, r1, y):
+            out[i0:i1, :, r0:r1] = y
     if g is not None:
-        gw = _padded(g, 0, 0, 0, wp - ow).reshape(n, -1, span)
+        gw = _padded(g, 0, 0, 0, wp - ow).reshape(n, -1, oh * wp)
         dk = np.empty((gw.shape[1], c, kh, kw))
-    for tap in range(kh * kw):
-        i, j = divmod(tap, kw)
-        src = flat[:, :, i * wp + j:i * wp + j + span]
-        if kernel is not None and tap == 0:
-            out = np.matmul(kernel[:, :, 0, 0], src)
-            tmp = np.empty_like(out)
-        elif kernel is not None:
-            out += np.matmul(kernel[:, :, i, j], src, out=tmp)
-        if g is not None:
-            dk[:, :, i, j] = np.matmul(gw, src.transpose(0, 2, 1)).sum(axis=0)
-    if out is not None:
-        out = np.ascontiguousarray(out.reshape(n, -1, oh, wp)[:, :, :, :ow])
+    bands = _bands(n, oh, c * wp) if g is None else [(0, n, 0, oh)]
+    i0, i1, r0, r1 = bands[0]  # no band is larger than the first
+    if kernel is not None:
+        acc = np.empty((i1 - i0) * len(kernel) * (r1 - r0) * wp)
+        tmp = np.empty_like(acc)
+    for i0, i1, r0, r1 in bands:
+        flat = _band_rows(a[i0:i1], r0 - ph, r1 + kh - ph, pw).reshape(i1 - i0, c, -1)
+        span = (r1 - r0) * wp
+        if kernel is not None:
+            y = acc[:(i1 - i0) * len(kernel) * span].reshape(i1 - i0, -1, span)
+            t = tmp[:y.size].reshape(y.shape)
+        for tap in range(kh * kw):
+            i, j = divmod(tap, kw)
+            src = flat[:, :, i * wp + j:i * wp + j + span]
+            if kernel is not None and tap == 0:
+                np.matmul(kernel[:, :, 0, 0], src, out=y)
+            elif kernel is not None:
+                y += np.matmul(kernel[:, :, i, j], src, out=t)
+            if g is not None:
+                dk[:, :, i, j] = np.matmul(gw, src.transpose(0, 2, 1)).sum(axis=0)
+        if kernel is not None:
+            place(i0, i1, r0, r1, y.reshape(i1 - i0, -1, r1 - r0, wp)[:, :, :, :ow])
     return out, dk
 
 
 def _banded(a: np.ndarray, kernel: np.ndarray | None, g: np.ndarray | None,
-            kh: int, kw: int, stride: int, ph: int, pw: int):
+            kh: int, kw: int, stride: int, ph: int, pw: int, place: _Place | None = None):
     """(correlation with kernel, kernel gradient for output gradient g) over im2col bands.
 
-    Either may be None and is then not computed.  Each band of a's patch
-    matrix is gathered once into one reused buffer, and both GEMMs read it
-    while it is in cache: one into its slice of the output, and one per
-    image added to the kernel gradient.  That starts from zeros and adds the
-    images in order, as matmul(...).sum(axis=0) would.
+    Either may be None and is then not computed.  Each band pads its own
+    input rows and is gathered once into one reused buffer, and both GEMMs
+    read it while it is in cache: one into its slice of the output (or into
+    a band buffer handed to `place`), and one per image added to the kernel
+    gradient.  That starts from zeros and adds the images in order, as
+    matmul(...).sum(axis=0) would.
     """
     n, c, h, w = a.shape
     oh = _conv_out_size(h, kh, stride, ph)
     ow = _conv_out_size(w, kw, stride, pw)
     row = c * kh * kw * ow
-    out = dk = None
-    if kernel is not None:
-        kmat = kernel.reshape(len(kernel), -1)
-        out = np.empty((n, len(kernel), oh * ow))
-    if g is not None:
-        gmat = g.reshape(n, g.shape[1], oh * ow)
-        dk = np.zeros((g.shape[1], c * kh * kw))
-    a = _padded(a, ph, ph, pw, pw)
     bands = _bands(n, oh, row)
     i0, i1, r0, r1 = bands[0]  # no band is larger than the first
     buf = np.empty((i1 - i0) * (r1 - r0) * row)
+    out = dk = None
+    if kernel is not None:
+        kmat = kernel.reshape(len(kernel), -1)
+        if place is None:
+            out = np.empty((n, len(kernel), oh * ow))
+        else:
+            ybuf = np.empty((i1 - i0) * len(kernel) * (r1 - r0) * ow)
+    if g is not None:
+        gmat = g.reshape(n, g.shape[1], oh * ow)
+        dk = np.zeros((g.shape[1], c * kh * kw))
     for i0, i1, r0, r1 in bands:
-        cols = _im2col(a[i0:i1, :, r0 * stride:(r1 - 1) * stride + kh], kh, kw, stride, buf)
+        rows = _band_rows(a[i0:i1], r0 * stride - ph, (r1 - 1) * stride + kh - ph, pw)
+        cols = _im2col(rows, kh, kw, stride, buf)
         if out is not None:
             np.matmul(kmat, cols, out=out[i0:i1, :, r0 * ow:r1 * ow])
+        elif kernel is not None:
+            y = ybuf[:(i1 - i0) * len(kernel) * (r1 - r0) * ow].reshape(i1 - i0, len(kernel), -1)
+            np.matmul(kmat, cols, out=y)
+            place(i0, i1, r0, r1, y.reshape(i1 - i0, -1, r1 - r0, ow))
         if dk is not None:
             for gi, ci in zip(gmat[i0:i1, :, r0 * ow:r1 * ow], cols):
                 dk += np.matmul(gi, ci.T)
@@ -425,9 +478,11 @@ def _conv_transpose(g: np.ndarray, kernel: np.ndarray, stride: int, ph: int, pw:
     Sub-pixel form: pixel s*q + r of the padded canvas sums g[q - d] times
     kernel tap s*d + r, so one stride-1 correlation of g with the phase
     kernel (phase_kernel(kernel, s), built here unless `phases` holds it)
-    computes every phase r of every q, and depth-to-space places them
-    straight into the (n, ic, h, w) input, skipping the canvas's padding.
-    Canvas pixels past the last window get zero rows and columns of g.
+    computes every phase r of every q, and depth-to-space places each band of
+    phase rows straight into the (n, ic, h, w) input as soon as the band is
+    computed, skipping the canvas's padding, so no whole phase output exists.
+    Canvas pixels past the last window get zero rows and columns of g.  At
+    stride 1 with no crop the correlation is the input itself.
     """
     n, _, oh, ow = g.shape
     ic, s = kernel.shape[1], stride
@@ -439,8 +494,22 @@ def _conv_transpose(g: np.ndarray, kernel: np.ndarray, stride: int, ph: int, pw:
     # zero rows and columns of g, so that the phases reach the last pixel of the input
     eh = max(-(-(ph + h) // s) + th - (oh + dh - 1), 0)
     ew = max(-(-(pw + w) // s) + tw - (ow + dw - 1), 0)
-    y = _correlate(_padded(g, 0, eh, 0, ew), phases, None, dh, dw, 1, dh - 1 - th, dw - 1 - tw)[0]
-    return _col2im(y, (n, ic, h, w), s, s, ph - s * th, pw - s * tw)
+    g = _padded(g, 0, eh, 0, ew)
+    args = (phases, None, dh, dw, 1, dh - 1 - th, dw - 1 - tw)
+    top, left = ph - s * th, pw - s * tw
+    if s == 1 and top == left == 0:
+        return _correlate(g, *args)[0]
+    out = np.empty((n, ic, h, w))
+
+    def place(i0, i1, r0, r1, y):
+        # phase rows r0:r1 are canvas rows s*r0:s*r1, input rows s*r0 - top on
+        y0, y1 = max(s * r0 - top, 0), min(s * r1 - top, h)
+        if y0 < y1:
+            band = out[i0:i1, :, y0:y1]
+            _col2im(y, band.shape, s, s, y0 + top - s * r0, left, band)
+
+    _correlate(g, *args, place)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +545,9 @@ _ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
     "relu": (_relu, lambda g, out, alpha: g * (out > 0)),
     # for alpha in [0, 1) this is where(x > 0, x, alpha * x)
     "lrelu": (lambda a, alpha: np.maximum(a, alpha * a, out=a),
-              lambda g, out, alpha: g * np.where(out > 0, 1.0, alpha)),
+              # maximum(out > 0, alpha) is where(out > 0, 1.0, alpha) for alpha in
+              # [0, 1), without where's branch per element
+              lambda g, out, alpha: g * np.maximum(out > 0, alpha)),
     "sigmoid": (_sigmoid, lambda g, out, alpha: g * out * (1.0 - out)),
     "tanh": (lambda a, alpha: np.tanh(a, out=a),
              lambda g, out, alpha: g * (1.0 - out * out)),

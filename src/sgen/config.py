@@ -87,6 +87,10 @@ class _RunKeys:
         validation part of corpora(), the images training validates on."""
         if self.val_corpus:
             return DiskCorpus(self.val_corpus, channels=self.image_channels)
+        if not (self.synthetic or self.corpus):
+            raise ConfigError(
+                "no evaluation data: set the 'val_corpus' or 'corpus' key to an image "
+                "directory or pass --synthetic COUNT")
         return self.corpora()[1]
 
     def _split_ratios(self):

@@ -186,8 +186,8 @@ def model_restorer(params: dict, config) -> Callable[[np.ndarray], np.ndarray]:
         if arr.ndim != 4:
             raise ConfigError(f"restore expects an (n, c, h, w) batch, got shape {arr.shape}")
         h, w = arr.shape[-2:]
-        out, _ = generator_forward(Tensor(pad_to_divisor(arr, config.divisor)), params, config,
-                                   phases)
+        out = generator_forward(Tensor(pad_to_divisor(arr, config.divisor)), params, config,
+                                phases)
         return out.data[:, :, :h, :w]
 
     return restore

@@ -218,15 +218,20 @@ def split_params(params: dict) -> tuple[dict, dict]:
 # forward passes
 
 
-def generator_forward(s: Tensor, params: dict, config: SgenConfig, phases: dict | None = None):
-    """Run the generator; returns (output tensor, activations).
+def generator_forward(s: Tensor, params: dict, config: SgenConfig, phases: dict | None = None,
+                      acts: dict | None = None) -> Tensor:
+    """Run the generator; returns its output tensor.
 
     `s` must have spatial dims divisible by 2^(levels+1); callers pad and
-    crop otherwise.  The activations dict maps layer paths, the ones a
-    non-finite activation is reported under, to their outputs in forward
-    order: "gen.enc.stem2", "gen.enc.trunk{k}", "gen.{enc,dec}.base{k}",
-    "gen.{enc,dec}.junction{k}" and "gen.dec.merge{k}", plus the gate maps
-    "gen.{enc,dec}.sgu{k}.ga" and ".gp" of the sgu combiner.
+    crop otherwise.  Each feature map, gate maps included, is dropped as
+    soon as the last layer that reads it has run, unless `acts` keeps it.
+
+    `acts`, a dict the caller owns, is filled only when given: it maps the
+    layer paths a non-finite activation is reported under to their outputs,
+    in forward order: "gen.enc.stem2", "gen.enc.trunk{k}",
+    "gen.{enc,dec}.base{k}", "gen.{enc,dec}.junction{k}" and
+    "gen.dec.merge{k}", plus the gate maps "gen.{enc,dec}.sgu{k}.ga" and
+    ".gp" of the sgu combiner.  Filling it keeps every one of them alive.
 
     `phases`, a dict the caller owns, keeps each deconv layer's phase kernel
     under its path ("gen.dec.base{k}", "gen.dec.merge{k}"), built on first
@@ -246,10 +251,11 @@ def generator_forward(s: Tensor, params: dict, config: SgenConfig, phases: dict 
 
     n = config.levels
     al = config.lrelu_alpha
-    acts: dict[str, Tensor] = {}
 
     def keep(path, t):
-        acts[path] = _check_finite(t, path)
+        _check_finite(t, path)
+        if acts is not None:
+            acts[path] = t
         return t
 
     def conv(t, path, stride, pad):
@@ -269,7 +275,7 @@ def generator_forward(s: Tensor, params: dict, config: SgenConfig, phases: dict 
         sgu = f"gen.{stage}.sgu{k}"
         out, ga, gp = combine(config.combiner, active, passive, params,
                               f"gen.{stage}.cat{k}" if config.combiner == "concat" else sgu)
-        if ga is not None:
+        if acts is not None and ga is not None:
             acts[sgu + ".ga"], acts[sgu + ".gp"] = ga, gp
         return keep(f"gen.{stage}.junction{k}", out)
 
@@ -281,29 +287,30 @@ def generator_forward(s: Tensor, params: dict, config: SgenConfig, phases: dict 
     for k in range(2, n + 1):
         trunk.append(keep(f"gen.enc.trunk{k}", conv(trunk[-1], f"gen.enc.trunk{k}", 2, 1)))
 
-    # base-encoders: pool every level to the shared deepest scale
+    # base-encoders: pool every level to the shared deepest scale.  Each list
+    # below is popped as it is read, which drops the feature map it held.
     base = []
     for k in range(1, n + 1):
         j = n - k + 1
-        base.append(keep(f"gen.enc.base{k}", conv(trunk[k - 1], f"gen.enc.base{k}", 2 ** j, j)))
+        base.append(keep(f"gen.enc.base{k}", conv(trunk.pop(0), f"gen.enc.base{k}", 2 ** j, j)))
 
     # bottom-up combination; higher level is the active input
-    combined = [base[0]]
+    combined = [base.pop(0)]
     for k in range(2, n + 1):
-        combined.append(junction("enc", k, base[k - 1], combined[-1]))
+        combined.append(junction("enc", k, base.pop(0), combined[-1]))
 
     # base-decoders: level k restores from the (N-k+1)-th combined feature
-    dec = [keep(f"gen.dec.base{k}", deconv(combined[n - k], f"gen.dec.base{k}", 2 ** k))
+    dec = [keep(f"gen.dec.base{k}", deconv(combined.pop(), f"gen.dec.base{k}", 2 ** k))
            for k in range(1, n + 1)]
 
     # top-down combination; lower level is the active input
-    y = keep("gen.dec.merge1", deconv(dec[0], "gen.dec.merge1", 2))
+    y = keep("gen.dec.merge1", deconv(dec.pop(0), "gen.dec.merge1", 2))
     for k in range(2, n + 1):
-        y = junction("dec", k, dec[k - 1], y)
+        y = junction("dec", k, dec.pop(0), y)
         y = keep(f"gen.dec.merge{k}", deconv(y, f"gen.dec.merge{k}", 2))
 
     out = conv2d(y, params["gen.out.conv.w"], params["gen.out.conv.b"], 1, 1, act="tanh")
-    return _check_finite(out, "gen.out.conv"), acts
+    return _check_finite(out, "gen.out.conv")
 
 
 DISC_MIN_HW = 16  # four stride-2 convolutions
@@ -442,7 +449,8 @@ def dump_gates(params: dict, config: SgenConfig, s: Tensor, out_dir) -> dict:
         raise ConfigError("gate maps exist only for the sgu combiner")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _, acts = generator_forward(s, params, config)
+    acts: dict = {}
+    generator_forward(s, params, config, acts=acts)
     stats = {}
     for path, ga in acts.items():
         if not path.endswith(".ga"):

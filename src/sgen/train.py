@@ -126,7 +126,7 @@ def train_step(batch, state: TrainState, cfg: TrainConfig) -> dict:
 
     gg = Graph()
     with gg:
-        fake, _ = generator_forward(batch.s, state.params, mcfg)
+        fake = generator_forward(batch.s, state.params, mcfg)
 
     if not cfg.mse_only:
         gd = Graph()

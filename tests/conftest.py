@@ -1,6 +1,9 @@
-"""Shared pytest wiring: one-line-per-criterion acceptance summary."""
+"""Shared pytest wiring: one-line-per-criterion acceptance summary, traced peaks."""
 
 import re
+import tracemalloc
+
+import pytest
 
 _TITLES = {
     "01": "gradient suite matches finite differences",
@@ -16,6 +19,21 @@ _TITLES = {
 }
 
 _results = {}
+
+
+@pytest.fixture
+def traced_peak():
+    """measure(fn, *args) -> (fn's result, peak bytes tracemalloc saw allocated in the call)."""
+    def measure(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = fn(*args, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        return out, peak
+    return measure
 
 
 def pytest_runtest_logreport(report):

@@ -140,7 +140,7 @@ def test_criterion_01_gradient_suite():
     def composite():
         from sgen.train import disc_loss, gen_adv_loss, mse_loss
 
-        fake, _ = generator_forward(s, params, cfg)
+        fake = generator_forward(s, params, cfg)
         d_real = discriminator_forward(t, params, cfg)
         d_fake = discriminator_forward(fake, params, cfg)
         return disc_loss(d_real, d_fake), gen_adv_loss(d_fake), mse_loss(fake, t)
@@ -184,7 +184,7 @@ def test_criterion_02_gate_degeneracy():
     for seed in range(5):
         s = Tensor(np.random.default_rng(seed).uniform(-1, 1, (1, 1, 48, 32)))
         for mode, override in cases:
-            forced, _ = generator_forward(s, force_gates(params, cfg, **override), cfg)
+            forced = generator_forward(s, force_gates(params, cfg, **override), cfg)
             ref = reference_forward(s, params, cfg, mode)
             assert np.array_equal(forced.data, ref.data), (mode, seed)
 
@@ -200,7 +200,7 @@ def test_criterion_03_arbitrary_sizes():
     sizes += [(48 + 16 * z, 32 + 16 * z) for z in range(9)]
     for i, (h, w) in enumerate(sizes):
         s = Tensor(np.random.default_rng(i).uniform(-1, 1, (1, 1, h, w)))
-        out, _ = generator_forward(s, params, cfg)
+        out = generator_forward(s, params, cfg)
         assert out.shape == (1, 1, h, w)
         assert np.all(np.isfinite(out.data))
         assert out.data.min() > -1.0 and out.data.max() < 1.0
@@ -298,8 +298,8 @@ def test_criterion_09_reproducibility(tmp_path):
     loaded, lcfg = load_checkpoint(tmp_path / "rt.ckpt")
     assert lcfg == mcfg
     s = Tensor(np.random.default_rng(8).uniform(-1, 1, (1, 1, 48, 32)))
-    direct, _ = generator_forward(s, results[0].params, mcfg)
-    reloaded, _ = generator_forward(s, loaded, lcfg)
+    direct = generator_forward(s, results[0].params, mcfg)
+    reloaded = generator_forward(s, loaded, lcfg)
     assert np.array_equal(direct.data, reloaded.data)
 
 

@@ -201,6 +201,20 @@ def test_eval_takes_levels_and_channels_from_checkpoint(tmp_path):
         assert lines[-1].startswith("all,") and lines[-1].endswith(",2")
 
 
+def test_eval_without_data_names_what_eval_reads(tmp_path, capsys):
+    # no val_corpus, no corpus and --synthetic 0: the error names eval's own
+    # sources, not training's
+    mcfg = SgenConfig(levels=2, base_channels=2)
+    ckpt, out = tmp_path / "m.ckpt", tmp_path / "e"
+    save_checkpoint(init_params(mcfg), mcfg, ckpt)
+    cfg = write_config(tmp_path / "run.cfg")
+    assert main(["eval", "--config", cfg, "--checkpoint", str(ckpt), "--synthetic", "0",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "no evaluation data" in err and "'val_corpus'" in err and "--synthetic" in err
+    assert "training" not in err and not out.exists()
+
+
 def test_restore_pads_odd_sizes(trained, tmp_path):
     src = tmp_path / "in.pgm"
     write_netpbm(synth_face(0, 50, 34), src)

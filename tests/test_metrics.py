@@ -215,7 +215,7 @@ def test_restorer_built_after_a_weight_change_uses_it():
             p.data *= -1.5
     after = model_restorer(params, cfg)(s)
     assert not np.array_equal(after, before)
-    uncached, _ = generator_forward(Tensor(s), params, cfg)
+    uncached = generator_forward(Tensor(s), params, cfg)
     assert np.array_equal(after, uncached.data)
 
 
@@ -228,3 +228,19 @@ def test_batch_restore_matches_single_restores():
     assert out.shape == batch.shape
     for img, restored in zip(batch, out):
         np.testing.assert_allclose(restored, restore(img[None])[0], rtol=0, atol=1e-12)
+
+
+def test_restore_holds_only_live_tensors(traced_peak):
+    # a 384x352 restore: the forward drops each feature map once its last
+    # reader has run, and every convolution pads, gathers and places in
+    # bands, so the traced peak is stem1's output next to its lrelu
+    # temporary, ~2.0x the largest activation, gen.dec.merge3's output.
+    # Keeping every activation and whole-array scratch took 4.9x.
+    cfg = SgenConfig()
+    restore = model_restorer(init_params(cfg, seed=0), cfg)
+    s = np.random.default_rng(2).uniform(-1.0, 1.0, (1, 1, 384, 352))
+    restore(s)  # builds the phase kernels, which the restorer keeps
+    out, peak = traced_peak(restore, s)
+    merge3 = cfg.decoder_channels(cfg.levels + 1) * 384 * 352 * 8
+    assert out.shape == s.shape
+    assert peak < 2.1 * merge3, f"{peak / merge3:.2f}x gen.dec.merge3's output"

@@ -147,7 +147,7 @@ def test_combiner_shape_uniformity():
     cfgs = {kind: SgenConfig(combiner=kind) for kind in COMBINERS}
     shapes = set()
     for kind, cfg in cfgs.items():
-        out, _ = generator_forward(rand_input(cfg, 48, 32), init_params(cfg), cfg)
+        out = generator_forward(rand_input(cfg, 48, 32), init_params(cfg), cfg)
         shapes.add(out.shape)
     assert shapes == {(1, 1, 48, 32)}
 
@@ -165,15 +165,18 @@ def test_combine_unknown_kind():
 def test_generator_output_shape_and_range():
     params = init_params(DESK)
     for h, w in [(48, 32), (64, 48), (80, 64)]:
-        out, _ = generator_forward(rand_input(DESK, h, w, n=2), params, DESK)
+        out = generator_forward(rand_input(DESK, h, w, n=2), params, DESK)
         assert out.shape == (2, 1, h, w)
         assert np.isfinite(out.data).all()
         assert (np.abs(out.data) < 1.0).all()
 
 
 def test_generator_level_shapes():
+    # a caller's dict gets every kept activation, and filling it changes no output
     params = init_params(DESK)
-    _, acts = generator_forward(rand_input(DESK, 48, 32), params, DESK)
+    acts = {}
+    out = generator_forward(rand_input(DESK, 48, 32), params, DESK, acts=acts)
+    assert np.array_equal(out.data, generator_forward(rand_input(DESK, 48, 32), params, DESK).data)
     assert list(acts) == [
         "gen.enc.stem2", "gen.enc.trunk2", "gen.enc.trunk3",
         "gen.enc.base1", "gen.enc.base2", "gen.enc.base3",
@@ -186,7 +189,8 @@ def test_generator_level_shapes():
         assert acts[path].shape == (1, 32, 3, 2), path
     assert acts["gen.dec.merge3"].shape == (1, 8, 48, 32)
     cfg = SgenConfig(combiner="concat")
-    _, acts = generator_forward(rand_input(cfg, 48, 32), init_params(cfg), cfg)
+    acts = {}
+    generator_forward(rand_input(cfg, 48, 32), init_params(cfg), cfg, acts=acts)
     assert not any(".sgu" in path for path in acts)
     assert acts["gen.dec.junction3"].shape == (1, 8, 24, 16)
 
@@ -198,12 +202,12 @@ def test_generator_phase_kernels_by_layer_path():
     params = init_params(TINY)
     s = rand_input(TINY, 48, 32, n=2)
     phases = {}
-    first, _ = generator_forward(s, params, TINY, phases)
+    first = generator_forward(s, params, TINY, phases)
     assert sorted(phases) == [f"gen.dec.{kind}{k}" for kind in ("base", "merge") for k in (1, 2)]
     kept = dict(phases)
-    again, _ = generator_forward(s, params, TINY, phases)
+    again = generator_forward(s, params, TINY, phases)
     assert all(phases[path] is kept[path] for path in kept)
-    uncached, _ = generator_forward(s, params, TINY)
+    uncached = generator_forward(s, params, TINY)
     assert np.array_equal(first.data, uncached.data) and np.array_equal(again.data, uncached.data)
     with Graph(), pytest.raises(UsageError, match="Graph"):
         generator_forward(s, params, TINY, phases)
@@ -242,7 +246,7 @@ def test_gate_degeneracy_bitwise(mode, override):
     forced_params = force_gates(params, DESK, **override)
     for seed in range(2):
         s = rand_input(DESK, 48, 32, seed=seed)
-        forced, _ = generator_forward(s, forced_params, DESK)
+        forced = generator_forward(s, forced_params, DESK)
         ref = reference_forward(s, params, DESK, mode)
         assert np.array_equal(forced.data, ref.data)
 
@@ -284,13 +288,13 @@ def test_end_to_end_gradients_match_finite_differences():
     t = Tensor(rng.uniform(-1, 1, (1, 1, 16, 16)))
 
     def loss_value():
-        out, _ = generator_forward(s, params, cfg)
+        out = generator_forward(s, params, cfg)
         d = out.data - t.data
         return float((d * d).mean())
 
     g = Graph()
     with g:
-        out, _ = generator_forward(s, params, cfg)
+        out = generator_forward(s, params, cfg)
         diff = sub(out, t)
         loss = mean_all(mul(diff, diff))
     gen, _ = split_params(params)
@@ -327,8 +331,8 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert cfg2 == DESK
     assert loaded.keys() == params.keys()
     s = rand_input(DESK, 48, 32, seed=9)
-    a, _ = generator_forward(s, params, DESK)
-    b, _ = generator_forward(s, loaded, cfg2)
+    a = generator_forward(s, params, DESK)
+    b = generator_forward(s, loaded, cfg2)
     assert np.array_equal(a.data, b.data)
 
 
@@ -501,7 +505,7 @@ def test_kernel_choice_per_layer(monkeypatch, n, h, w):
     monkeypatch.setattr(model, "conv2d", named(model.conv2d))
     monkeypatch.setattr(model, "deconv2d", named(model.deconv2d))
     monkeypatch.setattr(ad, "_shifted", spy)
-    out, _ = generator_forward(rand_input(DESK, h, w, n=n), params, DESK)
+    out = generator_forward(rand_input(DESK, h, w, n=n), params, DESK)
     discriminator_forward(out, params, DESK)
     assert seen == set(names.values())
     assert shifted == SHIFTED_LAYERS

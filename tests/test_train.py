@@ -1,5 +1,4 @@
 import copy
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,7 +181,7 @@ def test_generator_objective_drops_within_step():
         batch = make_batch(SyntheticCorpus(8), SCALE, 2, SPEC, rng)
         losses = train_step(batch, state, cfg)
         pre = losses["g_adv"] + cfg.lam * losses["g_mse"]
-        fake, _ = generator_forward(batch.s, state.params, TINY)
+        fake = generator_forward(batch.s, state.params, TINY)
         d_fake = discriminator_forward(fake, state.params, TINY)
         g_adv = gen_adv_loss(d_fake, cfg.loss_variant)
         post = g_adv.item() + cfg.lam * mse_loss(fake, batch.t).item()
@@ -200,7 +199,7 @@ def test_repeated_batch_mse_converges():
     assert last < 0.5 * first
 
 
-def test_adversarial_step_memory_bound():
+def test_adversarial_step_memory_bound(traced_peak):
     # default model, batch 8, 80x64: each conv/deconv node keeps only its
     # input, kernel and activated output, the discriminator step's tape is
     # freed before the generator's backward, and backward drops each output
@@ -211,13 +210,7 @@ def test_adversarial_step_memory_bound():
     cfg = TrainConfig(batch_size=8, lr=1e-4)
     batch = make_batch(SyntheticCorpus(16), (80, 64), 8, SPEC, np.random.default_rng(0))
     train_step(batch, state, cfg)  # the first step allocates Adam's moments
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        train_step(batch, state, cfg)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(train_step, batch, state, cfg)
     assert peak < 36 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
