@@ -314,7 +314,7 @@ def _bands(n: int, oh: int, row: int) -> list[tuple[int, int, int, int]]:
 
 
 def _col2im(cols: np.ndarray, shape: tuple[int, int, int, int], kh: int, kw: int,
-            top: int, left: int, out: np.ndarray) -> np.ndarray:
+            top: int, left: int, out: np.ndarray) -> None:
     """Adjoint of _im2col for kh x kw windows that tile a canvas, cropped to `shape`.
 
     cols is (n, c*kh*kw, qh, qw): entry ((c, rh, rw), q, p) is canvas pixel
@@ -333,7 +333,6 @@ def _col2im(cols: np.ndarray, shape: tuple[int, int, int, int], kh: int, kw: int
             x0 = (rw - left) % kw
             p0, ncols = (x0 + left) // kw, len(range(x0, w, kw))
             out[:, :, y0::kh, x0::kw] = phases[:, :, rh, rw, q0:q0 + rows, p0:p0 + ncols]
-    return out
 
 
 _Place = Callable[[int, int, int, int, np.ndarray], None]
