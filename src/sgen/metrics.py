@@ -208,6 +208,8 @@ def eval_model(restore, corpus, scales, spec, seed: int = 0, limit: int | None =
     iteration order or batching.  Metrics are computed per image on
     quantized 8-bit values, the SSIM maps of a whole batch in one pass.
     """
+    if not scales:
+        raise ConfigError("eval_model needs at least one scale")
     rows = []
     count = len(corpus) if limit is None else min(limit, len(corpus))
     if count == 0:

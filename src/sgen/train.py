@@ -23,6 +23,8 @@ from .model import (SgenConfig, discriminator_forward, generator_forward,
                     init_params, save_checkpoint, split_params)
 
 LOSS_VARIANTS = ("minimax", "nonsaturating")
+# loss_log.csv's columns after `step`, with their progress-line formats
+LOG_COLUMNS = {"d_loss": ".4f", "g_adv": ".4f", "g_mse": ".4f", "val_psnr": ".2f"}
 
 
 @dataclass(frozen=True)
@@ -117,8 +119,9 @@ def gen_adv_loss(d_fake: Tensor, variant: str = "minimax") -> Tensor:
 def train_step(batch, state: TrainState, cfg: TrainConfig) -> dict:
     """One discriminator update (unless mse_only) plus one generator update.
 
-    Returns {"d_loss", "g_adv", "g_mse"} as floats (None where skipped).
-    The generator update runs against the already-updated discriminator.
+    Returns {"d_loss", "g_adv", "g_mse"} as floats (None where skipped) and
+    appends them to state.history.  NumericsError (a non-finite loss) comes
+    before the append, DivergenceError (above cfg.divergence_limit) after it.
     """
     mcfg = state.model_config
     gen, disc = split_params(state.params)
@@ -158,6 +161,10 @@ def train_step(batch, state: TrainState, cfg: TrainConfig) -> dict:
     if bad:
         raise NumericsError(f"step {state.step}: non-finite loss ({losses})")
     state.history.append(dict(losses, step=state.step))
+    worst = max(abs(v) for v in losses.values() if v is not None)
+    if worst > cfg.divergence_limit:
+        raise DivergenceError(f"step {state.step}: loss magnitude {worst:.3g} exceeds "
+                              f"divergence limit {cfg.divergence_limit:.3g} ({losses})")
     return losses
 
 
@@ -186,10 +193,10 @@ def train(cfg: TrainConfig, model_cfg: SgenConfig, corpus, scales, spec,
           verbose: bool = False) -> TrainState:
     """Full training run: round-robin over scales, one train_step per minibatch.
 
-    Writes `loss_log.csv` (header step,d_loss,g_adv,g_mse,val_psnr; val_psnr
+    Writes `loss_log.csv` (a row per history entry this call adds, val_psnr
     blank except on validation steps), the final checkpoint `sgen.ckpt`, and
     sample grids (periodic when cfg.grid_every > 0, always one at the end).
-    Raises DivergenceError when any loss magnitude exceeds the limit.
+    An empty val_corpus counts as none: no validation, grids from corpus.
     """
     if len(corpus) == 0:
         raise ConfigError("training corpus is empty")
@@ -199,42 +206,34 @@ def train(cfg: TrainConfig, model_cfg: SgenConfig, corpus, scales, spec,
         state = init_state(model_cfg, cfg.seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid_corpus = val_corpus if val_corpus is not None and len(val_corpus) else corpus
+    val_corpus = val_corpus if val_corpus is not None and len(val_corpus) else None
+    grid_corpus = corpus if val_corpus is None else val_corpus
     rng = np.random.default_rng(cfg.seed)
 
-    csv_rows = ["step,d_loss,g_adv,g_mse,val_psnr"]
+    first = len(state.history)  # a resumed call logs only its own steps
     last = state.step + cfg.steps  # this call's last step; a resumed run starts past 0
     for _ in range(cfg.steps):
         scale = scales[state.step % len(scales)]
-        batch = make_batch(corpus, scale, cfg.batch_size, spec, rng)
-        losses = train_step(batch, state, cfg)
-        worst = max(abs(v) for v in losses.values() if v is not None)
-        if worst > cfg.divergence_limit:
-            raise DivergenceError(
-                f"step {state.step}: loss magnitude {worst:.3g} exceeds "
-                f"divergence limit {cfg.divergence_limit:.3g} ({losses})")
-        val = None
+        train_step(make_batch(corpus, scale, cfg.batch_size, spec, rng), state, cfg)
+        rec = state.history[-1]
         if val_corpus is not None and cfg.val_every and (
                 state.step % cfg.val_every == 0 or state.step == last):
-            val = eval_model(model_restorer(state.params, state.model_config), val_corpus,
-                             scales, spec, seed=cfg.seed, limit=cfg.val_count).mean_psnr
-            state.history[-1]["val_psnr"] = val
-        if verbose and (val is not None or state.step == last):
+            rec["val_psnr"] = eval_model(model_restorer(state.params, state.model_config),
+                                         val_corpus, scales, spec, seed=cfg.seed,
+                                         limit=cfg.val_count).mean_psnr
+        if verbose and ("val_psnr" in rec or state.step == last):
             parts = [f"step {state.step}/{last}"]
-            for key in ("d_loss", "g_adv", "g_mse"):
-                if losses[key] is not None:
-                    parts.append(f"{key}={losses[key]:.4f}")
-            if val is not None:
-                parts.append(f"val_psnr={val:.2f}")
+            parts += [f"{k}={rec[k]:{f}}" for k, f in LOG_COLUMNS.items() if rec.get(k) is not None]
             print("  ".join(parts), flush=True)
-        csv_rows.append(f"{state.step},{_fmt(losses['d_loss'])},{_fmt(losses['g_adv'])},"
-                        f"{_fmt(losses['g_mse'])},{_fmt(val)}")
         if cfg.grid_every and state.step % cfg.grid_every == 0:
             write_grid(state, grid_corpus, scales[0], spec,
                        out_dir / f"grid_step{state.step:06d}.ppm", seed=cfg.seed)
 
+    rows = [",".join(["step", *LOG_COLUMNS])]
+    rows += [",".join([str(h["step"]), *(_fmt(h.get(k)) for k in LOG_COLUMNS)])
+             for h in state.history[first:]]
     with atomic_write(out_dir / "loss_log.csv") as fh:
-        fh.write(("\n".join(csv_rows) + "\n").encode())
+        fh.write(("\n".join(rows) + "\n").encode())
     save_checkpoint(state.params, model_cfg, out_dir / "sgen.ckpt")
     write_grid(state, grid_corpus, scales[0], spec, out_dir / "grid_final.ppm", seed=cfg.seed)
     return state

@@ -148,6 +148,12 @@ def test_eval_rejects_a_restore_of_the_wrong_shape():
         eval_model(lambda s: s[:1], SyntheticCorpus(4), [(48, 32)], DegradationSpec())
 
 
+def test_eval_rejects_empty_scales():
+    # an empty report has no mean to take
+    with pytest.raises(ConfigError, match="at least one scale"):
+        eval_model(lambda s: s, SyntheticCorpus(2), [], DegradationSpec())
+
+
 def test_eval_batch_sizes():
     # the default scales restore 6, 3 and 2 images per call; 128x128 stays at 1
     assert [eval_batch(h, w) for h, w in ((48, 32), (64, 48), (80, 64), (128, 128))] \

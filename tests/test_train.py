@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from sgen.autodiff import Tensor
-from sgen.data import (DegradationSpec, SyntheticCorpus, make_batch,
+from sgen.data import (DegradationSpec, Subset, SyntheticCorpus, make_batch,
                        read_netpbm)
 from sgen.errors import ConfigError, DivergenceError, NumericsError
 from sgen.metrics import psnr
 from sgen.model import (SgenConfig, discriminator_forward, generator_forward,
                         load_checkpoint, split_params)
-from sgen.train import (TrainConfig, disc_loss, gen_adv_loss, init_state, mse_loss,
-                        train, train_step, write_grid)
+from sgen.train import (TrainConfig, _fmt, disc_loss, gen_adv_loss, init_state,
+                        mse_loss, train, train_step, write_grid)
 
 TINY = SgenConfig(levels=2, base_channels=2)
 SCALE = (32, 32)
@@ -153,6 +153,15 @@ def test_train_step_aborts_on_nan_param():
         train_step(tiny_batch(), state, TrainConfig(lr=1e-3))
 
 
+def test_train_step_judges_divergence():
+    # the step is judged where it is recorded: the history keeps the step that raised
+    state = init_state(TINY, seed=0)
+    cfg = TrainConfig(batch_size=2, mse_only=True, divergence_limit=1e-9)
+    with pytest.raises(DivergenceError, match="step 1"):
+        train_step(tiny_batch(), state, cfg)
+    assert state.step == 1 and [h["step"] for h in state.history] == [1]
+
+
 def test_huge_lambda_matches_pure_mse_direction():
     batch = tiny_batch(seed=4)
     state_adv = init_state(TINY, seed=6)
@@ -249,6 +258,10 @@ def test_train_csv_layout_and_history(tmp_path):
             assert val == ""
     assert state.step == 4 and len(state.history) == 4
     assert "val_psnr" in state.history[-1]
+    # each row is its history entry, formatted
+    cols = ("d_loss", "g_adv", "g_mse", "val_psnr")
+    assert lines[1:] == [",".join([str(h["step"])] + [_fmt(h.get(k)) for k in cols])
+                         for h in state.history]
 
 
 def test_train_without_val_corpus_leaves_column_blank(tmp_path):
@@ -256,6 +269,17 @@ def test_train_without_val_corpus_leaves_column_blank(tmp_path):
     train(cfg, TINY, SyntheticCorpus(4), [SCALE], SPEC, tmp_path)
     for line in (tmp_path / "loss_log.csv").read_text().strip().split("\n")[1:]:
         assert line.endswith(",")
+
+
+def test_train_with_empty_val_corpus_skips_validation(tmp_path):
+    # an empty held-out corpus counts as none: no validation, grids from the training corpus
+    cfg = TrainConfig(steps=2, batch_size=2, lr=1e-3, mse_only=True, val_every=1)
+    state = train(cfg, TINY, SyntheticCorpus(4), [SCALE], SPEC, tmp_path,
+                  val_corpus=Subset(SyntheticCorpus(2), []))
+    rows = (tmp_path / "loss_log.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == 2 and all(row.endswith(",") for row in rows)
+    assert not any("val_psnr" in h for h in state.history)
+    assert read_netpbm(tmp_path / "grid_final.ppm").ndim == 3
 
 
 def test_train_round_robins_scales(tmp_path):
