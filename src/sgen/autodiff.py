@@ -79,11 +79,13 @@ and im2col bands (_banded) otherwise.  The shifted GEMM accumulates one
 (oc, c) GEMM per kernel tap over contiguous slices of the padded input, so
 it builds no patch matrix, but it passes over the input and adds into the
 output once per tap.  That pays only where the output is narrower than the
-input.  The program's narrowing correlations are gen.out.conv's forward and
-kernel gradient (8 -> 1), disc.fc's (64 -> 1) and the input-gradient phase
-correlation of disc.conv1 (8 -> 4 phases).  Timed in-process against the
-bands (2-core Xeon VM, one BLAS thread, min of 9 runs), forward / kernel
-gradient in us: gen.out.conv at 1x8x48x48 103 / 87 against 187 / 152, at
+input.  The program's narrowing correlations are the forwards of
+gen.out.conv (8 -> 1) and disc.fc (64 -> 1) and the input-gradient phase
+correlation of disc.conv1 (8 -> 4 phases).  The first two take their kernel
+gradients from their input gradient's walk (see The tape rule), which
+widens and so runs in bands.  Timed in-process against the bands (2-core
+Xeon VM, one BLAS thread, min of 9 runs), forward / kernel gradient alone
+in us: gen.out.conv at 1x8x48x48 103 / 87 against 187 / 152, at
 1x8x64x48 100 / 95 against 172 / 214; disc.fc at batch 8 6.3 / 8.3 against
 11.1 / 25.8; disc.conv1's phase correlation of a batch-8 24x16 gradient 73
 against 100.  At 368x304 gen.out.conv's forward ties (5.9 ms) and its
@@ -122,21 +124,34 @@ is kept: a layer's output lives as long as its caller holds it, and
 generator_forward drops each feature map once its last reader has run.  The
 activation that follows a layer (`act`: relu, lrelu, sigmoid or tanh) runs
 on the layer's fresh output, in place, and its gradient is read from the
-activated output, so the pre-activation array is never kept.  Both ops take
-the kernel gradient from _correlate, on the walker that the correlation it
-differentiates runs: the bands gather the patches again in the forward's
-bands and add one GEMM per image of each band, so each band's gather is in
-cache for its GEMMs; the shifted GEMM adds one batched GEMM per tap.
+activated output, so the pre-activation array is never kept.  A gradient is
+taken from the patches of whichever array one walk gathers anyway.
 deconv2d's input gradient is a correlation over the very patches its kernel
-gradient reads, so when both are wanted one _correlate call computes both,
-from one walk over the bands or one padded copy.  A node asked for neither
--- conv2d in the generator step's frozen discriminator, where x is tracked
-and the kernel is not -- gathers nothing for its kernel."""
+gradient reads, so one _correlate call computes both.  So does a stride-1
+conv2d asked for both whose padding is at most k - 1 (every SGU gate and
+gen.out.conv): its input gradient is the stride-1 correlation of the output
+gradient with the flipped kernel, and the kernel gradient is the flipped,
+transposed kernel gradient of that correlation for the input x, so one walk
+over the output gradient's bands gives both.  Timed per node at batch 8
+(2-core Xeon VM, one BLAS thread, min of 9 x 40 calls) the one walk took an
+8 -> 8 gate at 40x32 from 2.88 to 2.17 ms and gen.out.conv at 80x64 from
+2.97 to 0.91 ms; the input gradient is bitwise the two-walk one.  Every
+other conv2d takes its kernel gradient from _correlate on the walker that
+the forward correlation runs, gathering the input's patches again: the
+strided layers, because sharing their input gradient's phase walk was
+slower (stem2 3.26 -> 3.65 ms, base1 1.33 -> 1.68 ms, disc.conv2 1.57 ->
+1.89 ms), a node asked for the kernel gradient alone (stem1, whose input is
+the image), and a padding past k - 1, whose input gradient crops the phase
+correlation.  A node asked for neither -- conv2d in the generator step's
+frozen discriminator, where x is tracked and the kernel is not -- gathers
+nothing for its kernel."""
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -246,6 +261,7 @@ def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
 
 CACHE_BYTES = 2 * 2**20  # see the module docstring
 BAND_BYTES = 768 * 2**10  # the largest im2col band; see the module docstring
+CHUNK = 2**15  # elements, 256 KiB: a pass over this much keeps its temporaries in cache
 
 
 def _conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
@@ -523,6 +539,20 @@ def _relu(a: np.ndarray, alpha: float) -> np.ndarray:
     return a
 
 
+def _lrelu(a: np.ndarray, alpha: float) -> np.ndarray:
+    # for alpha in [0, 1) this is where(x > 0, x, alpha * x); past one chunk
+    # alpha * x goes to one reused chunk-sized scratch array, not a full-size
+    # temporary (stem1's output on a large restore)
+    if a.size <= CHUNK or not a.flags.c_contiguous:
+        return np.maximum(a, alpha * a, out=a)
+    flat = a.reshape(-1)
+    scratch = np.empty(CHUNK)
+    for lo in range(0, flat.size, CHUNK):
+        part = flat[lo:lo + CHUNK]
+        np.maximum(part, np.multiply(part, alpha, out=scratch[:part.size]), out=part)
+    return a
+
+
 def _sigmoid(a: np.ndarray, alpha: float) -> np.ndarray:
     # evaluate via e = exp(-|x|) so neither branch can overflow: the numerator
     # is 1 where x >= 0 and e elsewhere (e <= 1; NaN stays NaN), over 1 + e
@@ -542,8 +572,7 @@ def _sigmoid(a: np.ndarray, alpha: float) -> np.ndarray:
 # _check_finite can name the layer.
 _ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
     "relu": (_relu, lambda g, out, alpha: g * (out > 0)),
-    # for alpha in [0, 1) this is where(x > 0, x, alpha * x)
-    "lrelu": (lambda a, alpha: np.maximum(a, alpha * a, out=a),
+    "lrelu": (_lrelu,
               # maximum(out > 0, alpha) is where(out > 0, 1.0, alpha) for alpha in
               # [0, 1), without where's branch per element
               lambda g, out, alpha: g * np.maximum(out > 0, alpha)),
@@ -597,8 +626,11 @@ def _conv_node(op: str, x: Tensor, kernel: Tensor, bias: Tensor, stride: int, ph
     _correlate maps conv2d's input to its output and deconv2d's output to
     its input, so deconv2d's kernel gradient is conv2d's with the input and
     the output gradient swapped, over the patches its input gradient reads:
-    one walk over their bands gives both.  `phases`, deconv2d's prebuilt
-    phase kernel, skips building it for the forward.
+    one walk over their bands gives both.  A stride-1 conv2d whose input
+    gradient crops nothing (padding at most k - 1) does the same from its
+    input gradient's correlation, whose kernel gradient for x is the kernel
+    gradient flipped and transposed.  `phases`, deconv2d's prebuilt phase
+    kernel, skips building it for the forward.
     """
     _, c, h, w = x.shape
     oc, ic, kh, kw = kernel.shape
@@ -620,11 +652,18 @@ def _conv_node(op: str, x: Tensor, kernel: Tensor, bias: Tensor, stride: int, ph
 
     def backward(gout: np.ndarray):
         gout = act_grad(gout, out, alpha)
-        a, g = (gout, x.data) if transposed else (x.data, gout)
-        dx, dk = _correlate(a, kernel.data if transposed and x.requires_grad else None,
-                            g if kernel.requires_grad else None, kh, kw, stride, ph, pw)
-        if x.requires_grad and not transposed:
-            dx = _conv_transpose(gout, kernel.data, stride, ph, pw, h, w)
+        want_x, want_k = x.requires_grad, kernel.requires_grad
+        if transposed:
+            dx, dk = _correlate(gout, kernel.data if want_x else None,
+                                x.data if want_k else None, kh, kw, stride, ph, pw)
+        elif want_x and want_k and stride == 1 and ph < kh and pw < kw:
+            # one walk: _conv_transpose's correlation, with x as its output gradient
+            dx, dk = _correlate(gout, phase_kernel(kernel.data, 1), x.data,
+                                kh, kw, 1, kh - 1 - ph, kw - 1 - pw)
+            dk = np.ascontiguousarray(dk[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+        else:
+            dk = _correlate(x.data, None, gout if want_k else None, kh, kw, stride, ph, pw)[1]
+            dx = _conv_transpose(gout, kernel.data, stride, ph, pw, h, w) if want_x else None
         db = gout.sum(axis=(0, 2, 3)).reshape(bias.shape) if bias.requires_grad else None
         return dx, dk, db
 
@@ -765,22 +804,101 @@ ADAM_BETA2 = 0.999  # second-moment decay
 ADAM_EPS = 1e-8  # added to the denominator's square root
 
 
+class Arena(Mapping[str, np.ndarray]):
+    """Named arrays that are consecutive C-contiguous views, in order, of one vector.
+
+    `flat` is that float64 vector: zeros of the shapes' total size unless
+    given one to lay the views over.
+    """
+
+    def __init__(self, shapes: Mapping[str, tuple[int, ...]], flat: np.ndarray | None = None):
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        self.flat = np.zeros(sum(sizes)) if flat is None else flat
+        self._views, at = {}, 0
+        for (path, shape), size in zip(shapes.items(), sizes):
+            self._views[path] = self.flat[at:at + size].reshape(shape)
+            at += size
+
+    def __getitem__(self, path: str) -> np.ndarray:
+        return self._views[path]
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+
+def _flat_base(arrays: list[np.ndarray]) -> np.ndarray | None:
+    """The vector of which `arrays` are consecutive C-contiguous views, in order, or None."""
+    flat = arrays[0].base if arrays else None
+    if not (isinstance(flat, np.ndarray) and flat.ndim == 1 and flat.dtype == np.float64
+            and flat.flags.c_contiguous and flat.flags.writeable
+            and flat.size == sum(a.size for a in arrays)):
+        return None
+    at = flat.__array_interface__["data"][0]
+    for a in arrays:
+        if a.base is not flat or not a.flags.c_contiguous or a.__array_interface__["data"][0] != at:
+            return None
+        at += a.nbytes
+    return flat
+
+
 @dataclass
 class AdamState:
-    """Per-parameter first/second moment buffers plus the shared step counter."""
+    """First and second moments, flat and per parameter path, and the shared step counter.
+
+    m and v are laid out like `arena`, the arena of the parameters the last
+    step updated (all empty before the first step).
+    """
 
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: Arena = field(default_factory=lambda: Arena({}))
+    v: Arena = field(default_factory=lambda: Arena({}))
+    arena: Arena = field(default_factory=lambda: Arena({}), repr=False)
+
+
+def _param_arena(params: Mapping[str, Tensor], state: AdamState) -> Arena:
+    """state.arena, after moving `params` into a new one if they are not its views.
+
+    Parameters that are already consecutive views of one vector, as
+    init_params and load_checkpoint make them, keep it; others are copied
+    into a new one.  Either way each Tensor's data becomes the arena's view,
+    and the moments are laid out to match, keeping each path's values.
+    """
+    arena = state.arena
+    if len(arena) == len(params) and all(
+            path == known and p.data is view
+            for (path, p), (known, view) in zip(params.items(), arena._views.items())):
+        return arena
+    shapes = {path: p.data.shape for path, p in params.items()}
+    flat = _flat_base([p.data for p in params.values()])
+    arena = Arena(shapes, flat)
+    for p, view in zip(params.values(), arena.values()):
+        if flat is None:
+            view[...] = p.data
+        p.data = view
+    m, v = Arena(shapes), Arena(shapes)
+    for new, old in ((m, state.m), (v, state.v)):
+        for path, view in new.items():
+            if path in old:
+                view[...] = old[path]
+    state.arena, state.m, state.v = arena, m, v
+    return arena
 
 
 def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
               state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update, in place, over a named parameter set.
 
-    Every gradient is checked before anything changes, so a failed step
-    leaves the parameters and the state as they were.
+    The step's gradient is assembled into one vector and checked before
+    anything changes, so a failed step leaves the parameters and the state
+    as they were.  The update runs over the parameters' arena (see
+    _param_arena) in chunks of CHUNK elements, with per element the very
+    ufuncs of a per-tensor update, so each chunk's temporaries stay in cache.
     """
+    g_flat = np.empty(sum(p.data.size for p in params.values()))
+    at = 0
     for path, p in params.items():
         g = grads.get(path)
         if g is None:
@@ -788,19 +906,20 @@ def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
         if g.shape != p.data.shape:
             raise ConfigError(
                 f"adam_step: gradient shape {g.shape} != parameter shape {p.data.shape} at '{path}'")
-        if not np.isfinite(g).all():
-            raise NumericsError(f"adam_step: non-finite gradient for parameter '{path}'")
+        g_flat[at:at + g.size] = g.reshape(-1)
+        at += g.size
+    if not np.isfinite(g_flat).all():
+        bad = next(path for path in params if not np.isfinite(grads[path]).all())
+        raise NumericsError(f"adam_step: non-finite gradient for parameter '{bad}'")
+    p_flat = _param_arena(params, state).flat
     state.step += 1
     t = state.step
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
-    for path, p in params.items():
-        g = grads[path]
-        m = state.m.setdefault(path, np.zeros_like(p.data))
-        v = state.v.setdefault(path, np.zeros_like(p.data))
+    for lo in range(0, g_flat.size, CHUNK):
+        p, m, v, g = (a[lo:lo + CHUNK] for a in (p_flat, state.m.flat, state.v.flat, g_flat))
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import (Tensor, add, affine, concat_channels, conv2d, deconv2d,
+from .autodiff import (Arena, Tensor, add, affine, concat_channels, conv2d, deconv2d,
                        global_avg_pool, maximum, mul, phase_kernel)
 from .data import atomic_write, save_image
 from .errors import CheckpointError, ConfigError, NumericsError
@@ -197,14 +197,31 @@ def init_params(config: SgenConfig, seed: int | None = None) -> dict:
     """Build all generator ("gen.*") and discriminator ("disc.*") parameters.
 
     Deterministic given the seed (defaults to config.seed); see param_layout
-    for the shapes and weight draws.
+    for the shapes and weight draws, and _network_arrays for the storage.
     """
     rng = np.random.default_rng(config.seed if seed is None else seed)
-    params: dict[str, Tensor] = {}
-    for name, (shape, bound) in param_layout(config).items():
-        data = np.zeros(shape) if bound is None else rng.uniform(-bound, bound, size=shape)
-        params[name] = Tensor(data, requires_grad=True)
-    return params
+    layout = param_layout(config)
+    arrays = _network_arrays({name: shape for name, (shape, _) in layout.items()})
+    for name, (shape, bound) in layout.items():
+        if bound is not None:
+            arrays[name][...] = rng.uniform(-bound, bound, size=shape)
+    return {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
+
+
+def _network_arrays(shapes: dict, values: dict | None = None) -> dict:
+    """Arrays of these shapes, in order, stored as adam_step updates them.
+
+    Each network's arrays ("gen.*", "disc.*") are consecutive views of one
+    flat vector, its arena.  They hold copies of `values` (arrays of the
+    same shapes, by name) when given, else zeros.
+    """
+    arrays = {}
+    for net in ("gen.", "disc."):
+        names = [k for k in shapes if k.startswith(net)]
+        flat = None if values is None else np.concatenate(
+            [values[k].reshape(-1) for k in names], dtype=np.float64)
+        arrays.update(Arena({k: shapes[k] for k in names}, flat))
+    return {k: arrays[k] for k in shapes}
 
 
 def split_params(params: dict) -> tuple[dict, dict]:
@@ -362,14 +379,23 @@ class _Reader:
         self.raw = raw
         self.pos = 0
 
-    def take(self, count: int, what: str) -> bytes:
+    def _advance(self, count: int, what: str) -> int:
+        """The offset of the next `count` bytes, which the cursor then passes."""
         if self.pos + count > len(self.raw):
             raise CheckpointError(
                 f"truncated checkpoint: needed {count} bytes for {what} "
                 f"at offset {self.pos}, file has {len(self.raw)}")
-        out = self.raw[self.pos:self.pos + count]
         self.pos += count
-        return out
+        return self.pos - count
+
+    def take(self, count: int, what: str) -> bytes:
+        start = self._advance(count, what)
+        return self.raw[start:start + count]
+
+    def floats(self, count: int, what: str) -> np.ndarray:
+        """The next `count` little-endian float64 values, a view of the bytes."""
+        start = self._advance(8 * count, what)
+        return np.frombuffer(self.raw, dtype="<f8", count=count, offset=start)
 
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
@@ -381,7 +407,8 @@ def load_checkpoint(path) -> tuple[dict, SgenConfig]:
     Layout: 4-byte magic "SGEN", u32 version, u32 JSON length + config JSON,
     u32 tensor count, then per tensor a u16-length utf-8 path, u8 ndim,
     ndim u32 dims, and raw little-endian float64 values.  The tensor names
-    and shapes must be exactly those of param_layout(config).
+    and shapes must be exactly those of param_layout(config); the params
+    come back in its order, in _network_arrays.
     """
     raw = Path(path).read_bytes()
     r = _Reader(raw)
@@ -406,7 +433,7 @@ def load_checkpoint(path) -> tuple[dict, SgenConfig]:
     except (ConfigError, ValueError, TypeError, RecursionError) as exc:
         raise CheckpointError(f"invalid config block: {exc}") from exc
     expected = {name: shape for name, (shape, _) in param_layout(config).items()}
-    params: dict[str, Tensor] = {}
+    values: dict[str, np.ndarray] = {}  # views of `raw`, copied once all are read
     count = r.u32("tensor count")
     for i in range(count):
         name_len = struct.unpack("<H", r.take(2, f"tensor {i} name length"))[0]
@@ -414,7 +441,7 @@ def load_checkpoint(path) -> tuple[dict, SgenConfig]:
             name = r.take(name_len, f"tensor {i} name").decode()
         except UnicodeDecodeError:
             raise CheckpointError(f"tensor {i} name is not valid UTF-8") from None
-        if name in params:
+        if name in values:
             raise CheckpointError(f"duplicate tensor {name!r}")
         ndim = r.take(1, f"{name} ndim")[0]
         dims = struct.unpack(f"<{ndim}I", r.take(4 * ndim, f"{name} dims"))
@@ -423,14 +450,14 @@ def load_checkpoint(path) -> tuple[dict, SgenConfig]:
         if dims != expected[name]:
             raise CheckpointError(
                 f"tensor {name!r} has shape {dims}, config needs {expected[name]}")
-        values = np.frombuffer(r.take(8 * math.prod(dims), f"{name} values"), dtype="<f8")
-        params[name] = Tensor(values.reshape(dims).astype(np.float64), requires_grad=True)
+        values[name] = r.floats(math.prod(dims), f"{name} values").reshape(dims)
     if r.pos != len(raw):
         raise CheckpointError(f"trailing bytes after tensor table (offset {r.pos})")
-    missing = sorted(expected.keys() - params.keys())
+    missing = sorted(expected.keys() - values.keys())
     if missing:
         raise CheckpointError(f"checkpoint lacks {len(missing)} tensors: {missing[:4]}")
-    return params, config
+    arrays = _network_arrays(expected, values)
+    return {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}, config
 
 
 # ---------------------------------------------------------------------------

@@ -67,12 +67,20 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
+    """Everything a run carries from one train call to the next.
+
+    `rng` draws the minibatches; the first train call on a state seeds it
+    from cfg.seed, and later calls continue its stream, so N + N steps give
+    the run of 2N.
+    """
+
     params: dict
     model_config: SgenConfig
     gen_adam: AdamState
     disc_adam: AdamState
     step: int = 0
     history: list = field(default_factory=list)
+    rng: np.random.Generator | None = None
 
 
 def init_state(model_config: SgenConfig, seed: int | None = None) -> TrainState:
@@ -208,13 +216,14 @@ def train(cfg: TrainConfig, model_cfg: SgenConfig, corpus, scales, spec,
     out_dir.mkdir(parents=True, exist_ok=True)
     val_corpus = val_corpus if val_corpus is not None and len(val_corpus) else None
     grid_corpus = corpus if val_corpus is None else val_corpus
-    rng = np.random.default_rng(cfg.seed)
+    if state.rng is None:
+        state.rng = np.random.default_rng(cfg.seed)
 
     first = len(state.history)  # a resumed call logs only its own steps
     last = state.step + cfg.steps  # this call's last step; a resumed run starts past 0
     for _ in range(cfg.steps):
         scale = scales[state.step % len(scales)]
-        train_step(make_batch(corpus, scale, cfg.batch_size, spec, rng), state, cfg)
+        train_step(make_batch(corpus, scale, cfg.batch_size, spec, state.rng), state, cfg)
         rec = state.history[-1]
         if val_corpus is not None and cfg.val_every and (
                 state.step % cfg.val_every == 0 or state.step == last):

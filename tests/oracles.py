@@ -102,6 +102,22 @@ def nudge_off_kinks(a, margin=2e-2):
     return a
 
 
+def adam_step_per_tensor(params, grads, state, lr, beta1, beta2, eps):
+    """Bias-corrected Adam one tensor at a time; state has `step` and dicts `m`, `v`."""
+    state.step += 1
+    c1 = 1.0 - beta1 ** state.step
+    c2 = 1.0 - beta2 ** state.step
+    for path, p in params.items():
+        g = grads[path]
+        m = state.m.setdefault(path, np.zeros_like(p.data))
+        v = state.v.setdefault(path, np.zeros_like(p.data))
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
 def gaussian_window(size=11, sigma=1.5):
     half = size // 2
     coords = np.arange(size) - half

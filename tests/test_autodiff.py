@@ -316,6 +316,35 @@ def test_stride1_kernels_match_naive(case, monkeypatch):
     assert ran == ["_shifted" if oc < ic else "_banded"] * 3
 
 
+ONE_WALK_CASES = STRIDE1_CASES + [  # and the program's gate shapes: narrowing, widening, same
+    (2, 8, 1, 6, 5, 3, 1), (2, 1, 8, 6, 5, 3, 1), (2, 8, 8, 6, 5, 3, 1)]
+
+
+@pytest.mark.parametrize("case", ONE_WALK_CASES, ids=lambda c: "x".join(map(str, c)))
+def test_stride1_conv2d_backward_is_one_walk(case, monkeypatch):
+    # with x and the kernel both tracked and padding <= k - 1, the backward's
+    # one correlation gives both gradients: the input gradient bitwise the
+    # transposed convolution's, the kernel gradient the naive loop's.  A
+    # padding past k - 1 keeps the two walks.
+    n, ic, oc, h, w, k, pad = case
+    rng = np.random.default_rng(sum(case))
+    xd, kd = rng.normal(size=(n, ic, h, w)), rng.normal(size=(oc, ic, k, k))
+    x, kernel = t4(xd, requires_grad=True), t4(kd, requires_grad=True)
+    with Graph() as g:
+        out = conv2d(x, kernel, t4(np.zeros((1, oc, 1, 1))), stride=1, padding=pad)
+        gout = rng.normal(size=out.shape)
+        loss = sum_all(mul(out, t4(gout)))
+    ran = _spy_walkers(monkeypatch)
+    grads = g.backward(loss, {"x": x, "k": kernel})
+    assert len(ran) == (1 if pad < k else 2)
+    assert np.array_equal(grads["x"], ad._conv_transpose(gout, kd, 1, pad, pad, h, w))
+    if 2 * pad == k - 1:
+        assert np.abs(grads["x"] - deconv2d_adjoint_naive(gout, kd, 1)).max() < 1e-10
+    dk_ref = conv2d_kernel_grad_naive(xd, gout, k, k, 1, pad)
+    assert grads["k"].flags.c_contiguous
+    assert np.abs(grads["k"] - dk_ref).max() <= 1e-12 * np.abs(dk_ref).max()
+
+
 TRANSPOSE_CASES = [  # (k, stride, padding, h, w): the program's strided layers, then edge cases
     (3, 2, 1, 9, 8), (5, 4, 2, 12, 9), (7, 8, 3, 22, 19), (4, 2, 1, 8, 7),
     (2, 2, 0, 7, 5),  # the stride drops a row and a column of windows
@@ -409,8 +438,8 @@ def test_bands_are_exact(case, monkeypatch):
 def test_strided_conv2d_gathers_in_bands(traced_peak):
     # stem2 on a 368x304 restore: its whole patch matrix would be 2.25x the
     # input, and a padded copy of the input 1.0x; with bands that pad their
-    # own rows the peak is the output, its lrelu temporary and one band,
-    # ~0.50x the input (1.36x with the padded copy)
+    # own rows the peak is the output, its lrelu scratch and one band,
+    # under 0.50x the input (1.36x with the padded copy)
     rng = np.random.default_rng(0)
     x, k = t4(rng.normal(size=(1, 8, 368, 304))), t4(rng.normal(size=(8, 8, 3, 3)))
     b = t4(np.zeros((1, 8, 1, 1)))
@@ -522,19 +551,24 @@ def test_deconv2d_kernel_grad_reuses_the_input_gradients_patches(factor, monkeyp
 
 
 def test_grad_conv2d_shifted_kernel(monkeypatch):
-    # every narrowing stride-1 correlation takes the shifted GEMM: the forward
-    # and the kernel gradient; the input gradient widens and takes im2col
-    asked, real = set(), ad._shifted
-    monkeypatch.setattr(ad, "_shifted", lambda a, k, g, *rest:
-                        asked.add((k is not None, g is not None)) or real(a, k, g, *rest))
+    # every narrowing stride-1 conv2d runs its forward on the shifted GEMM;
+    # its backward takes both gradients from one walk over the output
+    # gradient's im2col bands, a widening correlation
+    calls, cases = [], [(3, 2, 3), (4, 3, 3), (2, 1, 3), (3, 2, 1)]
+    for name in ("_shifted", "_banded"):
+        real = getattr(ad, name)
+        monkeypatch.setattr(ad, name, lambda a, k, g, *rest, real=real, name=name:
+                            calls.append((name, k is not None, g is not None))
+                            or real(a, k, g, *rest))
     rng = np.random.default_rng(47)
-    for ic, oc, k in [(3, 2, 3), (4, 3, 3), (2, 1, 3), (3, 2, 1)]:
+    for ic, oc, k in cases:
         x = rng.normal(size=(2, ic, 5, 4))
         kd = rng.normal(size=(oc, ic, k, k))
         b = rng.normal(size=(1, oc, 1, 1))
         _gradcheck(lambda xs, ks, bs, p=k // 2: conv2d(xs, ks, bs, stride=1, padding=p),
                    [x, kd, b])
-    assert asked == {(True, False), (False, True)}
+    assert set(calls) == {("_shifted", True, False), ("_banded", True, True)}
+    assert calls.count(("_banded", True, True)) == len(cases)
 
 
 def test_grad_conv_in_row_bands(monkeypatch):
@@ -777,6 +811,22 @@ def test_activation_bits_match_definition(act):
     x.flat[2:5] = [np.inf, -np.inf, np.nan]
     out = ACTS[act](t4(x)).data
     assert np.array_equal(out.view(np.int64), ACT_DEFINITIONS[act](x).view(np.int64))
+
+
+@pytest.mark.parametrize("size", [ad.CHUNK, 3 * ad.CHUNK + 17])
+def test_lrelu_in_chunks_is_bitwise_one_call(size, monkeypatch):
+    # past one chunk lrelu runs chunk by chunk through one scratch array;
+    # every bit, signed zeros and NaN included, is the single call's
+    x = np.random.default_rng(size).normal(size=(1, 1, 1, size)) * 30.0
+    x.flat[::7] = -0.0
+    x.flat[-3:] = [np.inf, -np.inf, np.nan]
+    want = np.maximum(x, 0.3 * x)
+    chunks = []
+    real = np.multiply
+    monkeypatch.setattr(np, "multiply", lambda *a, **k: chunks.append(a[0].size) or real(*a, **k))
+    out = ad._ACTIVATIONS["lrelu"][0](x.copy(), 0.3)
+    assert np.array_equal(out.view(np.int64), want.view(np.int64))
+    assert chunks == ([] if size <= ad.CHUNK else [ad.CHUNK] * 3 + [17])
 
 
 @pytest.mark.parametrize("act", list(ACTS))

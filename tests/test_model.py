@@ -336,6 +336,31 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert np.array_equal(a.data, b.data)
 
 
+def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
+    params = init_params(DESK, seed=5)
+    save_checkpoint(params, DESK, tmp_path / "a.ckpt")
+    loaded, cfg = load_checkpoint(tmp_path / "a.ckpt")
+    save_checkpoint(loaded, cfg, tmp_path / "b.ckpt")
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+def test_params_are_views_of_one_vector_per_network(tmp_path):
+    # init_params and load_checkpoint lay each network's tensors out in
+    # param_layout order as consecutive C-contiguous views of one vector,
+    # the arena adam_step updates in place
+    params = init_params(DESK, seed=5)
+    save_checkpoint(params, DESK, tmp_path / "m.ckpt")
+    for got in (params, load_checkpoint(tmp_path / "m.ckpt")[0]):
+        assert list(got) == list(model.param_layout(DESK))
+        for net in split_params(got):
+            arrays = [p.data for p in net.values()]
+            flat = arrays[0].base
+            assert flat.ndim == 1 and flat.size == sum(a.size for a in arrays)
+            assert all(a.flags.c_contiguous and a.base is flat for a in arrays)
+            assert np.array_equal(np.concatenate([a.reshape(-1) for a in arrays]), flat)
+            assert ad._flat_base(arrays) is flat
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(init_params(TINY), TINY, path)

@@ -1,9 +1,11 @@
 import copy
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sgen.autodiff import Tensor
+import sgen.train as train_mod
+from sgen.autodiff import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, Tensor, adam_step
 from sgen.data import (DegradationSpec, Subset, SyntheticCorpus, make_batch,
                        read_netpbm)
 from sgen.errors import ConfigError, DivergenceError, NumericsError
@@ -12,6 +14,8 @@ from sgen.model import (SgenConfig, discriminator_forward, generator_forward,
                         load_checkpoint, split_params)
 from sgen.train import (TrainConfig, _fmt, disc_loss, gen_adv_loss, init_state,
                         mse_loss, train, train_step, write_grid)
+
+from oracles import adam_step_per_tensor
 
 TINY = SgenConfig(levels=2, base_channels=2)
 SCALE = (32, 32)
@@ -208,6 +212,48 @@ def test_repeated_batch_mse_converges():
     assert last < 0.5 * first
 
 
+def test_arena_adam_is_bitwise_the_per_tensor_oracle(monkeypatch):
+    # 24 adversarial steps with every parameter updated as one flat vector
+    # per network, then with the per-tensor reference: the same bits in the
+    # parameters and both moments
+    cfg = TrainConfig(batch_size=2, lr=1e-3)
+
+    def run():
+        state = init_state(SgenConfig(), seed=3)
+        rng = np.random.default_rng(4)
+        for _ in range(24):
+            train_step(make_batch(SyntheticCorpus(8), SCALE, 2, SPEC, rng), state, cfg)
+        return state
+
+    arena = run()
+    monkeypatch.setattr(train_mod, "adam_step", lambda *a: adam_step_per_tensor(
+        *a, ADAM_BETA1, ADAM_BETA2, ADAM_EPS))
+    monkeypatch.setattr(train_mod, "AdamState", lambda: SimpleNamespace(step=0, m={}, v={}))
+    oracle = run()
+    assert arena.history == oracle.history
+    assert all(np.array_equal(arena.params[k].data, p.data) for k, p in oracle.params.items())
+    for ours, ref in ((arena.gen_adam, oracle.gen_adam), (arena.disc_adam, oracle.disc_adam)):
+        assert ours.step == ref.step == 24
+        for moment in ("m", "v"):
+            got, want = getattr(ours, moment), getattr(ref, moment)
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
+def test_adam_moves_a_plain_parameter_dict_into_an_arena():
+    # tensors that are no network's views (here copies) are moved into one
+    # vector on first use; each tensor's data becomes its view, values kept
+    params = {k: Tensor(p.data.copy(), requires_grad=True)
+              for k, p in split_params(init_state(TINY, seed=1).params)[0].items()}
+    before = snapshot(params)
+    state = AdamState()
+    adam_step(params, {k: np.zeros_like(a) for k, a in before.items()}, state, lr=0.1)
+    assert all(p.data is state.arena[k] for k, p in params.items())
+    assert all(np.array_equal(params[k].data, a) for k, a in before.items())
+    assert state.m.keys() == state.v.keys() == params.keys()
+    assert state.arena.flat.size == state.m.flat.size == sum(a.size for a in before.values())
+
+
 def test_adversarial_step_memory_bound(traced_peak):
     # default model, batch 8, 80x64: each conv/deconv node keeps only its
     # input, kernel and activated output, the discriminator step's tape is
@@ -323,6 +369,17 @@ def test_resume_from_state(tmp_path):
                   state=state)
     assert state.step == 4
     assert len(state.history) == 4
+
+
+def test_two_calls_continue_the_one_run(tmp_path):
+    # the state carries the batch stream: 2 + 2 steps are the 4-step run
+    cfg = TrainConfig(steps=2, batch_size=2, lr=1e-3, seed=5)
+    args = (TINY, SyntheticCorpus(8), [SCALE, (48, 32)], SPEC)
+    split = train(cfg, *args, tmp_path / "a")
+    split = train(cfg, *args, tmp_path / "b", state=split)
+    whole = train(TrainConfig(steps=4, batch_size=2, lr=1e-3, seed=5), *args, tmp_path / "c")
+    assert split.history == whole.history
+    assert all(np.array_equal(split.params[k].data, p.data) for k, p in whole.params.items())
 
 
 def test_resumed_call_validates_and_prints_its_last_step(tmp_path, capsys):
