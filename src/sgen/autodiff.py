@@ -132,15 +132,15 @@ conv2d asked for both whose padding is at most k - 1 (every SGU gate and
 gen.out.conv): its input gradient is the stride-1 correlation of the output
 gradient with the flipped kernel, and the kernel gradient is the flipped,
 transposed kernel gradient of that correlation for the input x, so one walk
-over the output gradient's bands gives both.  Timed per node at batch 8
-(2-core Xeon VM, one BLAS thread, min of 9 x 40 calls) the one walk took an
-8 -> 8 gate at 40x32 from 2.88 to 2.17 ms and gen.out.conv at 80x64 from
-2.97 to 0.91 ms; the input gradient is bitwise the two-walk one.  Every
-other conv2d takes its kernel gradient from _correlate on the walker that
-the forward correlation runs, gathering the input's patches again: the
-strided layers, because sharing their input gradient's phase walk was
-slower (stem2 3.26 -> 3.65 ms, base1 1.33 -> 1.68 ms, disc.conv2 1.57 ->
-1.89 ms), a node asked for the kernel gradient alone (stem1, whose input is
+over the output gradient's bands gives both.  Timed per node backward at
+batch 8 (2-core Xeon VM, one BLAS thread, min of 9 x 40 calls) the one walk
+took an 8 -> 8 gate at 40x32 from 2.02 to 1.29 ms and gen.out.conv at
+80x64 from 2.42 to 1.02 ms; the input gradient is bitwise the two-walk one.
+Every other conv2d takes its kernel gradient from _correlate on the walker
+that the forward correlation runs, gathering the input's patches again: the
+strided layers, because a prototype that shared their input gradient's
+phase walk was slower (stem2 3.26 -> 3.65 ms, base1 1.33 -> 1.68 ms,
+disc.conv2 1.57 -> 1.89 ms), a node asked for the kernel gradient alone (stem1, whose input is
 the image), and a padding past k - 1, whose input gradient crops the phase
 correlation.  A node asked for neither -- conv2d in the generator step's
 frozen discriminator, where x is tracked and the kernel is not -- gathers
