@@ -64,33 +64,32 @@ gate dumps and every tape build their own.
 
 All zero-padding goes through _padded, which returns its input when nothing
 is added: the conv padding and the shifted GEMM's spare row, one band's
-rows at a time (_band_rows), the shifted GEMM's cropped columns of the
-gradient, the zero rows and columns of the gradient and the zero taps of
-the phase kernel.  _im2col gathers from a band that is already padded.
+rows at a time (_band_rows), the zero rows and columns of the gradient and
+the zero taps of the phase kernel.  _im2col gathers from a band that is already padded.
 
 Every correlation -- the conv2d forward, the phase correlation of
 _conv_transpose and both ops' kernel gradients -- goes through _correlate,
 which picks its walker by a fixed rule on shapes alone: with c input and oc
 output channels,
 
-    the shifted GEMM (_shifted) for a stride-1 correlation with oc < c,
+    the shifted GEMM (_shifted) for a stride-1 correlation with oc < c
+    whose kernel gradient is not asked,
 
-and im2col bands (_banded) otherwise.  The shifted GEMM accumulates one
-(oc, c) GEMM per kernel tap over contiguous slices of the padded input, so
-it builds no patch matrix, but it passes over the input and adds into the
-output once per tap.  That pays only where the output is narrower than the
-input.  The program's narrowing correlations are the forwards of
-gen.out.conv (8 -> 1) and disc.fc (64 -> 1) and the input-gradient phase
-correlation of disc.conv1 (8 -> 4 phases).  The first two take their kernel
-gradients from their input gradient's walk (see The tape rule), which
-widens and so runs in bands.  Timed in-process against the bands (2-core
-Xeon VM, one BLAS thread, min of 9 runs), forward / kernel gradient alone
-in us: gen.out.conv at 1x8x48x48 103 / 87 against 187 / 152, at
-1x8x64x48 100 / 95 against 172 / 214; disc.fc at batch 8 6.3 / 8.3 against
-11.1 / 25.8; disc.conv1's phase correlation of a batch-8 24x16 gradient 73
-against 100.  At 368x304 gen.out.conv's forward ties (5.9 ms) and its
-kernel gradient takes 4.5 against 6.4 ms.  A channel-preserving SGU gate
-(8 -> 8 at 184x152) takes 4.5 ms shifted and 1.8 ms in bands.
+and im2col bands (_banded) otherwise, so every kernel gradient runs in
+bands.  The shifted GEMM accumulates one (oc, c) GEMM per kernel tap over
+contiguous slices of the padded input, so it builds no patch matrix, but it
+passes over the input and adds into the output once per tap.  That pays
+only where the output is narrower than the input.  The program's narrowing
+correlations are the forwards of gen.out.conv (8 -> 1) and disc.fc
+(64 -> 1) and the input-gradient phase correlation of disc.conv1 (8 -> 4
+phases).  None of them is asked for a kernel gradient: the first two take
+theirs from their input gradient's walk (see The tape rule), which widens.
+Timed in-process against the bands (2-core Xeon VM, one BLAS thread, min of
+9 runs), forwards in us: gen.out.conv at 1x8x48x48 103 against 187, at
+1x8x64x48 100 against 172; disc.fc at batch 8 6.3 against 11.1;
+disc.conv1's phase correlation of a batch-8 24x16 gradient 73 against 100.
+At 368x304 gen.out.conv's forward ties (5.9 ms).  A channel-preserving SGU
+gate (8 -> 8 at 184x152) takes 4.5 ms shifted and 1.8 ms in bands.
 
 Bands.  A patch matrix smaller than CACHE_BYTES (2 MiB, the L2 cache of the
 2-core Xeon VM) stays in cache and is gathered whole.  A larger one is
@@ -102,10 +101,10 @@ zero-pads its own input rows, so no padded copy of the whole input is made
 either.  The whole matrix went out to memory and back: 16.1 MB for
 gen.enc.stem2 on a 368x304 restore, whose forward peaked at 22.3 MiB traced
 with it, 9.3 MiB with bands of a padded copy and 3.4 MiB (0.50x its input)
-with bands that pad their own rows.  The shifted GEMM's correlation walks
-the same bands of its padded input rows (c * wp elements per output row),
-each padded on its own: gen.out.conv on a 384x352 restore no longer copies
-its 8.3 MiB input.  Both sizes were chosen by timing every correlation and
+with bands that pad their own rows.  The shifted GEMM walks the same
+bands of its padded input rows (c * wp elements per output row), each
+padded on its own: gen.out.conv on a 384x352 restore no longer copies its
+8.3 MiB input.  Both sizes were chosen by timing every correlation and
 kernel-gradient shape that each benchmark workload runs (the 48 requests of
 a restore pool, one eval_model call, three adversarial batch-8 train
 steps), interleaved with the single gather in one process, min of 5 per
@@ -128,8 +127,9 @@ activated output, so the pre-activation array is never kept.  A gradient is
 taken from the patches of whichever array one walk gathers anyway.
 deconv2d's input gradient is a correlation over the very patches its kernel
 gradient reads, so one _correlate call computes both.  So does a stride-1
-conv2d asked for both whose padding is at most k - 1 (every SGU gate and
-gen.out.conv): its input gradient is the stride-1 correlation of the output
+conv2d asked for both whose padding is at most k - 1 and whose output is
+no wider than its input (every SGU gate, gen.out.conv and disc.fc): its
+input gradient is the stride-1 correlation of the output
 gradient with the flipped kernel, and the kernel gradient is the flipped,
 transposed kernel gradient of that correlation for the input x, so one walk
 over the output gradient's bands gives both.  Timed per node backward at
@@ -140,9 +140,12 @@ Every other conv2d takes its kernel gradient from _correlate on the walker
 that the forward correlation runs, gathering the input's patches again: the
 strided layers, because a prototype that shared their input gradient's
 phase walk was slower (stem2 3.26 -> 3.65 ms, base1 1.33 -> 1.68 ms,
-disc.conv2 1.57 -> 1.89 ms), a node asked for the kernel gradient alone (stem1, whose input is
-the image), and a padding past k - 1, whose input gradient crops the phase
-correlation.  A node asked for neither -- conv2d in the generator step's
+disc.conv2 1.57 -> 1.89 ms), a node asked for the kernel gradient alone
+(stem1, whose input is the image), a padding past k - 1, whose input
+gradient crops the phase correlation, and a widening layer, whose input
+gradient's correlation narrows and so runs on the shifted GEMM, which
+gives no kernel gradient: one walk in bands would round that input
+gradient differently from the shifted one.  A node asked for neither -- conv2d in the generator step's
 frozen discriminator, where x is tracked and the kernel is not -- gathers
 nothing for its kernel."""
 
@@ -364,63 +367,53 @@ def _correlate(a: np.ndarray, kernel: np.ndarray | None, g: np.ndarray | None,
     handed over band by band instead of returned: place(i0, i1, r0, r1, y)
     gets output rows r0:r1 of images i0:i1, in a buffer the next band
     overwrites.  The one place the shape rule is evaluated: the shifted GEMM
-    for a stride-1 correlation with oc < c, im2col bands otherwise.
+    for a stride-1 correlation alone with oc < c, im2col bands otherwise.
     """
     if kernel is None and g is None:
         return None, None
-    oc = len(kernel) if kernel is not None else g.shape[1]
-    walker = _shifted if stride == 1 and oc < a.shape[1] else _banded
-    return walker(a, kernel, g, kh, kw, stride, ph, pw, place)
+    if g is None and stride == 1 and len(kernel) < a.shape[1]:
+        return _shifted(a, kernel, kh, kw, ph, pw, place), None
+    return _banded(a, kernel, g, kh, kw, stride, ph, pw, place)
 
 
-def _shifted(a: np.ndarray, kernel: np.ndarray | None, g: np.ndarray | None,
-             kh: int, kw: int, stride: int, ph: int, pw: int, place: _Place | None = None):
-    """_banded's results for stride 1, as one GEMM per tap over shifted slices.
+def _shifted(a: np.ndarray, kernel: np.ndarray, kh: int, kw: int, ph: int, pw: int,
+             place: _Place | None = None) -> np.ndarray | None:
+    """_banded's correlation for stride 1, as one GEMM per tap over shifted slices.
 
     In a band's flattened padded rows, tap (i, j) of every output pixel sits
     at offset i*wp + j from the pixel's own index, so one contiguous slice per
-    tap feeds an (oc, c) GEMM of the correlation and a batched GEMM of the
-    kernel gradient.  Each output row then carries wp - ow columns that
-    straddle the row end; the correlation crops them as it places the band,
-    and g gets zeros there.  A spare bottom row keeps the last tap's slice in
-    bounds.  The correlation alone walks _bands' bands of the padded input,
-    each padded on its own; with the kernel gradient the whole batch is one
-    band, so the gradient's GEMMs are those of one padded copy.
+    tap feeds an (oc, c) GEMM.  Each output row then carries wp - ow columns
+    that straddle the row end, cropped as the band is placed.  A spare bottom
+    row keeps the last tap's slice in bounds.  It walks _bands' bands of the
+    padded input, each padded on its own.  Returns the correlation, or None
+    when `place` takes it.
     """
     n, c, h, w = a.shape
     oh, ow, wp = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1, w + 2 * pw
-    out = dk = None
-    if kernel is not None and place is None:
+    out = None
+    if place is None:
         out = np.empty((n, len(kernel), oh, ow))
 
         def place(i0, i1, r0, r1, y):
             out[i0:i1, :, r0:r1] = y
-    if g is not None:
-        gw = _padded(g, 0, 0, 0, wp - ow).reshape(n, -1, oh * wp)
-        dk = np.empty((gw.shape[1], c, kh, kw))
-    bands = _bands(n, oh, c * wp) if g is None else [(0, n, 0, oh)]
+    bands = _bands(n, oh, c * wp)
     i0, i1, r0, r1 = bands[0]  # no band is larger than the first
-    if kernel is not None:
-        acc = np.empty((i1 - i0) * len(kernel) * (r1 - r0) * wp)
-        tmp = np.empty_like(acc)
+    acc = np.empty((i1 - i0) * len(kernel) * (r1 - r0) * wp)
+    tmp = np.empty_like(acc)
     for i0, i1, r0, r1 in bands:
         flat = _band_rows(a[i0:i1], r0 - ph, r1 + kh - ph, pw).reshape(i1 - i0, c, -1)
         span = (r1 - r0) * wp
-        if kernel is not None:
-            y = acc[:(i1 - i0) * len(kernel) * span].reshape(i1 - i0, -1, span)
-            t = tmp[:y.size].reshape(y.shape)
+        y = acc[:(i1 - i0) * len(kernel) * span].reshape(i1 - i0, -1, span)
+        t = tmp[:y.size].reshape(y.shape)
         for tap in range(kh * kw):
             i, j = divmod(tap, kw)
             src = flat[:, :, i * wp + j:i * wp + j + span]
-            if kernel is not None and tap == 0:
+            if tap == 0:
                 np.matmul(kernel[:, :, 0, 0], src, out=y)
-            elif kernel is not None:
+            else:
                 y += np.matmul(kernel[:, :, i, j], src, out=t)
-            if g is not None:
-                dk[:, :, i, j] = np.matmul(gw, src.transpose(0, 2, 1)).sum(axis=0)
-        if kernel is not None:
-            place(i0, i1, r0, r1, y.reshape(i1 - i0, -1, r1 - r0, wp)[:, :, :, :ow])
-    return out, dk
+        place(i0, i1, r0, r1, y.reshape(i1 - i0, -1, r1 - r0, wp)[:, :, :, :ow])
+    return out
 
 
 def _banded(a: np.ndarray, kernel: np.ndarray | None, g: np.ndarray | None,
@@ -627,10 +620,11 @@ def _conv_node(op: str, x: Tensor, kernel: Tensor, bias: Tensor, stride: int, ph
     its input, so deconv2d's kernel gradient is conv2d's with the input and
     the output gradient swapped, over the patches its input gradient reads:
     one walk over their bands gives both.  A stride-1 conv2d whose input
-    gradient crops nothing (padding at most k - 1) does the same from its
-    input gradient's correlation, whose kernel gradient for x is the kernel
-    gradient flipped and transposed.  `phases`, deconv2d's prebuilt phase
-    kernel, skips building it for the forward.
+    gradient crops nothing (padding at most k - 1) and whose output is no
+    wider than its input does the same from its input gradient's
+    correlation, whose kernel gradient for x is the kernel gradient flipped
+    and transposed.  `phases`, deconv2d's prebuilt phase kernel, skips
+    building it for the forward.
     """
     _, c, h, w = x.shape
     oc, ic, kh, kw = kernel.shape
@@ -656,7 +650,7 @@ def _conv_node(op: str, x: Tensor, kernel: Tensor, bias: Tensor, stride: int, ph
         if transposed:
             dx, dk = _correlate(gout, kernel.data if want_x else None,
                                 x.data if want_k else None, kh, kw, stride, ph, pw)
-        elif want_x and want_k and stride == 1 and ph < kh and pw < kw:
+        elif want_x and want_k and stride == 1 and ph < kh and pw < kw and oc <= c:
             # one walk: _conv_transpose's correlation, with x as its output gradient
             dx, dk = _correlate(gout, phase_kernel(kernel.data, 1), x.data,
                                 kh, kw, 1, kh - 1 - ph, kw - 1 - pw)
@@ -807,13 +801,12 @@ ADAM_EPS = 1e-8  # added to the denominator's square root
 class Arena(Mapping[str, np.ndarray]):
     """Named arrays that are consecutive C-contiguous views, in order, of one vector.
 
-    `flat` is that float64 vector: zeros of the shapes' total size unless
-    given one to lay the views over.
+    `flat` is that float64 vector, zeros of the shapes' total size at first.
     """
 
-    def __init__(self, shapes: Mapping[str, tuple[int, ...]], flat: np.ndarray | None = None):
+    def __init__(self, shapes: Mapping[str, tuple[int, ...]]):
         sizes = [math.prod(shape) for shape in shapes.values()]
-        self.flat = np.zeros(sum(sizes)) if flat is None else flat
+        self.flat = np.zeros(sum(sizes))
         self._views, at = {}, 0
         for (path, shape), size in zip(shapes.items(), sizes):
             self._views[path] = self.flat[at:at + size].reshape(shape)
@@ -827,21 +820,6 @@ class Arena(Mapping[str, np.ndarray]):
 
     def __len__(self) -> int:
         return len(self._views)
-
-
-def _flat_base(arrays: list[np.ndarray]) -> np.ndarray | None:
-    """The vector of which `arrays` are consecutive C-contiguous views, in order, or None."""
-    flat = arrays[0].base if arrays else None
-    if not (isinstance(flat, np.ndarray) and flat.ndim == 1 and flat.dtype == np.float64
-            and flat.flags.c_contiguous and flat.flags.writeable
-            and flat.size == sum(a.size for a in arrays)):
-        return None
-    at = flat.__array_interface__["data"][0]
-    for a in arrays:
-        if a.base is not flat or not a.flags.c_contiguous or a.__array_interface__["data"][0] != at:
-            return None
-        at += a.nbytes
-    return flat
 
 
 @dataclass
@@ -859,12 +837,12 @@ class AdamState:
 
 
 def _param_arena(params: Mapping[str, Tensor], state: AdamState) -> Arena:
-    """state.arena, after moving `params` into a new one if they are not its views.
+    """state.arena, after copying `params` into a new one if they are not its views.
 
-    Parameters that are already consecutive views of one vector, as
-    init_params and load_checkpoint make them, keep it; others are copied
-    into a new one.  Either way each Tensor's data becomes the arena's view,
-    and the moments are laid out to match, keeping each path's values.
+    The copy makes each Tensor's data the arena's view, and lays the moments
+    out to match, keeping each path's values.  adam_step is the only place
+    parameters enter an arena: init_params and load_checkpoint give each
+    tensor an array of its own, and a state's first step copies them in.
     """
     arena = state.arena
     if len(arena) == len(params) and all(
@@ -872,11 +850,9 @@ def _param_arena(params: Mapping[str, Tensor], state: AdamState) -> Arena:
             for (path, p), (known, view) in zip(params.items(), arena._views.items())):
         return arena
     shapes = {path: p.data.shape for path, p in params.items()}
-    flat = _flat_base([p.data for p in params.values()])
-    arena = Arena(shapes, flat)
+    arena = Arena(shapes)
     for p, view in zip(params.values(), arena.values()):
-        if flat is None:
-            view[...] = p.data
+        view[...] = p.data
         p.data = view
     m, v = Arena(shapes), Arena(shapes)
     for new, old in ((m, state.m), (v, state.v)):

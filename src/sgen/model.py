@@ -14,21 +14,26 @@ Ablation combiners (elementwise max, average, channel concatenation) can be
 swapped in for the SGU at every junction.  The discriminator is four strided
 convolutions, global average pooling, and a 1x1 projection to a probability.
 
-No parameters are shared between any two layers or junctions.
+Each network is written once, as a layer table (layer_table) in execution
+order: param_layout reads the parameter shapes from its rows, and one
+interpreter runs them for both forward passes.  No parameters are shared
+between any two layers or junctions.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import (Arena, Tensor, add, affine, concat_channels, conv2d, deconv2d,
-                       global_avg_pool, maximum, mul, phase_kernel)
+from .autodiff import (Tensor, add, affine, concat_channels, conv2d, deconv2d, global_avg_pool,
+                       maximum, mul, phase_kernel)
 from .data import atomic_write, save_image
 from .errors import CheckpointError, ConfigError, NumericsError
 
@@ -126,70 +131,98 @@ def combine(kind, a, b, params=None, path=""):
 
 
 # ---------------------------------------------------------------------------
-# parameter initialization
+# the layer table
+
+
+class Layer(NamedTuple):
+    """One row of a layer table: what a layer computes, from which maps."""
+
+    path: str  # names its parameters and its output (in `acts` and non-finite reports)
+    op: str  # "conv", "deconv", "junction" (see combine) or "pool" (global average)
+    inputs: tuple[str, ...]  # paths of the maps it reads, active first; "" is the input
+    cin: int = 0
+    cout: int = 0
+    k: int = 1  # kernel size
+    stride: int = 1  # a deconv's upsampling factor
+    pad: int = 0
+    act: str | None = None
+    prefix: str = ""  # a junction's parameter prefix
+
+
+@functools.cache
+def layer_table(config: SgenConfig) -> tuple[tuple[Layer, ...], tuple[Layer, ...]]:
+    """(generator rows, discriminator rows), each in execution order."""
+    n, c, ic, w = config.levels, config.base_channels, config.image_channels, config.disc_channels
+    tc, dc, bneck = config.trunk_channels, config.decoder_channels, config.bottleneck_channels
+    kind = "cat" if config.combiner == "concat" else "sgu"
+
+    def junction(stage, k, active, passive, m):
+        return Layer(f"gen.{stage}.junction{k}", "junction", (active, passive), m, m,
+                     prefix=f"gen.{stage}.{kind}{k}")
+
+    # encoder trunk: one stride-2 step per level after the full-resolution stem1
+    trunk = ["gen.enc.stem2"] + [f"gen.enc.trunk{k}" for k in range(2, n + 1)]
+    gen = [Layer("gen.enc.stem1", "conv", ("",), ic, c, 3, 1, 1, "lrelu"),
+           Layer("gen.enc.stem2", "conv", ("gen.enc.stem1",), c, c, 3, 2, 1, "lrelu")]
+    gen += [Layer(trunk[k - 1], "conv", (trunk[k - 2],), tc(k - 1), tc(k), 3, 2, 1, "lrelu")
+            for k in range(2, n + 1)]
+    for k in range(1, n + 1):  # base-encoders pool every level to the shared deepest scale
+        j = n - k + 1
+        gen.append(Layer(f"gen.enc.base{k}", "conv", (trunk[k - 1],), tc(k), bneck,
+                         2 * j + 1, 2 ** j, j, "lrelu"))
+    # bottom-up combination, the higher level active; base-decoder k restores
+    # from the (N-k+1)-th combined map
+    combined = ["gen.enc.base1"] + [f"gen.enc.junction{k}" for k in range(2, n + 1)]
+    gen += [junction("enc", k, f"gen.enc.base{k}", combined[k - 2], bneck) for k in range(2, n + 1)]
+    gen += [Layer(f"gen.dec.base{k}", "deconv", (combined[n - k],), bneck, dc(k),
+                  2 ** (k + 1), 2 ** k, act="relu") for k in range(1, n + 1)]
+    for k in range(1, n + 1):  # top-down combination, the lower level active
+        if k > 1:
+            gen.append(junction("dec", k, f"gen.dec.base{k}", f"gen.dec.merge{k - 1}", dc(k)))
+        src = f"gen.dec.junction{k}" if k > 1 else "gen.dec.base1"
+        gen.append(Layer(f"gen.dec.merge{k}", "deconv", (src,), dc(k), dc(k + 1), 4, 2, act="relu"))
+    gen.append(Layer("gen.out.conv", "conv", (gen[-1].path,), c, ic, 3, 1, 1, "tanh"))
+
+    widths = [ic, w, 2 * w, 4 * w, 8 * w]
+    disc = [Layer(f"disc.conv{i}", "conv", (f"disc.conv{i - 1}" if i > 1 else "",),
+                  widths[i - 1], widths[i], 4, 2, 1, "lrelu") for i in range(1, 5)]
+    disc += [Layer("disc.pool", "pool", ("disc.conv4",)),
+             Layer("disc.fc", "conv", ("disc.pool",), 8 * w, 1, act="sigmoid")]
+    return tuple(gen), tuple(disc)
 
 
 def param_layout(config: SgenConfig) -> dict:
     """Name -> (shape, init bound) of every parameter, in init draw order.
 
-    Weights are drawn uniform in [-bound, bound]: He bounds for layers feeding
-    relu/lrelu, Xavier bounds for layers feeding sigmoid or tanh.  Biases have
-    bound None and start at zero.
+    Weights are drawn uniform in [-bound, bound]: He bounds for layers
+    feeding relu, lrelu or nothing, Xavier bounds for layers feeding sigmoid
+    or tanh.  Biases have bound None and start at zero.  The rows draw in
+    table order, except that the decoder's merges and gen.out.conv draw
+    after every decoder junction, so a seed gives the weights it always gave.
     """
-    n, c, ic = config.levels, config.base_channels, config.image_channels
-    bneck = config.bottleneck_channels
     layout: dict[str, tuple] = {}
 
-    def put(path, shape, bound, oc_):
+    def put(path, ic, oc, k, act, factor=None):
+        fan_in, fan_out = ic * k * k, oc * k * k
+        if factor:  # a deconv: each output pixel sees fan_in / factor^2 inputs
+            shape, bound = (ic, oc, k, k), math.sqrt(6.0 / (fan_in / (factor * factor)))
+        else:
+            xavier = act in ("sigmoid", "tanh")
+            shape, bound = (oc, ic, k, k), math.sqrt(6.0 / (fan_in + fan_out if xavier else fan_in))
         layout[path + ".w"] = (shape, bound)
-        layout[path + ".b"] = ((1, oc_, 1, 1), None)
+        layout[path + ".b"] = ((1, oc, 1, 1), None)
 
-    def put_conv(path, oc_, ic_, k, gain="he"):
-        fan_in = ic_ * k * k
-        fan_out = oc_ * k * k
-        if gain == "he":
-            bound = math.sqrt(6.0 / fan_in)
-        else:  # xavier, for layers feeding sigmoid/tanh
-            bound = math.sqrt(6.0 / (fan_in + fan_out))
-        put(path, (oc_, ic_, k, k), bound, oc_)
-
-    def put_deconv(path, ic_, oc_, factor):
-        k = 2 * factor
-        # each output pixel sees ic * k^2 / factor^2 contributing inputs
-        fan_in = ic_ * k * k / (factor * factor)
-        put(path, (ic_, oc_, k, k), math.sqrt(6.0 / fan_in), oc_)
-
-    put_conv("gen.enc.stem1", c, ic, 3)
-    put_conv("gen.enc.stem2", c, c, 3)
-    for k in range(2, n + 1):
-        put_conv(f"gen.enc.trunk{k}", config.trunk_channels(k), config.trunk_channels(k - 1), 3)
-    for k in range(1, n + 1):
-        j = n - k + 1  # pooling factor 2^j, kernel 2j+1
-        put_conv(f"gen.enc.base{k}", bneck, config.trunk_channels(k), 2 * j + 1)
-    for k in range(2, n + 1):
-        if config.combiner == "sgu":
-            put_conv(f"gen.enc.sgu{k}.ga", bneck, bneck, 3, gain="xavier")
-            put_conv(f"gen.enc.sgu{k}.gp", bneck, bneck, 3, gain="xavier")
-        elif config.combiner == "concat":
-            put_conv(f"gen.enc.cat{k}", bneck, 2 * bneck, 1)
-    for k in range(1, n + 1):
-        put_deconv(f"gen.dec.base{k}", bneck, config.decoder_channels(k), 2 ** k)
-    for k in range(2, n + 1):
-        m = config.decoder_channels(k)
-        if config.combiner == "sgu":
-            put_conv(f"gen.dec.sgu{k}.ga", m, m, 3, gain="xavier")
-            put_conv(f"gen.dec.sgu{k}.gp", m, m, 3, gain="xavier")
-        elif config.combiner == "concat":
-            put_conv(f"gen.dec.cat{k}", m, 2 * m, 1)
-    for k in range(1, n + 1):
-        put_deconv(f"gen.dec.merge{k}", config.decoder_channels(k), config.decoder_channels(k + 1), 2)
-    put_conv("gen.out.conv", ic, c, 3, gain="xavier")
-
-    w = config.disc_channels
-    widths = [ic, w, 2 * w, 4 * w, 8 * w]
-    for i in range(1, 5):
-        put_conv(f"disc.conv{i}", widths[i], widths[i - 1], 4)
-    put_conv("disc.fc", 1, 8 * w, 1, gain="xavier")
+    gen, disc = layer_table(config)
+    late = ("gen.dec.merge", "gen.out.conv")
+    for row in sorted(gen, key=lambda row: row.path.startswith(late)) + list(disc):
+        if row.op in ("conv", "deconv"):
+            put(row.path, row.cin, row.cout, row.k, row.act,
+                row.stride if row.op == "deconv" else None)
+        elif row.op == "junction" and config.combiner == "sgu":
+            for gate in (".ga", ".gp"):
+                put(row.prefix + gate, row.cin, row.cout, 3, "sigmoid")
+        elif row.op == "junction" and config.combiner == "concat":
+            put(row.prefix, 2 * row.cin, row.cout, 1, None)
     return layout
 
 
@@ -197,31 +230,12 @@ def init_params(config: SgenConfig, seed: int | None = None) -> dict:
     """Build all generator ("gen.*") and discriminator ("disc.*") parameters.
 
     Deterministic given the seed (defaults to config.seed); see param_layout
-    for the shapes and weight draws, and _network_arrays for the storage.
+    for the shapes and weight draws.  Each tensor is an array of its own.
     """
     rng = np.random.default_rng(config.seed if seed is None else seed)
-    layout = param_layout(config)
-    arrays = _network_arrays({name: shape for name, (shape, _) in layout.items()})
-    for name, (shape, bound) in layout.items():
-        if bound is not None:
-            arrays[name][...] = rng.uniform(-bound, bound, size=shape)
-    return {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
-
-
-def _network_arrays(shapes: dict, values: dict | None = None) -> dict:
-    """Arrays of these shapes, in order, stored as adam_step updates them.
-
-    Each network's arrays ("gen.*", "disc.*") are consecutive views of one
-    flat vector, its arena.  They hold copies of `values` (arrays of the
-    same shapes, by name) when given, else zeros.
-    """
-    arrays = {}
-    for net in ("gen.", "disc."):
-        names = [k for k in shapes if k.startswith(net)]
-        flat = None if values is None else np.concatenate(
-            [values[k].reshape(-1) for k in names], dtype=np.float64)
-        arrays.update(Arena({k: shapes[k] for k in names}, flat))
-    return {k: arrays[k] for k in shapes}
+    return {name: Tensor(np.zeros(shape) if bound is None
+                         else rng.uniform(-bound, bound, size=shape), requires_grad=True)
+            for name, (shape, bound) in param_layout(config).items()}
 
 
 def split_params(params: dict) -> tuple[dict, dict]:
@@ -235,20 +249,56 @@ def split_params(params: dict) -> tuple[dict, dict]:
 # forward passes
 
 
+def _run(rows: tuple[Layer, ...], x: Tensor, params: dict, config: SgenConfig,
+         phases: dict | None = None, acts: dict | None = None) -> Tensor:
+    """Run a layer table on x; returns its last row's output.
+
+    Each output is checked under its row's path and dropped after its last
+    reader.  `phases` and `acts` are generator_forward's.  The ops are looked
+    up by module name on each call, so whoever patches one sees every call.
+    """
+    last = {path: i for i, row in enumerate(rows) for path in row.inputs}
+    maps = {"": x}
+    for i, row in enumerate(rows):
+        if row.op == "junction":
+            out, ga, gp = combine(config.combiner, *(maps[p] for p in row.inputs), params,
+                                  row.prefix)
+            if acts is not None and ga is not None:
+                acts[row.prefix + ".ga"], acts[row.prefix + ".gp"] = ga, gp
+            del ga, gp  # the gates die with the junction unless `acts` keeps them
+        elif row.op == "pool":
+            out = global_avg_pool(maps[row.inputs[0]])
+        elif row.op == "conv":
+            out = conv2d(maps[row.inputs[0]], params[row.path + ".w"], params[row.path + ".b"],
+                         row.stride, row.pad, act=row.act, alpha=config.lrelu_alpha)
+        else:
+            kernel = params[row.path + ".w"]
+            if phases is not None and row.path not in phases:
+                phases[row.path] = phase_kernel(kernel.data, row.stride)
+            out = deconv2d(maps[row.inputs[0]], kernel, params[row.path + ".b"], row.stride,
+                           act=row.act, phases=None if phases is None else phases[row.path])
+        for path in row.inputs:
+            if last[path] == i:
+                del maps[path]
+        maps[row.path] = _check_finite(out, row.path)
+        if acts is not None and 0 < i < len(rows) - 1:
+            acts[row.path] = out
+    return out
+
+
 def generator_forward(s: Tensor, params: dict, config: SgenConfig, phases: dict | None = None,
                       acts: dict | None = None) -> Tensor:
-    """Run the generator; returns its output tensor.
+    """Run the generator's layer table; returns its output tensor.
 
     `s` must have spatial dims divisible by 2^(levels+1); callers pad and
     crop otherwise.  Each feature map, gate maps included, is dropped as
     soon as the last layer that reads it has run, unless `acts` keeps it.
 
-    `acts`, a dict the caller owns, is filled only when given: it maps the
-    layer paths a non-finite activation is reported under to their outputs,
-    in forward order: "gen.enc.stem2", "gen.enc.trunk{k}",
-    "gen.{enc,dec}.base{k}", "gen.{enc,dec}.junction{k}" and
-    "gen.dec.merge{k}", plus the gate maps "gen.{enc,dec}.sgu{k}.ga" and
-    ".gp" of the sgu combiner.  Filling it keeps every one of them alive.
+    `acts`, a dict the caller owns, is filled only when given, in forward
+    order: every row's output under its path except the first and last
+    rows' (the full-resolution gen.enc.stem1 and gen.out.conv), and each sgu
+    junction's gate maps under its prefix + ".ga" and ".gp", just before the
+    junction.  Filling it keeps every one of them alive.
 
     `phases`, a dict the caller owns, keeps each deconv layer's phase kernel
     under its path ("gen.dec.base{k}", "gen.dec.merge{k}"), built on first
@@ -256,7 +306,7 @@ def generator_forward(s: Tensor, params: dict, config: SgenConfig, phases: dict 
     only while the weights stay as they were and no Graph records: pass one
     for inference over fixed weights (model_restorer), none for training.
     """
-    n_, c_in, h, w = s.shape
+    _, c_in, h, w = s.shape
     if c_in != config.image_channels:
         raise ConfigError(
             f"generator expects {config.image_channels} input channels, got {c_in}")
@@ -265,69 +315,7 @@ def generator_forward(s: Tensor, params: dict, config: SgenConfig, phases: dict 
         raise ConfigError(
             f"input spatial dims {h}x{w} must be divisible by {d}; "
             f"pad the input to the next multiple and crop the output back")
-
-    n = config.levels
-    al = config.lrelu_alpha
-
-    def keep(path, t):
-        _check_finite(t, path)
-        if acts is not None:
-            acts[path] = t
-        return t
-
-    def conv(t, path, stride, pad):
-        return conv2d(t, params[path + ".w"], params[path + ".b"], stride, pad,
-                      act="lrelu", alpha=al)
-
-    def deconv(t, path, factor):
-        kernel = params[path + ".w"]
-        built = None
-        if phases is not None:
-            built = phases.get(path)
-            if built is None:
-                built = phases[path] = phase_kernel(kernel.data, factor)
-        return deconv2d(t, kernel, params[path + ".b"], factor, act="relu", phases=built)
-
-    def junction(stage, k, active, passive):
-        sgu = f"gen.{stage}.sgu{k}"
-        out, ga, gp = combine(config.combiner, active, passive, params,
-                              f"gen.{stage}.cat{k}" if config.combiner == "concat" else sgu)
-        if acts is not None and ga is not None:
-            acts[sgu + ".ga"], acts[sgu + ".gp"] = ga, gp
-        return keep(f"gen.{stage}.junction{k}", out)
-
-    # encoder trunk: one stride-2 step per level; the full-resolution stem1
-    # output is checked but not kept
-    t = _check_finite(conv(s, "gen.enc.stem1", 1, 1), "gen.enc.stem1")
-    trunk = [keep("gen.enc.stem2", conv(t, "gen.enc.stem2", 2, 1))]
-    del t
-    for k in range(2, n + 1):
-        trunk.append(keep(f"gen.enc.trunk{k}", conv(trunk[-1], f"gen.enc.trunk{k}", 2, 1)))
-
-    # base-encoders: pool every level to the shared deepest scale.  Each list
-    # below is popped as it is read, which drops the feature map it held.
-    base = []
-    for k in range(1, n + 1):
-        j = n - k + 1
-        base.append(keep(f"gen.enc.base{k}", conv(trunk.pop(0), f"gen.enc.base{k}", 2 ** j, j)))
-
-    # bottom-up combination; higher level is the active input
-    combined = [base.pop(0)]
-    for k in range(2, n + 1):
-        combined.append(junction("enc", k, base.pop(0), combined[-1]))
-
-    # base-decoders: level k restores from the (N-k+1)-th combined feature
-    dec = [keep(f"gen.dec.base{k}", deconv(combined.pop(), f"gen.dec.base{k}", 2 ** k))
-           for k in range(1, n + 1)]
-
-    # top-down combination; lower level is the active input
-    y = keep("gen.dec.merge1", deconv(dec.pop(0), "gen.dec.merge1", 2))
-    for k in range(2, n + 1):
-        y = junction("dec", k, dec.pop(0), y)
-        y = keep(f"gen.dec.merge{k}", deconv(y, f"gen.dec.merge{k}", 2))
-
-    out = conv2d(y, params["gen.out.conv.w"], params["gen.out.conv.b"], 1, 1, act="tanh")
-    return _check_finite(out, "gen.out.conv")
+    return _run(layer_table(config)[0], s, params, config, phases, acts)
 
 
 DISC_MIN_HW = 16  # four stride-2 convolutions
@@ -339,15 +327,7 @@ def discriminator_forward(img: Tensor, params: dict, config: SgenConfig) -> Tens
     if h < DISC_MIN_HW or w < DISC_MIN_HW:
         raise ConfigError(
             f"discriminator input {h}x{w} is smaller than its total stride {DISC_MIN_HW}")
-    t = img
-    for i in range(1, 5):
-        t = conv2d(t, params[f"disc.conv{i}.w"], params[f"disc.conv{i}.b"], 2, 1,
-                   act="lrelu", alpha=config.lrelu_alpha)
-        _check_finite(t, f"disc.conv{i}")
-    pooled = global_avg_pool(t)
-    prob = conv2d(pooled, params["disc.fc.w"], params["disc.fc.b"], act="sigmoid")
-    return _check_finite(prob, "disc.fc")
-
+    return _run(layer_table(config)[1], img, params, config)
 
 # ---------------------------------------------------------------------------
 # checkpoints
@@ -408,7 +388,7 @@ def load_checkpoint(path) -> tuple[dict, SgenConfig]:
     u32 tensor count, then per tensor a u16-length utf-8 path, u8 ndim,
     ndim u32 dims, and raw little-endian float64 values.  The tensor names
     and shapes must be exactly those of param_layout(config); the params
-    come back in its order, in _network_arrays.
+    come back in its order, each a writeable array of its own.
     """
     raw = Path(path).read_bytes()
     r = _Reader(raw)
@@ -456,8 +436,7 @@ def load_checkpoint(path) -> tuple[dict, SgenConfig]:
     missing = sorted(expected.keys() - values.keys())
     if missing:
         raise CheckpointError(f"checkpoint lacks {len(missing)} tensors: {missing[:4]}")
-    arrays = _network_arrays(expected, values)
-    return {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}, config
+    return {name: Tensor(values[name].copy(), requires_grad=True) for name in expected}, config
 
 
 # ---------------------------------------------------------------------------

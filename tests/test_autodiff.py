@@ -303,17 +303,19 @@ def test_stride1_kernels_match_naive(case, monkeypatch):
         assert np.array_equal(walker(xd, kd, None, k, k, 1, pad, pad)[0], out)
         assert np.array_equal(walker(xd, None, gout, k, k, 1, pad, pad)[1], dk)
 
-    check(ad._shifted)
+    # the shifted GEMM computes the correlation alone
+    assert np.abs(ad._shifted(xd, kd, k, k, pad, pad) - ref).max() < 1e-10
     for _ in _band_budgets(monkeypatch):
         check(ad._banded)
-    # the shape rule: the shifted GEMM exactly where the output narrows, and
-    # with nothing asked no walker runs
+    # the shape rule: the shifted GEMM exactly for a narrowing correlation
+    # alone, im2col bands for every call with a kernel gradient, and with
+    # nothing asked no walker runs
     ran = _spy_walkers(monkeypatch)
     _correlate(xd, kd, 1, pad, gout)
     _correlate(xd, kd, 1, pad)
     ad._correlate(xd, None, gout, k, k, 1, pad, pad)
     assert ad._correlate(xd, None, None, k, k, 1, pad, pad) == (None, None)
-    assert ran == ["_shifted" if oc < ic else "_banded"] * 3
+    assert ran == ["_banded", "_shifted" if oc < ic else "_banded", "_banded"]
 
 
 ONE_WALK_CASES = STRIDE1_CASES + [  # and the program's gate shapes: narrowing, widening, same
@@ -322,10 +324,10 @@ ONE_WALK_CASES = STRIDE1_CASES + [  # and the program's gate shapes: narrowing, 
 
 @pytest.mark.parametrize("case", ONE_WALK_CASES, ids=lambda c: "x".join(map(str, c)))
 def test_stride1_conv2d_backward_is_one_walk(case, monkeypatch):
-    # with x and the kernel both tracked and padding <= k - 1, the backward's
-    # one correlation gives both gradients: the input gradient bitwise the
-    # transposed convolution's, the kernel gradient the naive loop's.  A
-    # padding past k - 1 keeps the two walks.
+    # with x and the kernel both tracked, padding <= k - 1 and oc <= ic, the
+    # backward's one correlation gives both gradients: the input gradient
+    # bitwise the transposed convolution's, the kernel gradient the naive
+    # loop's.  A padding past k - 1 or a widening layer keeps the two walks.
     n, ic, oc, h, w, k, pad = case
     rng = np.random.default_rng(sum(case))
     xd, kd = rng.normal(size=(n, ic, h, w)), rng.normal(size=(oc, ic, k, k))
@@ -336,7 +338,7 @@ def test_stride1_conv2d_backward_is_one_walk(case, monkeypatch):
         loss = sum_all(mul(out, t4(gout)))
     ran = _spy_walkers(monkeypatch)
     grads = g.backward(loss, {"x": x, "k": kernel})
-    assert len(ran) == (1 if pad < k else 2)
+    assert len(ran) == (1 if pad < k and oc <= ic else 2)
     assert np.array_equal(grads["x"], ad._conv_transpose(gout, kd, 1, pad, pad, h, w))
     if 2 * pad == k - 1:
         assert np.abs(grads["x"] - deconv2d_adjoint_naive(gout, kd, 1)).max() < 1e-10
@@ -555,11 +557,11 @@ def test_grad_conv2d_shifted_kernel(monkeypatch):
     # its backward takes both gradients from one walk over the output
     # gradient's im2col bands, a widening correlation
     calls, cases = [], [(3, 2, 3), (4, 3, 3), (2, 1, 3), (3, 2, 1)]
-    for name in ("_shifted", "_banded"):
-        real = getattr(ad, name)
-        monkeypatch.setattr(ad, name, lambda a, k, g, *rest, real=real, name=name:
-                            calls.append((name, k is not None, g is not None))
-                            or real(a, k, g, *rest))
+    shifted, banded = ad._shifted, ad._banded
+    monkeypatch.setattr(ad, "_shifted", lambda *a: calls.append(("_shifted",)) or shifted(*a))
+    monkeypatch.setattr(ad, "_banded", lambda a, k, g, *rest:
+                        calls.append(("_banded", k is not None, g is not None))
+                        or banded(a, k, g, *rest))
     rng = np.random.default_rng(47)
     for ic, oc, k in cases:
         x = rng.normal(size=(2, ic, 5, 4))
@@ -567,7 +569,7 @@ def test_grad_conv2d_shifted_kernel(monkeypatch):
         b = rng.normal(size=(1, oc, 1, 1))
         _gradcheck(lambda xs, ks, bs, p=k // 2: conv2d(xs, ks, bs, stride=1, padding=p),
                    [x, kd, b])
-    assert set(calls) == {("_shifted", True, False), ("_banded", True, True)}
+    assert set(calls) == {("_shifted",), ("_banded", True, True)}
     assert calls.count(("_banded", True, True)) == len(cases)
 
 

@@ -239,9 +239,11 @@ def test_batch_restore_matches_single_restores():
 def test_restore_holds_only_live_tensors(traced_peak):
     # a 384x352 restore: the forward drops each feature map once its last
     # reader has run, and every convolution pads, gathers and places in
-    # bands, so the traced peak is stem1's output next to its lrelu
-    # temporary, ~2.0x the largest activation, gen.dec.merge3's output.
-    # Keeping every activation and whole-array scratch took 4.9x.
+    # bands, so the traced peak is the last sgu junction, gen.dec.junction3
+    # at 184x176: its two inputs, two gate maps, two products and their sum,
+    # 1.75x the largest activation, gen.dec.merge3's output.  Gate maps
+    # kept past their junction took 2.00x, keeping every activation and
+    # whole-array scratch 4.9x.
     cfg = SgenConfig()
     restore = model_restorer(init_params(cfg, seed=0), cfg)
     s = np.random.default_rng(2).uniform(-1.0, 1.0, (1, 1, 384, 352))
@@ -249,4 +251,4 @@ def test_restore_holds_only_live_tensors(traced_peak):
     out, peak = traced_peak(restore, s)
     merge3 = cfg.decoder_channels(cfg.levels + 1) * 384 * 352 * 8
     assert out.shape == s.shape
-    assert peak < 2.1 * merge3, f"{peak / merge3:.2f}x gen.dec.merge3's output"
+    assert peak < 1.85 * merge3, f"{peak / merge3:.2f}x gen.dec.merge3's output"

@@ -65,6 +65,42 @@ def test_init_deterministic_per_seed():
     assert any(not np.array_equal(a[k].data, c[k].data) for k in a)
 
 
+def _draw_order(junction):
+    # the weights of the default levels-3 model in the order init_params
+    # draws them, written out apart from the layer table: every decoder
+    # junction draws before the first merge, the discriminator last
+    return (["gen.enc.stem1", "gen.enc.stem2", "gen.enc.trunk2", "gen.enc.trunk3",
+             "gen.enc.base1", "gen.enc.base2", "gen.enc.base3"]
+            + junction("enc", 2) + junction("enc", 3)
+            + ["gen.dec.base1", "gen.dec.base2", "gen.dec.base3"]
+            + junction("dec", 2) + junction("dec", 3)
+            + ["gen.dec.merge1", "gen.dec.merge2", "gen.dec.merge3", "gen.out.conv",
+               "disc.conv1", "disc.conv2", "disc.conv3", "disc.conv4", "disc.fc"])
+
+
+DRAW_ORDER = {
+    "sgu": _draw_order(lambda stage, k: [f"gen.{stage}.sgu{k}.ga", f"gen.{stage}.sgu{k}.gp"]),
+    "concat": _draw_order(lambda stage, k: [f"gen.{stage}.cat{k}"]),
+}
+
+
+@pytest.mark.parametrize("combiner", list(DRAW_ORDER))
+def test_init_draw_order_is_pinned(combiner):
+    # every checkpoint's seed meant these draws: rebuilt from the written-out
+    # order, the weights are bitwise init_params', and the biases zero
+    cfg = SgenConfig(combiner=combiner)
+    layout = model.param_layout(cfg)
+    rng = np.random.default_rng(11)
+    want = {}
+    for layer in DRAW_ORDER[combiner]:
+        shape, bound = layout[layer + ".w"]
+        want[layer + ".w"] = rng.uniform(-bound, bound, size=shape)
+    got = init_params(cfg, seed=11)
+    assert sorted(want) == sorted(k for k in got if k.endswith(".w"))
+    assert all(np.array_equal(got[k].data, a) for k, a in want.items())
+    assert all(not p.data.any() for k, p in got.items() if k.endswith(".b"))
+
+
 def test_init_gate_convs_preserve_channels():
     params = init_params(DESK)
     bneck = DESK.bottleneck_channels
@@ -344,21 +380,19 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
-def test_params_are_views_of_one_vector_per_network(tmp_path):
-    # init_params and load_checkpoint lay each network's tensors out in
-    # param_layout order as consecutive C-contiguous views of one vector,
-    # the arena adam_step updates in place
+def test_params_come_in_layout_order_as_arrays_of_their_own(tmp_path):
+    # init_params and load_checkpoint return the tensors in param_layout
+    # order; each loaded one is a writeable array that views none of the
+    # file's bytes (adam_step copies them into its arena on first use)
     params = init_params(DESK, seed=5)
     save_checkpoint(params, DESK, tmp_path / "m.ckpt")
-    for got in (params, load_checkpoint(tmp_path / "m.ckpt")[0]):
+    loaded = load_checkpoint(tmp_path / "m.ckpt")[0]
+    for got in (params, loaded):
         assert list(got) == list(model.param_layout(DESK))
-        for net in split_params(got):
-            arrays = [p.data for p in net.values()]
-            flat = arrays[0].base
-            assert flat.ndim == 1 and flat.size == sum(a.size for a in arrays)
-            assert all(a.flags.c_contiguous and a.base is flat for a in arrays)
-            assert np.array_equal(np.concatenate([a.reshape(-1) for a in arrays]), flat)
-            assert ad._flat_base(arrays) is flat
+    for p in loaded.values():
+        assert p.data.flags.writeable and p.data.flags.owndata and p.data.base is None
+    loaded["gen.enc.stem1.w"].data[...] = 0.0
+    assert load_checkpoint(tmp_path / "m.ckpt")[0]["gen.enc.stem1.w"].data.any()
 
 
 def test_checkpoint_bad_magic(tmp_path):

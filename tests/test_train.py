@@ -254,6 +254,17 @@ def test_adam_moves_a_plain_parameter_dict_into_an_arena():
     assert state.arena.flat.size == state.m.flat.size == sum(a.size for a in before.values())
 
 
+def test_train_step_moves_each_network_into_its_adam_arena():
+    # init_params gives each tensor an array of its own; one train_step makes
+    # every parameter a view of its network's arena, in parameter order
+    state = init_state(TINY, seed=1)
+    train_step(tiny_batch(), state, TrainConfig(lr=1e-3, batch_size=2))
+    for net, adam in zip(split_params(state.params), (state.gen_adam, state.disc_adam)):
+        assert list(adam.arena) == list(net)
+        assert all(p.data is adam.arena[k] for k, p in net.items())
+        assert adam.arena.flat.size == sum(p.data.size for p in net.values())
+
+
 def test_adversarial_step_memory_bound(traced_peak):
     # default model, batch 8, 80x64: each conv/deconv node keeps only its
     # input, kernel and activated output, the discriminator step's tape is

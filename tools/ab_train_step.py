@@ -10,7 +10,10 @@ batch-8 minibatch (default scales in turn) and runs `train_step` on it in
 both trees, alternating which tree goes first.  Prints each tree's median
 and minimum step time in ms, and the largest |difference| between the trees
 in the step losses and, after the last step, in the parameters and both
-Adam moments.  It needs no network and changes nothing in either tree.
+Adam moments.  Before the steps it prints, per combiner, the largest
+|difference| in `init_params` and in one fixed-seed forward: the generator's
+output and every `acts` entry, and the discriminator's score of that output.
+It needs no network and changes nothing in either tree.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"base": import_tree(export(rev, Path(tmp)), "sgen_base"),
                  "head": import_tree(ROOT / "src", "sgen_head")}
+        compare_forwards(trees)
         states, times, loss_diff = run(trees, steps)
     for key in trees:
         print(f"{key}: median {statistics.median(times[key]):.2f} ms, "
@@ -83,6 +87,28 @@ def main(argv: list[str]) -> int:
                    for a, b in ((base.gen_adam, head.gen_adam), (base.disc_adam, head.disc_adam)))
         print(f"max |diff| adam {moment}: {diff:.3g}")
     return 0
+
+
+def compare_forwards(trees: dict) -> None:
+    """Print, per combiner, the largest differences in init_params and one forward."""
+    s = np.random.default_rng(SEED).uniform(-1.0, 1.0, (2, 1, 48, 32))
+    for combiner in trees["head"].model.COMBINERS:
+        params, acts, scores = {}, {}, {}
+        for key, tree in trees.items():
+            cfg = tree.model.SgenConfig(combiner=combiner)
+            params[key], acts[key] = tree.model.init_params(cfg, SEED), {}
+            out = tree.model.generator_forward(tree.autodiff.Tensor(s), params[key], cfg,
+                                               acts=acts[key])
+            acts[key]["gen.out.conv"] = out
+            scores[key] = tree.model.discriminator_forward(out, params[key], cfg)
+        if list(params["base"]) != list(params["head"]) or list(acts["base"]) != list(acts["head"]):
+            print(f"{combiner}: the trees' parameter or acts keys differ")
+            continue
+        diffs = [max_diff(*([t.data for t in d[key].values()] for key in ("base", "head")))
+                 for d in (params, acts)]
+        diffs.append(max_diff([scores["base"].data], [scores["head"].data]))
+        print("{}: max |diff| init_params {:.3g}, generator output and acts {:.3g}, "
+              "discriminator {:.3g}".format(combiner, *diffs))
 
 
 def run(trees: dict, steps: int):
