@@ -15,9 +15,9 @@ swapped in for the SGU at every junction.  The discriminator is four strided
 convolutions, global average pooling, and a 1x1 projection to a probability.
 
 Each network is written once, as a layer table (layer_table) in execution
-order: param_layout reads the parameter shapes from its rows, and one
-interpreter runs them for both forward passes.  No parameters are shared
-between any two layers or junctions.
+order with a row per convolution, SGU gates included: param_layout reads the
+parameter shapes from the rows, and one interpreter runs them for both
+forward passes.  No parameters are shared between any two layers.
 """
 
 from __future__ import annotations
@@ -78,56 +78,11 @@ class SgenConfig:
         """Input spatial dims must be divisible by this (2^(levels+1))."""
         return 2 ** (self.levels + 1)
 
-    def trunk_channels(self, k: int) -> int:
-        """Encoder trunk width at level k (doubles per level, capped at 8x)."""
-        return min(self.base_channels * 2 ** (k - 1), 8 * self.base_channels)
-
-    @property
-    def bottleneck_channels(self) -> int:
-        """Width of every base-encoder output at the shared deepest scale."""
-        return self.trunk_channels(self.levels)
-
-    def decoder_channels(self, k: int) -> int:
-        """Base-decoder output width at level k; level N+1 is the final merge."""
-        if k == self.levels + 1:
-            return self.base_channels
-        return self.trunk_channels(self.levels + 1 - k)
-
 
 def _check_finite(t: Tensor, path: str) -> Tensor:
     if not np.isfinite(t.data).all():
         raise NumericsError(f"non-finite activation after layer {path!r}")
     return t
-
-
-# ---------------------------------------------------------------------------
-# combiners
-
-
-def combine(kind, a, b, params=None, path=""):
-    """Combine active input `a` with passive input `b` per the named variant.
-
-    Returns (output, ga, gp), where ga and gp are the gate-map tensors for
-    "sgu" and None for the other kinds.  The sequential gating unit computes
-    both gates from the active input through the convolutions `path + ".ga"`
-    and `path + ".gp"` in `params` (stride 1, same padding,
-    channel-preserving); "concat" reads `path + ".w"` and `path + ".b"`.
-    """
-    if a.shape != b.shape:
-        raise ConfigError(f"combiner inputs must share a shape, got {a.shape} and {b.shape}")
-    if kind == "sgu":
-        ga = conv2d(a, params[path + ".ga.w"], params[path + ".ga.b"], 1, 1, act="sigmoid")
-        gp = conv2d(a, params[path + ".gp.w"], params[path + ".gp.b"], 1, 1, act="sigmoid")
-        return add(mul(ga, a), mul(gp, b)), ga, gp
-    if kind == "max":
-        return maximum(a, b), None, None
-    if kind == "avg":
-        return affine(add(a, b), 0.5, 0.0), None, None
-    if kind == "concat":
-        # 1x1 conv halves the channel count so downstream shapes match
-        out = conv2d(concat_channels(a, b), params[path + ".w"], params[path + ".b"])
-        return out, None, None
-    raise ConfigError(f"unknown combiner kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -137,28 +92,43 @@ def combine(kind, a, b, params=None, path=""):
 class Layer(NamedTuple):
     """One row of a layer table: what a layer computes, from which maps."""
 
-    path: str  # names its parameters and its output (in `acts` and non-finite reports)
-    op: str  # "conv", "deconv", "junction" (see combine) or "pool" (global average)
-    inputs: tuple[str, ...]  # paths of the maps it reads, active first; "" is the input
-    cin: int = 0
-    cout: int = 0
+    path: str  # names its output (in `acts` and non-finite reports) and its parameters
+    op: str  # "conv", "deconv", "pool" (global average) or a junction's "sgu", "max", "avg"
+    inputs: tuple[str, ...]  # paths of the maps it reads, concatenated for a conv; "" is the input
+    cin: int  # channels it reads, summed over a conv's inputs
+    cout: int
     k: int = 1  # kernel size
     stride: int = 1  # a deconv's upsampling factor
     pad: int = 0
     act: str | None = None
-    prefix: str = ""  # a junction's parameter prefix
+    prefix: str = ""  # a conv's parameter prefix where it differs from its path
 
 
 @functools.cache
 def layer_table(config: SgenConfig) -> tuple[tuple[Layer, ...], tuple[Layer, ...]]:
-    """(generator rows, discriminator rows), each in execution order."""
+    """(generator rows, discriminator rows), each in execution order.
+
+    An sgu junction k is three rows: its gate convs `gen.{stage}.sgu{k}.ga`
+    and `.gp` on the active map, then `gen.{stage}.junction{k}`, which reads
+    (ga, active, gp, passive).  A concat junction is one 1x1 conv row.
+    """
     n, c, ic, w = config.levels, config.base_channels, config.image_channels, config.disc_channels
-    tc, dc, bneck = config.trunk_channels, config.decoder_channels, config.bottleneck_channels
-    kind = "cat" if config.combiner == "concat" else "sgu"
+
+    def tc(k):  # encoder trunk width at level k: doubles per level, capped at 8c
+        return min(c * 2 ** (k - 1), 8 * c)
+
+    def dc(k):  # base-decoder width at level k; level n + 1 is the final merge
+        return c if k == n + 1 else tc(n + 1 - k)
 
     def junction(stage, k, active, passive, m):
-        return Layer(f"gen.{stage}.junction{k}", "junction", (active, passive), m, m,
-                     prefix=f"gen.{stage}.{kind}{k}")
+        path = f"gen.{stage}.junction{k}"
+        if config.combiner == "concat":
+            return [Layer(path, "conv", (active, passive), 2 * m, m, prefix=f"gen.{stage}.cat{k}")]
+        if config.combiner != "sgu":
+            return [Layer(path, config.combiner, (active, passive), m, m)]
+        ga, gp = (Layer(f"gen.{stage}.sgu{k}.{g}", "conv", (active,), m, m, 3, 1, 1, "sigmoid")
+                  for g in ("ga", "gp"))
+        return [ga, gp, Layer(path, "sgu", (ga.path, active, gp.path, passive), m, m)]
 
     # encoder trunk: one stride-2 step per level after the full-resolution stem1
     trunk = ["gen.enc.stem2"] + [f"gen.enc.trunk{k}" for k in range(2, n + 1)]
@@ -168,17 +138,18 @@ def layer_table(config: SgenConfig) -> tuple[tuple[Layer, ...], tuple[Layer, ...
             for k in range(2, n + 1)]
     for k in range(1, n + 1):  # base-encoders pool every level to the shared deepest scale
         j = n - k + 1
-        gen.append(Layer(f"gen.enc.base{k}", "conv", (trunk[k - 1],), tc(k), bneck,
+        gen.append(Layer(f"gen.enc.base{k}", "conv", (trunk[k - 1],), tc(k), tc(n),
                          2 * j + 1, 2 ** j, j, "lrelu"))
     # bottom-up combination, the higher level active; base-decoder k restores
     # from the (N-k+1)-th combined map
     combined = ["gen.enc.base1"] + [f"gen.enc.junction{k}" for k in range(2, n + 1)]
-    gen += [junction("enc", k, f"gen.enc.base{k}", combined[k - 2], bneck) for k in range(2, n + 1)]
-    gen += [Layer(f"gen.dec.base{k}", "deconv", (combined[n - k],), bneck, dc(k),
+    for k in range(2, n + 1):
+        gen += junction("enc", k, f"gen.enc.base{k}", combined[k - 2], tc(n))
+    gen += [Layer(f"gen.dec.base{k}", "deconv", (combined[n - k],), tc(n), dc(k),
                   2 ** (k + 1), 2 ** k, act="relu") for k in range(1, n + 1)]
     for k in range(1, n + 1):  # top-down combination, the lower level active
         if k > 1:
-            gen.append(junction("dec", k, f"gen.dec.base{k}", f"gen.dec.merge{k - 1}", dc(k)))
+            gen += junction("dec", k, f"gen.dec.base{k}", f"gen.dec.merge{k - 1}", dc(k))
         src = f"gen.dec.junction{k}" if k > 1 else "gen.dec.base1"
         gen.append(Layer(f"gen.dec.merge{k}", "deconv", (src,), dc(k), dc(k + 1), 4, 2, act="relu"))
     gen.append(Layer("gen.out.conv", "conv", (gen[-1].path,), c, ic, 3, 1, 1, "tanh"))
@@ -186,7 +157,7 @@ def layer_table(config: SgenConfig) -> tuple[tuple[Layer, ...], tuple[Layer, ...
     widths = [ic, w, 2 * w, 4 * w, 8 * w]
     disc = [Layer(f"disc.conv{i}", "conv", (f"disc.conv{i - 1}" if i > 1 else "",),
                   widths[i - 1], widths[i], 4, 2, 1, "lrelu") for i in range(1, 5)]
-    disc += [Layer("disc.pool", "pool", ("disc.conv4",)),
+    disc += [Layer("disc.pool", "pool", ("disc.conv4",), 8 * w, 8 * w),
              Layer("disc.fc", "conv", ("disc.pool",), 8 * w, 1, act="sigmoid")]
     return tuple(gen), tuple(disc)
 
@@ -216,13 +187,8 @@ def param_layout(config: SgenConfig) -> dict:
     late = ("gen.dec.merge", "gen.out.conv")
     for row in sorted(gen, key=lambda row: row.path.startswith(late)) + list(disc):
         if row.op in ("conv", "deconv"):
-            put(row.path, row.cin, row.cout, row.k, row.act,
+            put(row.prefix or row.path, row.cin, row.cout, row.k, row.act,
                 row.stride if row.op == "deconv" else None)
-        elif row.op == "junction" and config.combiner == "sgu":
-            for gate in (".ga", ".gp"):
-                put(row.prefix + gate, row.cin, row.cout, 3, "sigmoid")
-        elif row.op == "junction" and config.combiner == "concat":
-            put(row.prefix, 2 * row.cin, row.cout, 1, None)
     return layout
 
 
@@ -260,23 +226,27 @@ def _run(rows: tuple[Layer, ...], x: Tensor, params: dict, config: SgenConfig,
     last = {path: i for i, row in enumerate(rows) for path in row.inputs}
     maps = {"": x}
     for i, row in enumerate(rows):
-        if row.op == "junction":
-            out, ga, gp = combine(config.combiner, *(maps[p] for p in row.inputs), params,
-                                  row.prefix)
-            if acts is not None and ga is not None:
-                acts[row.prefix + ".ga"], acts[row.prefix + ".gp"] = ga, gp
-            del ga, gp  # the gates die with the junction unless `acts` keeps them
-        elif row.op == "pool":
-            out = global_avg_pool(maps[row.inputs[0]])
-        elif row.op == "conv":
-            out = conv2d(maps[row.inputs[0]], params[row.path + ".w"], params[row.path + ".b"],
-                         row.stride, row.pad, act=row.act, alpha=config.lrelu_alpha)
-        else:
+        ins = [maps[path] for path in row.inputs]
+        if row.op == "conv":
+            name = row.prefix or row.path
+            out = conv2d(ins[0] if len(ins) == 1 else concat_channels(*ins), params[name + ".w"],
+                         params[name + ".b"], row.stride, row.pad, act=row.act,
+                         alpha=config.lrelu_alpha)
+        elif row.op == "deconv":
             kernel = params[row.path + ".w"]
             if phases is not None and row.path not in phases:
                 phases[row.path] = phase_kernel(kernel.data, row.stride)
-            out = deconv2d(maps[row.inputs[0]], kernel, params[row.path + ".b"], row.stride,
+            out = deconv2d(ins[0], kernel, params[row.path + ".b"], row.stride,
                            act=row.act, phases=None if phases is None else phases[row.path])
+        elif row.op == "sgu":  # ins are (ga, active, gp, passive)
+            out = add(mul(ins[0], ins[1]), mul(ins[2], ins[3]))
+        elif row.op == "max":
+            out = maximum(*ins)
+        elif row.op == "avg":
+            out = affine(add(*ins), 0.5, 0.0)
+        else:  # "pool"
+            out = global_avg_pool(ins[0])
+        del ins  # so that the loop below frees each input at its last reader
         for path in row.inputs:
             if last[path] == i:
                 del maps[path]
@@ -296,9 +266,9 @@ def generator_forward(s: Tensor, params: dict, config: SgenConfig, phases: dict 
 
     `acts`, a dict the caller owns, is filled only when given, in forward
     order: every row's output under its path except the first and last
-    rows' (the full-resolution gen.enc.stem1 and gen.out.conv), and each sgu
-    junction's gate maps under its prefix + ".ga" and ".gp", just before the
-    junction.  Filling it keeps every one of them alive.
+    rows' (the full-resolution gen.enc.stem1 and gen.out.conv), so an sgu
+    junction's gate maps come just before it, as "gen.{stage}.sgu{k}.ga"
+    and ".gp".  Filling it keeps every one of them alive.
 
     `phases`, a dict the caller owns, keeps each deconv layer's phase kernel
     under its path ("gen.dec.base{k}", "gen.dec.merge{k}"), built on first

@@ -205,11 +205,14 @@ def train(cfg: TrainConfig, model_cfg: SgenConfig, corpus, scales, spec,
     blank except on validation steps), the final checkpoint `sgen.ckpt`, and
     sample grids (periodic when cfg.grid_every > 0, always one at the end).
     An empty val_corpus counts as none: no validation, grids from corpus.
+    A given state must have been built for model_cfg.
     """
     if len(corpus) == 0:
         raise ConfigError("training corpus is empty")
     if not scales:
         raise ConfigError("no training scales given")
+    if state is not None and state.model_config != model_cfg:
+        raise ConfigError(f"the state was built for {state.model_config}, not {model_cfg}")
     if state is None:
         state = init_state(model_cfg, cfg.seed)
     out_dir = Path(out_dir)

@@ -249,6 +249,6 @@ def test_restore_holds_only_live_tensors(traced_peak):
     s = np.random.default_rng(2).uniform(-1.0, 1.0, (1, 1, 384, 352))
     restore(s)  # builds the phase kernels, which the restorer keeps
     out, peak = traced_peak(restore, s)
-    merge3 = cfg.decoder_channels(cfg.levels + 1) * 384 * 352 * 8
+    merge3 = cfg.base_channels * 384 * 352 * 8
     assert out.shape == s.shape
     assert peak < 1.85 * merge3, f"{peak / merge3:.2f}x gen.dec.merge3's output"

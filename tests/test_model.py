@@ -8,8 +8,8 @@ import sgen.autodiff as ad
 import sgen.model as model
 from sgen.autodiff import Graph, Tensor, mean_all, mul, sub, sum_all
 from sgen.errors import CheckpointError, ConfigError, NumericsError, UsageError
-from sgen.model import (COMBINERS, SgenConfig, combine, discriminator_forward,
-                        dump_gates, generator_forward, init_params,
+from sgen.model import (COMBINERS, Layer, SgenConfig, discriminator_forward,
+                        dump_gates, generator_forward, init_params, layer_table,
                         load_checkpoint, save_checkpoint, split_params)
 
 from oracles import numeric_grad, rel_err
@@ -45,10 +45,43 @@ def test_config_validation():
 
 def test_config_channel_plan():
     cfg = SgenConfig(levels=5, base_channels=8)
-    assert [cfg.trunk_channels(k) for k in range(1, 6)] == [8, 16, 32, 64, 64]
-    assert cfg.bottleneck_channels == 64
+    width = {row.path: row.cout for row in layer_table(cfg)[0]}
+    trunk = ["gen.enc.stem2"] + [f"gen.enc.trunk{k}" for k in range(2, 6)]
+    assert [width[path] for path in trunk] == [8, 16, 32, 64, 64]
+    assert {width[f"gen.enc.base{k}"] for k in range(1, 6)} == {64}  # the bottleneck
     assert cfg.divisor == 64
-    assert cfg.decoder_channels(cfg.levels + 1) == 8
+    assert width["gen.dec.merge5"] == 8
+
+
+@pytest.mark.parametrize("combiner", COMBINERS)
+def test_layer_table_wiring(combiner):
+    # every map is made before it is read and read unless last, each conv
+    # reads the channels its inputs make, and the parameters are exactly
+    # the conv and deconv rows', at every level (forwards cover 2 and 3 only)
+    for levels in range(2, 9):
+        for c, w in ((8, 8), (3, 5)):
+            cfg = SgenConfig(levels=levels, base_channels=c, disc_channels=w, combiner=combiner)
+            weights = []
+            for rows in layer_table(cfg):
+                width = {"": cfg.image_channels}
+                for row in rows:
+                    widths = [width[path] for path in row.inputs]  # KeyError: read before made
+                    if row.op in ("conv", "deconv"):
+                        assert row.cin == sum(widths), row.path
+                        weights.append((row.prefix or row.path) + ".w")
+                    else:
+                        assert set(widths) == {row.cin} and row.cout == row.cin, row.path
+                    width[row.path] = row.cout
+                assert len(width) == len(rows) + 1  # no path is made twice
+                read = {path for row in rows for path in row.inputs}
+                assert read == {""} | {row.path for row in rows[:-1]}
+            assert sorted(weights) == sorted(k for k in model.param_layout(cfg) if k.endswith(".w"))
+
+
+def test_default_generator_conv_rows():
+    # perfbench pins 16 conv2d calls per default restore, one per conv row:
+    # 8 layers and the 8 SGU gates
+    assert sum(row.op == "conv" for row in layer_table(DESK)[0]) == 16
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +136,10 @@ def test_init_draw_order_is_pinned(combiner):
 
 def test_init_gate_convs_preserve_channels():
     params = init_params(DESK)
-    bneck = DESK.bottleneck_channels
-    for k in (2, 3):
+    for k, m in ((2, 16), (3, 8)):  # the bottleneck is 32 wide, decoder junction k is m
         for g in ("ga", "gp"):
             w = params[f"gen.enc.sgu{k}.{g}.w"]
-            assert w.shape == (bneck, bneck, 3, 3)
-        m = DESK.decoder_channels(k)
+            assert w.shape == (32, 32, 3, 3)
         assert params[f"gen.dec.sgu{k}.ga.w"].shape == (m, m, 3, 3)
 
 
@@ -133,50 +164,66 @@ def test_combiner_specific_params():
 
 
 # ---------------------------------------------------------------------------
-# sgu / combine
+# junctions
+
+
+def run_junction(rows, a, params, passive_stride=1):
+    """Run `rows` on the active map `a` and return the last row's output.
+
+    A 1x1 conv row "p" in front reverses the channels of `a`; its output is
+    the passive map."""
+    c = a.shape[1]
+    params = dict(params, **{"p.w": Tensor(np.eye(c)[::-1].reshape(c, c, 1, 1)),
+                             "p.b": Tensor(np.zeros((1, c, 1, 1)))})
+    rows = (Layer("p", "conv", ("",), c, c, stride=passive_stride),) + rows
+    return model._run(rows, a, params, DESK).data
+
+
+def sgu_rows(c):
+    gates = tuple(Layer(f"j.{g}", "conv", ("",), c, c, 3, 1, 1, "sigmoid") for g in ("ga", "gp"))
+    return gates + (Layer("j", "sgu", ("j.ga", "", "j.gp", "p"), c, c),)
 
 
 def test_sgu_forced_selection_identities():
-    rng = np.random.default_rng(0)
-    xa = Tensor(rng.normal(size=(2, 3, 4, 4)))
-    xp = Tensor(rng.normal(size=(2, 3, 4, 4)))
-    out = combine("sgu", xa, xp, gate_params("j", 3, 1.0, 0.0), "j")[0]
-    np.testing.assert_array_equal(out.data, xa.data)
-    out = combine("sgu", xa, xp, gate_params("j", 3, 0.0, 1.0), "j")[0]
-    np.testing.assert_array_equal(out.data, xp.data)
+    xa = np.random.default_rng(0).normal(size=(2, 3, 4, 4))
+    out = run_junction(sgu_rows(3), Tensor(xa), gate_params("j", 3, 1.0, 0.0))
+    np.testing.assert_array_equal(out, xa)
+    out = run_junction(sgu_rows(3), Tensor(xa), gate_params("j", 3, 0.0, 1.0))
+    np.testing.assert_array_equal(out, xa[:, ::-1])
 
 
 def test_sgu_zero_preactivation_averages():
-    # sigmoid(0) = 0.5 on both gates: f = 0.5*2 + 0.5*4 = 3
-    xa = Tensor(np.full((1, 1, 2, 2), 2.0))
-    xp = Tensor(np.full((1, 1, 2, 2), 4.0))
-    out = combine("sgu", xa, xp, gate_params("j", 1, 0.5, 0.5), "j")[0]
-    np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2), 3.0))
+    # sigmoid(0) = 0.5 on both gates: f = 0.5*2 + 0.5*4 = 3 on both channels
+    xa = Tensor(np.array([2.0, 4.0]).reshape(1, 2, 1, 1).repeat(2, 2).repeat(2, 3))
+    out = run_junction(sgu_rows(2), xa, gate_params("j", 2, 0.5, 0.5))
+    np.testing.assert_array_equal(out, np.full((1, 2, 2, 2), 3.0))
 
 
 def test_sgu_shape_mismatch():
-    with pytest.raises(ConfigError):
-        combine("sgu", Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 2, 3))),
-                gate_params("j", 1, 0.5, 0.5), "j")
+    with pytest.raises(ConfigError, match="shape mismatch"):
+        run_junction(sgu_rows(1), Tensor(np.zeros((1, 1, 2, 2))), gate_params("j", 1, 0.5, 0.5),
+                     passive_stride=2)
 
 
 def test_combine_max_and_avg():
-    a = Tensor(np.array([1.0, 5.0]).reshape(1, 1, 1, 2))
-    b = Tensor(np.array([4.0, 2.0]).reshape(1, 1, 1, 2))
-    np.testing.assert_array_equal(combine("max", a, b)[0].data.reshape(-1), [4.0, 5.0])
-    x = Tensor(np.random.default_rng(1).normal(size=(1, 2, 3, 3)))
-    np.testing.assert_array_equal(combine("avg", x, x)[0].data, x.data)
+    a = Tensor(np.array([1.0, 5.0]).reshape(1, 2, 1, 1))  # the passive map is [5, 1]
+    out = run_junction((Layer("j", "max", ("", "p"), 2, 2),), a, {})
+    np.testing.assert_array_equal(out.reshape(-1), [5.0, 5.0])
+    out = run_junction((Layer("j", "avg", ("", "p"), 2, 2),), a, {})
+    np.testing.assert_array_equal(out.reshape(-1), [3.0, 3.0])
 
 
 def test_combine_concat_identity_kernel():
+    # a 1x1 conv over the stacked (active, passive) channels, its parameters
+    # under the row's prefix, picks either half exactly
     c = 3
-    a = Tensor(np.ones((1, c, 4, 4)))
-    w = np.zeros((c, 2 * c, 1, 1))
-    for i in range(c):  # pick the first (active) half of the stack
-        w[i, i, 0, 0] = 1.0
-    params = {"j.w": Tensor(w), "j.b": Tensor(np.zeros((1, c, 1, 1)))}
-    out = combine("concat", a, a, params, "j")[0]
-    np.testing.assert_array_equal(out.data, np.ones((1, c, 4, 4)))
+    a = np.random.default_rng(1).normal(size=(1, c, 4, 4))
+    rows = (Layer("j", "conv", ("", "p"), 2 * c, c, prefix="cat"),)
+    for half, want in ((0, a), (1, a[:, ::-1])):
+        w = np.zeros((c, 2 * c, 1, 1))
+        w[np.arange(c), half * c + np.arange(c)] = 1.0
+        params = {"cat.w": Tensor(w), "cat.b": Tensor(np.zeros((1, c, 1, 1)))}
+        np.testing.assert_array_equal(run_junction(rows, Tensor(a), params), want)
 
 
 def test_combiner_shape_uniformity():
@@ -186,12 +233,6 @@ def test_combiner_shape_uniformity():
         out = generator_forward(rand_input(cfg, 48, 32), init_params(cfg), cfg)
         shapes.add(out.shape)
     assert shapes == {(1, 1, 48, 32)}
-
-
-def test_combine_unknown_kind():
-    x = Tensor(np.zeros((1, 1, 2, 2)))
-    with pytest.raises(ConfigError):
-        combine("median", x, x)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +306,7 @@ def test_generator_rejects_wrong_channels():
 def test_generator_nan_abort_names_layer():
     # a NaN weight is reported under the first activation it reaches
     cases = {"gen.enc.trunk2.w": "gen.enc.trunk2", "gen.dec.merge1.w": "gen.dec.merge1",
-             "gen.enc.sgu2.ga.w": "gen.enc.junction2"}
+             "gen.enc.sgu2.ga.w": "gen.enc.sgu2.ga"}
     for param, layer in cases.items():
         params = init_params(DESK)
         params[param].data[0, 0, 0, 0] = np.nan
@@ -514,8 +555,7 @@ def test_checkpoint_undecodable_name(tmp_path):
 def test_dump_gates_file_count_and_values(tmp_path):
     params = init_params(DESK)
     stats = dump_gates(params, DESK, rand_input(DESK, 48, 32), tmp_path)
-    bneck = DESK.bottleneck_channels
-    expected = 2 * (2 * bneck) + 2 * (DESK.decoder_channels(2) + DESK.decoder_channels(3))
+    expected = 2 * (2 * 32) + 2 * (16 + 8)  # a file per gate channel: bottleneck 32, decoder 16, 8
     files = sorted(tmp_path.glob("*.pgm"))
     assert len(files) == expected
     assert set(stats) == {"enc.sgu2", "enc.sgu3", "dec.sgu2", "dec.sgu3"}

@@ -382,6 +382,19 @@ def test_resume_from_state(tmp_path):
     assert len(state.history) == 4
 
 
+def test_train_refuses_a_state_of_another_model_config(tmp_path):
+    # the checkpoint names model_cfg, so a state built for another config
+    # would be saved under a config it never trained with
+    state = init_state(TINY, seed=0)
+    before = snapshot(state.params)
+    cfg = TrainConfig(steps=1, batch_size=2, lr=1e-3, mse_only=True)
+    with pytest.raises(ConfigError, match="lrelu_alpha=0.3"):
+        train(cfg, SgenConfig(levels=2, base_channels=2, lrelu_alpha=0.3), SyntheticCorpus(4),
+              [SCALE], SPEC, tmp_path, state=state)
+    assert state.step == 0 and not list(tmp_path.iterdir())
+    assert all(np.array_equal(state.params[k].data, v) for k, v in before.items())
+
+
 def test_two_calls_continue_the_one_run(tmp_path):
     # the state carries the batch stream: 2 + 2 steps are the 4-step run
     cfg = TrainConfig(steps=2, batch_size=2, lr=1e-3, seed=5)

@@ -10,9 +10,11 @@ batch-8 minibatch (default scales in turn) and runs `train_step` on it in
 both trees, alternating which tree goes first.  Prints each tree's median
 and minimum step time in ms, and the largest |difference| between the trees
 in the step losses and, after the last step, in the parameters and both
-Adam moments.  Before the steps it prints, per combiner, the largest
-|difference| in `init_params` and in one fixed-seed forward: the generator's
-output and every `acts` entry, and the discriminator's score of that output.
+Adam moments.  Before the steps it prints, per combiner, level (2, 3, 4) and
+channel plan (base_channels, disc_channels) of (8, 8) and (3, 5), whether
+`param_layout` matches item for item, and the largest |difference| in
+`init_params` and in one fixed-seed 64x32 forward: the generator's output and
+every `acts` entry, and the discriminator's score of that output.
 It needs no network and changes nothing in either tree.
 """
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import itertools
 import statistics
 import subprocess
 import sys
@@ -90,25 +93,30 @@ def main(argv: list[str]) -> int:
 
 
 def compare_forwards(trees: dict) -> None:
-    """Print, per combiner, the largest differences in init_params and one forward."""
-    s = np.random.default_rng(SEED).uniform(-1.0, 1.0, (2, 1, 48, 32))
+    """Print, per model config, the layout match and the largest differences in
+    init_params and one forward."""
+    s = np.random.default_rng(SEED).uniform(-1.0, 1.0, (2, 1, 64, 32))
     for combiner in trees["head"].model.COMBINERS:
-        params, acts, scores = {}, {}, {}
-        for key, tree in trees.items():
-            cfg = tree.model.SgenConfig(combiner=combiner)
-            params[key], acts[key] = tree.model.init_params(cfg, SEED), {}
-            out = tree.model.generator_forward(tree.autodiff.Tensor(s), params[key], cfg,
-                                               acts=acts[key])
-            acts[key]["gen.out.conv"] = out
-            scores[key] = tree.model.discriminator_forward(out, params[key], cfg)
-        if list(params["base"]) != list(params["head"]) or list(acts["base"]) != list(acts["head"]):
-            print(f"{combiner}: the trees' parameter or acts keys differ")
-            continue
-        diffs = [max_diff(*([t.data for t in d[key].values()] for key in ("base", "head")))
-                 for d in (params, acts)]
-        diffs.append(max_diff([scores["base"].data], [scores["head"].data]))
-        print("{}: max |diff| init_params {:.3g}, generator output and acts {:.3g}, "
-              "discriminator {:.3g}".format(combiner, *diffs))
+        for levels, (base, disc) in itertools.product((2, 3, 4), ((8, 8), (3, 5))):
+            name = f"{combiner} levels={levels} channels=({base}, {disc})"
+            layouts, params, acts, scores = {}, {}, {}, {}
+            for key, tree in trees.items():
+                cfg = tree.model.SgenConfig(levels=levels, base_channels=base,
+                                            disc_channels=disc, combiner=combiner)
+                layouts[key] = list(tree.model.param_layout(cfg).items())
+                params[key], acts[key] = tree.model.init_params(cfg, SEED), {}
+                out = tree.model.generator_forward(tree.autodiff.Tensor(s), params[key], cfg,
+                                                   acts=acts[key])
+                acts[key]["gen.out.conv"] = out
+                scores[key] = tree.model.discriminator_forward(out, params[key], cfg)
+            if list(acts["base"]) != list(acts["head"]) or layouts["base"] != layouts["head"]:
+                print(f"{name}: the trees' param_layout or acts keys differ")
+                continue
+            diffs = [max_diff(*([t.data for t in d[key].values()] for key in ("base", "head")))
+                     for d in (params, acts)]
+            diffs.append(max_diff([scores["base"].data], [scores["head"].data]))
+            print("{}: param_layout equal, max |diff| init_params {:.3g}, generator output and "
+                  "acts {:.3g}, discriminator {:.3g}".format(name, *diffs))
 
 
 def run(trees: dict, steps: int):
