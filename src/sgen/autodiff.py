@@ -147,7 +147,17 @@ gradient's correlation narrows and so runs on the shifted GEMM, which
 gives no kernel gradient: one walk in bands would round that input
 gradient differently from the shifted one.  A node asked for neither -- conv2d in the generator step's
 frozen discriminator, where x is tracked and the kernel is not -- gathers
-nothing for its kernel."""
+nothing for its kernel.
+
+Elementwise passes.  Past CHUNK elements (256 KiB) the leaky ReLU and the
+sigmoid run piece by piece through reused chunk-sized scratch (_pieces),
+so they make no temporary of their array's size, and gate -- a sequential
+gating unit's junction, ga * a + gp * b, as one node -- adds its second
+product into its first the same way.  The junction holds its four inputs
+and its output, where add(mul(ga, a), mul(gp, b)) held two products and
+their sum beside them: a traced 384x352 restore peaked at 14.44 MiB in the
+last junction, gen.dec.junction3, and now peaks at 12.18 MiB in
+gen.dec.merge3.  Each is bit for bit the whole-array form."""
 
 from __future__ import annotations
 
@@ -532,33 +542,49 @@ def _relu(a: np.ndarray, alpha: float) -> np.ndarray:
     return a
 
 
+def _pieces(arrays: tuple[np.ndarray, ...], *scratch: type):
+    """Matching pieces of equal-shaped arrays, then scratch arrays of the piece's shape.
+
+    Past one chunk the pieces are CHUNK-element slices of the arrays' flat
+    views and each scratch is one reused array of that size, so an
+    elementwise pass keeps its temporaries in cache and makes none of the
+    arrays' size (stem1's output and the gate maps of a large restore).
+    Otherwise, or if an array is not contiguous, each array is one piece.
+    """
+    size = arrays[0].size
+    if size <= CHUNK or not all(a.flags.c_contiguous for a in arrays):
+        pieces = [arrays]
+    else:
+        flats = [a.reshape(-1) for a in arrays]
+        pieces = [[flat[lo:lo + CHUNK] for flat in flats] for lo in range(0, size, CHUNK)]
+    bufs = [np.empty(pieces[0][0].shape, dtype) for dtype in scratch]
+    for parts in pieces:
+        yield (*parts, *(buf[:len(parts[0])] for buf in bufs))
+
+
 def _lrelu(a: np.ndarray, alpha: float) -> np.ndarray:
-    # for alpha in [0, 1) this is where(x > 0, x, alpha * x); past one chunk
-    # alpha * x goes to one reused chunk-sized scratch array, not a full-size
-    # temporary (stem1's output on a large restore)
-    if a.size <= CHUNK or not a.flags.c_contiguous:
-        return np.maximum(a, alpha * a, out=a)
-    flat = a.reshape(-1)
-    scratch = np.empty(CHUNK)
-    for lo in range(0, flat.size, CHUNK):
-        part = flat[lo:lo + CHUNK]
-        np.maximum(part, np.multiply(part, alpha, out=scratch[:part.size]), out=part)
+    # for alpha in [0, 1) this is where(x > 0, x, alpha * x)
+    for part, tmp in _pieces((a,), float):
+        np.maximum(part, np.multiply(part, alpha, out=tmp), out=part)
     return a
 
 
 def _sigmoid(a: np.ndarray, alpha: float) -> np.ndarray:
     # evaluate via e = exp(-|x|) so neither branch can overflow: the numerator
     # is 1 where x >= 0 and e elsewhere (e <= 1; NaN stays NaN), over 1 + e
-    e = np.abs(a)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    np.maximum(e, a >= 0, out=a)
-    e += 1.0
-    return np.divide(a, e, out=a)
+    for part, e, nonneg in _pieces((a,), float, bool):
+        np.abs(part, out=e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        np.maximum(e, np.greater_equal(part, 0, out=nonneg), out=part)
+        e += 1.0
+        np.divide(part, e, out=part)
+    return a
 
 
-# name -> (forward of a fresh array, which it may overwrite and return;
-# input gradient from the output gradient g and the output).  Each gradient
+# name -> (forward of a fresh array, which it may overwrite and return,
+# lrelu and sigmoid chunk by chunk; input gradient from the output gradient
+# g and the output).  Each gradient
 # reads the activation's output, never its input, which a fused
 # conv2d/deconv2d does not keep: for relu, and for lrelu with alpha in
 # [0, 1), out > 0 exactly where x > 0.  NaN passes through every forward, so
@@ -735,6 +761,23 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape("mul", a, b)
     return _record("mul", (a, b), a.data * b.data, lambda g: (g * b.data, g * a.data))
+
+
+def gate(ga: Tensor, a: Tensor, gp: Tensor, b: Tensor) -> Tensor:
+    """ga * a + gp * b in one node: a sequential gating unit's junction.
+
+    The first product is the fresh output, and the second is added to it
+    piece by piece through one CHUNK-sized scratch (_pieces), so the node
+    holds its four inputs and one map of their size; no input is written.  Its value and gradients
+    are bit for bit those of add(mul(ga, a), mul(gp, b)).
+    """
+    for t in (a, gp, b):
+        _check_same_shape("gate", ga, t)
+    out = np.multiply(ga.data, a.data, out=np.empty(ga.shape))
+    for part, gp_part, b_part, tmp in _pieces((out, gp.data, b.data), float):
+        part += np.multiply(gp_part, b_part, out=tmp)
+    return _record("gate", (ga, a, gp, b), out,
+                   lambda g: (g * a.data, g * ga.data, g * b.data, g * gp.data))
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:

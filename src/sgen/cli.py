@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -87,7 +88,9 @@ _SUBCOMMANDS = {
 _RUN_KEYS = {f.name for f in fields(RunConfig)}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `sgen` parser, built on first use: it reads only module constants."""
     parser = argparse.ArgumentParser(
         prog="sgen",
         description="Multi-scale noise-robust face restoration with a "

@@ -32,8 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import (Tensor, add, affine, concat_channels, conv2d, deconv2d, global_avg_pool,
-                       maximum, mul, phase_kernel)
+from .autodiff import (Tensor, add, affine, concat_channels, conv2d, deconv2d, gate,
+                       global_avg_pool, maximum, phase_kernel)
 from .data import atomic_write, save_image
 from .errors import CheckpointError, ConfigError, NumericsError
 
@@ -220,7 +220,8 @@ def _run(rows: tuple[Layer, ...], x: Tensor, params: dict, config: SgenConfig,
     """Run a layer table on x; returns its last row's output.
 
     Each output is checked under its row's path and dropped after its last
-    reader.  `phases` and `acts` are generator_forward's.  The ops are looked
+    reader.  An sgu row is one gate node over its (ga, active, gp, passive)
+    maps.  `phases` and `acts` are generator_forward's.  The ops are looked
     up by module name on each call, so whoever patches one sees every call.
     """
     last = {path: i for i, row in enumerate(rows) for path in row.inputs}
@@ -239,7 +240,7 @@ def _run(rows: tuple[Layer, ...], x: Tensor, params: dict, config: SgenConfig,
             out = deconv2d(ins[0], kernel, params[row.path + ".b"], row.stride,
                            act=row.act, phases=None if phases is None else phases[row.path])
         elif row.op == "sgu":  # ins are (ga, active, gp, passive)
-            out = add(mul(ins[0], ins[1]), mul(ins[2], ins[3]))
+            out = gate(*ins)
         elif row.op == "max":
             out = maximum(*ins)
         elif row.op == "avg":

@@ -20,7 +20,7 @@ import pytest
 from oracles import numeric_grad, nudge_off_kinks, rel_err, ssim_windowed_naive
 from refnets import force_gates, reference_forward
 from sgen.autodiff import (Graph, Tensor, add, affine, concat_channels, conv2d,
-                           deconv2d, global_avg_pool, log_clamped, lrelu, maximum,
+                           deconv2d, gate, global_avg_pool, log_clamped, lrelu, maximum,
                            mean_all, mul, relu, sigmoid, sub, sum_all, tanh)
 from sgen.data import (DegradationSpec, SyntheticCorpus, degrade, make_batch,
                        read_netpbm, to_unit)
@@ -102,6 +102,9 @@ def test_criterion_01_gradient_suite():
     def r(*shape):
         return rng.normal(size=shape)
 
+    # the sgu junction's operands, from a generator of their own so that
+    # rng's later draws stay as they were
+    junction = list(np.random.default_rng(1).normal(size=(4, 1, 2, 3, 3)))
     smooth = [
         (lambda x, k, b: conv2d(x, k, b, stride=2, padding=1),
          [r(1, 2, 4, 4), r(3, 2, 3, 3), r(1, 3, 1, 1)]),
@@ -116,6 +119,7 @@ def test_criterion_01_gradient_suite():
         (add, [r(1, 2, 3, 3), r(1, 2, 3, 3)]),
         (sub, [r(1, 2, 3, 3), r(1, 2, 3, 3)]),
         (mul, [r(1, 2, 3, 3), r(1, 2, 3, 3)]),
+        (gate, junction),
         (lambda x: affine(x, 1.7, -0.3), [r(1, 2, 3, 3)]),
         (concat_channels, [r(1, 2, 3, 3), r(1, 3, 3, 3)]),
         (global_avg_pool, [r(1, 3, 4, 4)]),

@@ -3,7 +3,7 @@ import pytest
 
 from sgen import autodiff as ad
 from sgen.autodiff import (AdamState, Graph, Tensor, adam_step, add, affine,
-                           concat_channels, conv2d, deconv2d, global_avg_pool,
+                           concat_channels, conv2d, deconv2d, gate, global_avg_pool,
                            log_clamped, lrelu, maximum, mean_all, mul, relu, sigmoid,
                            sub, sum_all, tanh)
 from sgen.errors import ConfigError, NumericsError, UsageError
@@ -816,19 +816,54 @@ def test_activation_bits_match_definition(act):
 
 
 @pytest.mark.parametrize("size", [ad.CHUNK, 3 * ad.CHUNK + 17])
-def test_lrelu_in_chunks_is_bitwise_one_call(size, monkeypatch):
-    # past one chunk lrelu runs chunk by chunk through one scratch array;
-    # every bit, signed zeros and NaN included, is the single call's
+@pytest.mark.parametrize("act,ufunc", [("lrelu", "multiply"), ("sigmoid", "exp")],
+                         ids=["lrelu", "sigmoid"])
+def test_lrelu_in_chunks_is_bitwise_one_call(act, ufunc, size, monkeypatch):
+    # past one chunk the activation runs chunk by chunk through reused
+    # scratch; every bit, signed zeros and NaN included, is the definition's
     x = np.random.default_rng(size).normal(size=(1, 1, 1, size)) * 30.0
     x.flat[::7] = -0.0
     x.flat[-3:] = [np.inf, -np.inf, np.nan]
-    want = np.maximum(x, 0.3 * x)
+    want = ACT_DEFINITIONS[act](x)
     chunks = []
-    real = np.multiply
-    monkeypatch.setattr(np, "multiply", lambda *a, **k: chunks.append(a[0].size) or real(*a, **k))
-    out = ad._ACTIVATIONS["lrelu"][0](x.copy(), 0.3)
+    real = getattr(np, ufunc)
+    monkeypatch.setattr(np, ufunc, lambda *a, **k: chunks.append(a[0].size) or real(*a, **k))
+    out = ad._ACTIVATIONS[act][0](x.copy(), 0.3)
     assert np.array_equal(out.view(np.int64), want.view(np.int64))
-    assert chunks == ([] if size <= ad.CHUNK else [ad.CHUNK] * 3 + [17])
+    assert chunks == ([size] if size <= ad.CHUNK else [ad.CHUNK] * 3 + [17])
+
+
+@pytest.mark.parametrize("size", [ad.CHUNK - 5, ad.CHUNK, 2 * ad.CHUNK + 17])
+def test_gate_is_bitwise_the_composed_ops(size):
+    # value and all four gradients, with NaN, infinities and signed zeros
+    # among the operands, below, at and above one chunk; no input is written
+    rng = np.random.default_rng(size)
+    arrays = rng.normal(size=(4, 1, 1, 1, size)) * 30.0
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0]
+    arrays[:, 0, 0, 0, :64] = rng.choice(special, size=(4, 64))  # inf * 0, -0.0 + -0.0, ...
+    w = Tensor(rng.normal(size=(1, 1, 1, size)))
+    results = []
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf make NaN on both sides
+        for build in (gate, lambda ga, a, gp, b: add(mul(ga, a), mul(gp, b))):
+            tensors = [Tensor(arr.copy(), requires_grad=True) for arr in arrays]
+            with Graph() as g:
+                out = build(*tensors)
+                loss = sum_all(mul(out, w))
+            grads = g.backward(loss, dict(enumerate(tensors)))
+            results.append([out.data] + [grads[i] for i in range(4)])
+            for t, arr in zip(tensors, arrays):
+                assert np.array_equal(t.data.view(np.int64), arr.view(np.int64))
+    for got, want in zip(*results):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_gate_shape_mismatch():
+    x = t4(np.zeros((1, 2, 3, 3)))
+    for i in range(1, 4):
+        args = [x] * 4
+        args[i] = t4(np.zeros((1, 2, 3, 4)))
+        with pytest.raises(ConfigError, match="gate: shape mismatch"):
+            gate(*args)
 
 
 @pytest.mark.parametrize("act", list(ACTS))

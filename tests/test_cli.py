@@ -398,6 +398,36 @@ def test_subcommand_rejects_flags_it_does_not_read(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_main_calls_in_sequence_do_not_interact(trained, tmp_path, capsys):
+    # one process, one parser: a restore, an argparse error, the same restore
+    # again, each with the exit code and output it gives alone
+    src, dst = tmp_path / "in.pgm", tmp_path / "out.pgm"
+    write_netpbm(synth_face(0, 40, 28), src)
+    restore = ["restore", "--checkpoint", str(trained["ckpt"]), str(src), str(dst)]
+    bad = ["restore", "--levels", "2", "--checkpoint", "m.ckpt", "in.pgm", "out.pgm"]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err, dst.read_bytes() if dst.exists() else None
+
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser.__wrapped__().parse_args(bad)  # a parser of its own
+    alone = (exc.value.code, *capsys.readouterr())
+    first = run(restore)
+    assert first[0] == 0 and first[3] is not None
+    dst.unlink()
+    assert run(bad) == alone + (None,)
+    assert run(restore) == first
+
+
 def test_oversized_model_exits_1(tmp_path, capsys):
     # numpy refuses the parameter arrays before it allocates anything
     cfg = write_config(tmp_path / "run.cfg", base_channels=1000000)

@@ -238,11 +238,12 @@ def test_batch_restore_matches_single_restores():
 
 def test_restore_holds_only_live_tensors(traced_peak):
     # a 384x352 restore: the forward drops each feature map once its last
-    # reader has run, and every convolution pads, gathers and places in
-    # bands, so the traced peak is the last sgu junction, gen.dec.junction3
-    # at 184x176: its two inputs, two gate maps, two products and their sum,
-    # 1.75x the largest activation, gen.dec.merge3's output.  Gate maps
-    # kept past their junction took 2.00x, keeping every activation and
+    # reader has run, every convolution pads, gathers and places in bands,
+    # and an sgu junction is one gate node, which holds its four inputs, its
+    # output and one chunk of scratch.  So the traced peak is gen.dec.merge3,
+    # the transposed convolution into the largest activation: 1.48x its
+    # output.  The junction's two products and their sum took 1.75x, gate
+    # maps kept past their junction 2.00x, keeping every activation and
     # whole-array scratch 4.9x.
     cfg = SgenConfig()
     restore = model_restorer(init_params(cfg, seed=0), cfg)
@@ -251,4 +252,4 @@ def test_restore_holds_only_live_tensors(traced_peak):
     out, peak = traced_peak(restore, s)
     merge3 = cfg.base_channels * 384 * 352 * 8
     assert out.shape == s.shape
-    assert peak < 1.85 * merge3, f"{peak / merge3:.2f}x gen.dec.merge3's output"
+    assert peak < 1.6 * merge3, f"{peak / merge3:.2f}x gen.dec.merge3's output"

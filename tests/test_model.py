@@ -200,9 +200,20 @@ def test_sgu_zero_preactivation_averages():
 
 
 def test_sgu_shape_mismatch():
-    with pytest.raises(ConfigError, match="shape mismatch"):
+    with pytest.raises(ConfigError, match="gate: shape mismatch"):
         run_junction(sgu_rows(1), Tensor(np.zeros((1, 1, 2, 2))), gate_params("j", 1, 0.5, 0.5),
                      passive_stride=2)
+
+
+def test_sgu_junction_is_one_tape_node():
+    # the default generator records its 16 conv rows, 6 deconv rows and one
+    # gate node per sgu junction, two in each stage
+    params = init_params(DESK)
+    with Graph() as g:
+        generator_forward(Tensor(np.zeros((1, 1, 16, 16))), params, DESK)
+    ops = [node.op for node in g.nodes]
+    assert (ops.count("conv2d"), ops.count("deconv2d"), ops.count("gate")) == (16, 6, 4)
+    assert len(ops) == 26
 
 
 def test_combine_max_and_avg():

@@ -8,13 +8,14 @@ directory; its package is imported as `sgen_base` and this checkout's
 fresh training state from the same seed.  Every step draws one adversarial
 batch-8 minibatch (default scales in turn) and runs `train_step` on it in
 both trees, alternating which tree goes first.  Prints each tree's median
-and minimum step time in ms, and the largest |difference| between the trees
-in the step losses and, after the last step, in the parameters and both
-Adam moments.  Before the steps it prints, per combiner, level (2, 3, 4) and
-channel plan (base_channels, disc_channels) of (8, 8) and (3, 5), whether
-`param_layout` matches item for item, and the largest |difference| in
-`init_params` and in one fixed-seed 64x32 forward: the generator's output and
-every `acts` entry, and the discriminator's score of that output.
+and minimum step time in ms per scale, and the largest |difference|
+between the trees in the step losses and, after the last step, in the
+parameters and both Adam moments.  Before the steps it prints, per
+combiner, level (2, 3, 4) and channel plan (base_channels, disc_channels)
+of (8, 8) and (3, 5), whether `param_layout` matches item for item, and
+the largest |difference| in `init_params` and in one fixed-seed 64x32
+forward: the generator's output and every `acts` entry, and the
+discriminator's score of that output.
 It needs no network and changes nothing in either tree.
 """
 
@@ -74,11 +75,11 @@ def main(argv: list[str]) -> int:
                  "head": import_tree(ROOT / "src", "sgen_head")}
         compare_forwards(trees)
         states, times, loss_diff = run(trees, steps)
-    for key in trees:
-        print(f"{key}: median {statistics.median(times[key]):.2f} ms, "
-              f"min {min(times[key]):.2f} ms over {steps} steps")
-    ratio = statistics.median(times["head"]) / statistics.median(times["base"])
-    print(f"head/base median step time: {ratio:.3f}")
+    for scale in SCALES[:steps]:  # the scales a step ran at
+        for key in trees:
+            ms = times[key][scale]
+            print(f"{key} {scale[0]}x{scale[1]}: median {statistics.median(ms):.2f} ms, "
+                  f"min {min(ms):.2f} ms over {len(ms)} steps")
     base, head = states["base"], states["head"]
     print(f"max |diff| losses: {loss_diff:.3g}")
     print("max |diff| params: {:.3g}".format(
@@ -120,17 +121,18 @@ def compare_forwards(trees: dict) -> None:
 
 
 def run(trees: dict, steps: int):
-    """(states, step ms per tree, largest loss difference) after `steps` shared batches."""
+    """(states, step ms per tree and scale, largest loss difference) after `steps` batches."""
     data = trees["head"].data
     corpus, spec = data.SyntheticCorpus(512), data.DegradationSpec()
     rng = np.random.default_rng(SEED)
     states = {k: tree.train.init_state(tree.model.SgenConfig(seed=SEED), SEED)
               for k, tree in trees.items()}
     cfgs = {k: tree.train.TrainConfig(batch_size=BATCH, seed=SEED) for k, tree in trees.items()}
-    times = {k: [] for k in trees}
+    times = {k: {scale: [] for scale in SCALES} for k in trees}
     loss_diff = 0.0
     for step in range(steps):
-        batch = data.make_batch(corpus, SCALES[step % len(SCALES)], BATCH, spec, rng)
+        scale = SCALES[step % len(SCALES)]
+        batch = data.make_batch(corpus, scale, BATCH, spec, rng)
         losses = {}
         for key in list(trees)[::1 if step % 2 == 0 else -1]:
             tensor = trees[key].autodiff.Tensor
@@ -138,7 +140,7 @@ def run(trees: dict, steps: int):
                                           t=tensor(batch.t.data.copy()))
             t0 = time.perf_counter()
             losses[key] = trees[key].train.train_step(local, states[key], cfgs[key])
-            times[key].append(1e3 * (time.perf_counter() - t0))
+            times[key][scale].append(1e3 * (time.perf_counter() - t0))
         loss_diff = max(loss_diff, *(abs(losses["base"][k] - losses["head"][k])
                                      for k in ("d_loss", "g_adv", "g_mse")))
     return states, times, loss_diff
