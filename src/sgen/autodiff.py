@@ -33,14 +33,13 @@ phase owns, so no padded canvas is built and nothing is cropped.  The phase
 correlation hands each band of phase rows (see Bands) to _col2im as soon as
 the band is computed, so no whole phase output exists either: a transposed
 convolution holds its result and one band, 1.28x the result for x2 from
-184x152 with 8 channels, where the whole phase output took 2.0x and a
-canvas and its crop 3.0x.  At stride 1 with nothing to crop (every 3x3,
+184x152 with 8 channels.  At stride 1 with nothing to crop (every 3x3,
 pad-1 conv2d's input gradient) the phase correlation is the result, and
 _col2im is not called.  For that x2 (2-core Xeon VM, one BLAS thread) the
-phase copies take 2.5-2.6 ms, where the canvas's 6-D transposed copy, whose
-inner loop ran over s = 2 elements, took 4.5-4.8 ms and the crop another
-~1.4 ms.  At s = 8 the 64 copies take 1.0 ms against the transposed copy's
-0.6 ms, and the dropped crop pays that back.  The pair runs both ways: one
+phase copies take 2.5-2.6 ms, against 4.5-4.8 ms for one 6-D transposed
+copy of the whole canvas, whose inner loop runs over s = 2 elements, and
+~1.4 ms more for its crop.  At s = 8 the 64 copies take 1.0 ms against the
+transposed copy's 0.6 ms, and the crop they skip pays that back.  The pair runs both ways: one
 tape node, _conv_node, computes conv2d with _correlate forward and
 _conv_transpose backward, and deconv2d with the two swapped, so deconv2d's
 input gradient is a strided correlation of its output gradient.
@@ -69,41 +68,39 @@ the zero taps of the phase kernel.  _im2col gathers from a band that is already 
 
 Every correlation -- the conv2d forward, the phase correlation of
 _conv_transpose and both ops' kernel gradients -- goes through _correlate,
-which picks its walker by a fixed rule on shapes alone: with c input and oc
-output channels,
+one walk over bands (see Bands) that runs one of two band kernels on each,
+picked by a fixed rule on shapes alone: with c input and oc output channels,
 
-    the shifted GEMM (_shifted) for a stride-1 correlation with oc < c
-    whose kernel gradient is not asked,
+    the shifted GEMM for a stride-1 correlation with oc < c whose kernel
+    gradient is not asked,
 
-and im2col bands (_banded) otherwise, so every kernel gradient runs in
-bands.  The shifted GEMM accumulates one (oc, c) GEMM per kernel tap over
-contiguous slices of the padded input, so it builds no patch matrix, but it
-passes over the input and adds into the output once per tap.  That pays
+and im2col with its GEMMs otherwise, so every kernel gradient is taken from
+gathered patches.  The shifted GEMM accumulates one (oc, c) GEMM per kernel
+tap over contiguous slices of a band's padded rows, so it gathers nothing,
+but it passes over the input and adds into the output once per tap.  That pays
 only where the output is narrower than the input.  The program's narrowing
 correlations are the forwards of gen.out.conv (8 -> 1) and disc.fc
 (64 -> 1) and the input-gradient phase correlation of disc.conv1 (8 -> 4
 phases).  None of them is asked for a kernel gradient: the first two take
 theirs from their input gradient's walk (see The tape rule), which widens.
-Timed in-process against the bands (2-core Xeon VM, one BLAS thread, min of
+Timed in-process against im2col (2-core Xeon VM, one BLAS thread, min of
 9 runs), forwards in us: gen.out.conv at 1x8x48x48 103 against 187, at
 1x8x64x48 100 against 172; disc.fc at batch 8 6.3 against 11.1;
 disc.conv1's phase correlation of a batch-8 24x16 gradient 73 against 100.
 At 368x304 gen.out.conv's forward ties (5.9 ms).  A channel-preserving SGU
-gate (8 -> 8 at 184x152) takes 4.5 ms shifted and 1.8 ms in bands.
+gate (8 -> 8 at 184x152) takes 4.5 ms shifted and 1.8 ms on im2col.
 
-Bands.  A patch matrix smaller than CACHE_BYTES (2 MiB, the L2 cache of the
-2-core Xeon VM) stays in cache and is gathered whole.  A larger one is
-never built whole: _banded gathers it in bands of at most BAND_BYTES (768
-KiB), each into the same buffer -- whole images per band while one image's
-matrix fits, else rows of one image -- and each band's GEMM writes straight
-into its slice of the output while the band is still in cache.  Each band
+Bands.  _correlate cuts its work into bands of output rows (_bands) by the
+size of what a band reads: the patch matrix for im2col, the padded input
+rows (c * wp elements per output row) for the shifted GEMM.  One smaller
+than CACHE_BYTES (2 MiB, the L2 cache of the 2-core Xeon VM) stays in cache
+and is one band.  A larger one is never built whole: it is walked in bands
+of at most BAND_BYTES (768 KiB) -- whole images per band while one image
+fits, else rows of one image -- and each band's GEMMs run while it is still
+in cache.  im2col gathers every band into the same buffer.  Each band
 zero-pads its own input rows, so no padded copy of the whole input is made
-either.  The whole matrix went out to memory and back: 16.1 MB for
-gen.enc.stem2 on a 368x304 restore, whose forward peaked at 22.3 MiB traced
-with it, 9.3 MiB with bands of a padded copy and 3.4 MiB (0.50x its input)
-with bands that pad their own rows.  The shifted GEMM walks the same
-bands of its padded input rows (c * wp elements per output row), each
-padded on its own: gen.out.conv on a 384x352 restore no longer copies its
+either: gen.enc.stem2's forward on a 368x304 restore peaks at 3.4 MiB traced
+(0.50x its input), and gen.out.conv on a 384x352 restore copies none of its
 8.3 MiB input.  Both sizes were chosen by timing every correlation and
 kernel-gradient shape that each benchmark workload runs (the 48 requests of
 a restore pool, one eval_model call, three adversarial batch-8 train
@@ -136,16 +133,16 @@ over the output gradient's bands gives both.  Timed per node backward at
 batch 8 (2-core Xeon VM, one BLAS thread, min of 9 x 40 calls) the one walk
 took an 8 -> 8 gate at 40x32 from 2.02 to 1.29 ms and gen.out.conv at
 80x64 from 2.42 to 1.02 ms; the input gradient is bitwise the two-walk one.
-Every other conv2d takes its kernel gradient from _correlate on the walker
-that the forward correlation runs, gathering the input's patches again: the
+Every other conv2d takes its kernel gradient from a _correlate call over
+the forward correlation's bands, gathering the input's patches again: the
 strided layers, because a prototype that shared their input gradient's
 phase walk was slower (stem2 3.26 -> 3.65 ms, base1 1.33 -> 1.68 ms,
 disc.conv2 1.57 -> 1.89 ms), a node asked for the kernel gradient alone
 (stem1, whose input is the image), a padding past k - 1, whose input
 gradient crops the phase correlation, and a widening layer, whose input
-gradient's correlation narrows and so runs on the shifted GEMM, which
-gives no kernel gradient: one walk in bands would round that input
-gradient differently from the shifted one.  A node asked for neither -- conv2d in the generator step's
+gradient's correlation narrows and so runs the shifted GEMM, which gives no
+kernel gradient: one im2col walk would round that input gradient
+differently from the shifted one.  A node asked for neither -- conv2d in the generator step's
 frozen discriminator, where x is tracked and the kernel is not -- gathers
 nothing for its kernel.
 
@@ -153,11 +150,8 @@ Elementwise passes.  Past CHUNK elements (256 KiB) the leaky ReLU and the
 sigmoid run piece by piece through reused chunk-sized scratch (_pieces),
 so they make no temporary of their array's size, and gate -- a sequential
 gating unit's junction, ga * a + gp * b, as one node -- adds its second
-product into its first the same way.  The junction holds its four inputs
-and its output, where add(mul(ga, a), mul(gp, b)) held two products and
-their sum beside them: a traced 384x352 restore peaked at 14.44 MiB in the
-last junction, gen.dec.junction3, and now peaks at 12.18 MiB in
-gen.dec.merge3.  Each is bit for bit the whole-array form."""
+product into its first the same way, so the junction holds its four inputs
+and its output.  Each is bit for bit the whole-array form."""
 
 from __future__ import annotations
 
@@ -270,7 +264,7 @@ def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Convolution kernels: im2col/col2im, shifted GEMM, the transposed convolution
+# Convolution kernels: the band walk, im2col/col2im, the transposed convolution
 
 CACHE_BYTES = 2 * 2**20  # see the module docstring
 BAND_BYTES = 768 * 2**10  # the largest im2col band; see the module docstring
@@ -376,98 +370,75 @@ def _correlate(a: np.ndarray, kernel: np.ndarray | None, g: np.ndarray | None,
     with both None nothing is gathered.  Given `place`, the correlation is
     handed over band by band instead of returned: place(i0, i1, r0, r1, y)
     gets output rows r0:r1 of images i0:i1, in a buffer the next band
-    overwrites.  The one place the shape rule is evaluated: the shifted GEMM
-    for a stride-1 correlation alone with oc < c, im2col bands otherwise.
+    overwrites.
+
+    One loop walks _bands' bands, each padding its own input rows, with one
+    of two band kernels; the shape rule here is the only place one is
+    chosen.  A stride-1 correlation alone with oc < c runs the shifted GEMM:
+    in a band's flattened padded rows, tap (i, j) of every output pixel sits
+    at offset i*wp + j from the pixel's own index, so one contiguous slice
+    per tap feeds an (oc, c) GEMM.  Each output row then carries wp - ow
+    columns that straddle the row end, cropped as the band is placed, and a
+    spare bottom row keeps the last tap's slice in bounds.  Every other call
+    gathers each band once into one reused buffer (_im2col), and both GEMMs
+    read it while it is in cache: one for the correlation, written straight
+    into its slice of the output when there is no `place`, and one per image
+    added to the kernel gradient.  That starts from zeros and adds the
+    images in order, as matmul(...).sum(axis=0) would.  A shifted band, and
+    any band given `place`, goes through one band buffer to `place` or to
+    the output.
     """
     if kernel is None and g is None:
         return None, None
-    if g is None and stride == 1 and len(kernel) < a.shape[1]:
-        return _shifted(a, kernel, kh, kw, ph, pw, place), None
-    return _banded(a, kernel, g, kh, kw, stride, ph, pw, place)
-
-
-def _shifted(a: np.ndarray, kernel: np.ndarray, kh: int, kw: int, ph: int, pw: int,
-             place: _Place | None = None) -> np.ndarray | None:
-    """_banded's correlation for stride 1, as one GEMM per tap over shifted slices.
-
-    In a band's flattened padded rows, tap (i, j) of every output pixel sits
-    at offset i*wp + j from the pixel's own index, so one contiguous slice per
-    tap feeds an (oc, c) GEMM.  Each output row then carries wp - ow columns
-    that straddle the row end, cropped as the band is placed.  A spare bottom
-    row keeps the last tap's slice in bounds.  It walks _bands' bands of the
-    padded input, each padded on its own.  Returns the correlation, or None
-    when `place` takes it.
-    """
-    n, c, h, w = a.shape
-    oh, ow, wp = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1, w + 2 * pw
-    out = None
-    if place is None:
-        out = np.empty((n, len(kernel), oh, ow))
-
-        def place(i0, i1, r0, r1, y):
-            out[i0:i1, :, r0:r1] = y
-    bands = _bands(n, oh, c * wp)
-    i0, i1, r0, r1 = bands[0]  # no band is larger than the first
-    acc = np.empty((i1 - i0) * len(kernel) * (r1 - r0) * wp)
-    tmp = np.empty_like(acc)
-    for i0, i1, r0, r1 in bands:
-        flat = _band_rows(a[i0:i1], r0 - ph, r1 + kh - ph, pw).reshape(i1 - i0, c, -1)
-        span = (r1 - r0) * wp
-        y = acc[:(i1 - i0) * len(kernel) * span].reshape(i1 - i0, -1, span)
-        t = tmp[:y.size].reshape(y.shape)
-        for tap in range(kh * kw):
-            i, j = divmod(tap, kw)
-            src = flat[:, :, i * wp + j:i * wp + j + span]
-            if tap == 0:
-                np.matmul(kernel[:, :, 0, 0], src, out=y)
-            else:
-                y += np.matmul(kernel[:, :, i, j], src, out=t)
-        place(i0, i1, r0, r1, y.reshape(i1 - i0, -1, r1 - r0, wp)[:, :, :, :ow])
-    return out
-
-
-def _banded(a: np.ndarray, kernel: np.ndarray | None, g: np.ndarray | None,
-            kh: int, kw: int, stride: int, ph: int, pw: int, place: _Place | None = None):
-    """(correlation with kernel, kernel gradient for output gradient g) over im2col bands.
-
-    Either may be None and is then not computed.  Each band pads its own
-    input rows and is gathered once into one reused buffer, and both GEMMs
-    read it while it is in cache: one into its slice of the output (or into
-    a band buffer handed to `place`), and one per image added to the kernel
-    gradient.  That starts from zeros and adds the images in order, as
-    matmul(...).sum(axis=0) would.
-    """
     n, c, h, w = a.shape
     oh = _conv_out_size(h, kh, stride, ph)
     ow = _conv_out_size(w, kw, stride, pw)
-    row = c * kh * kw * ow
-    bands = _bands(n, oh, row)
+    oc = g.shape[1] if kernel is None else len(kernel)
+    shifted = g is None and stride == 1 and oc < c
+    # columns of a band's correlation rows; the shifted GEMM's straddle the row end
+    width = w + 2 * pw if shifted else ow
+    bands = _bands(n, oh, c * width if shifted else c * kh * kw * ow)
     i0, i1, r0, r1 = bands[0]  # no band is larger than the first
-    buf = np.empty((i1 - i0) * (r1 - r0) * row)
-    out = dk = None
-    if kernel is not None:
-        kmat = kernel.reshape(len(kernel), -1)
-        if place is None:
-            out = np.empty((n, len(kernel), oh * ow))
-        else:
-            ybuf = np.empty((i1 - i0) * len(kernel) * (r1 - r0) * ow)
+    out = dk = ybuf = None
+    if kernel is not None and place is None:
+        out = np.empty((n, oc, oh, ow))
+    if kernel is not None and (shifted or place is not None):
+        ybuf = np.empty((i1 - i0) * oc * (r1 - r0) * width)
+    if shifted:
+        tmp = np.empty_like(ybuf)
+    else:
+        buf = np.empty((i1 - i0) * (r1 - r0) * c * kh * kw * ow)
     if g is not None:
-        gmat = g.reshape(n, g.shape[1], oh * ow)
-        dk = np.zeros((g.shape[1], c * kh * kw))
+        gmat = g.reshape(n, oc, oh * ow)
+        dk = np.zeros((oc, c * kh * kw))
     for i0, i1, r0, r1 in bands:
-        rows = _band_rows(a[i0:i1], r0 * stride - ph, (r1 - 1) * stride + kh - ph, pw)
-        cols = _im2col(rows, kh, kw, stride, buf)
-        if out is not None:
-            np.matmul(kmat, cols, out=out[i0:i1, :, r0 * ow:r1 * ow])
-        elif kernel is not None:
-            y = ybuf[:(i1 - i0) * len(kernel) * (r1 - r0) * ow].reshape(i1 - i0, len(kernel), -1)
-            np.matmul(kmat, cols, out=y)
-            place(i0, i1, r0, r1, y.reshape(i1 - i0, -1, r1 - r0, ow))
-        if dk is not None:
-            for gi, ci in zip(gmat[i0:i1, :, r0 * ow:r1 * ow], cols):
-                dk += np.matmul(gi, ci.T)
-    return (None if out is None else out.reshape(n, -1, oh, ow),
-            None if dk is None else dk.reshape(-1, c, kh, kw))
+        rows = _band_rows(a[i0:i1], r0 * stride - ph, (r1 - 1) * stride + kh - ph + shifted, pw)
+        if ybuf is not None:
+            y = ybuf[:(i1 - i0) * oc * (r1 - r0) * width].reshape(i1 - i0, oc, -1)
+        if shifted:
+            flat, t = rows.reshape(i1 - i0, c, -1), tmp[:y.size].reshape(y.shape)
+            for tap in range(kh * kw):
+                i, j = divmod(tap, kw)
+                src = flat[:, :, i * width + j:i * width + j + y.shape[2]]
+                if tap:
+                    y += np.matmul(kernel[:, :, i, j], src, out=t)
+                else:
+                    np.matmul(kernel[:, :, i, j], src, out=y)
+        else:
+            cols = _im2col(rows, kh, kw, stride, buf)
+            if kernel is not None:
+                np.matmul(kernel.reshape(oc, -1), cols, out=y if ybuf is not None else
+                          out.reshape(n, oc, -1)[i0:i1, :, r0 * ow:r1 * ow])
+            if dk is not None:
+                for gi, ci in zip(gmat[i0:i1, :, r0 * ow:r1 * ow], cols):
+                    dk += np.matmul(gi, ci.T)
+        if ybuf is not None:
+            y = y.reshape(i1 - i0, oc, r1 - r0, width)[:, :, :, :ow]
+            if out is None:
+                place(i0, i1, r0, r1, y)
+            else:
+                out[i0:i1, :, r0:r1] = y
+    return out, None if dk is None else dk.reshape(oc, c, kh, kw)
 
 
 def phase_kernel(kernel: np.ndarray, stride: int) -> np.ndarray:

@@ -32,7 +32,8 @@ from dataclasses import fields, replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 from .config import RunConfig, build_run_config  # noqa: E402
-from .data import atomic_write, degrade, load_image, read_image, save_image  # noqa: E402
+from .data import (NOISE_KINDS, atomic_write, degrade, load_image, read_image,  # noqa: E402
+                   save_image)
 from .errors import (CheckpointError, ConfigError, ImageFormatError,  # noqa: E402
                      SgenError, UsageError)
 from .metrics import eval_model, model_restorer, pad_to_divisor  # noqa: E402
@@ -55,7 +56,7 @@ _ARGS = {
                        help="train with the MSE loss only (no discriminator)"),
     "--levels": dict(type=int, help="encoder/decoder level count"),
     "--sigma": dict(type=float, help="gaussian noise std, 8-bit units"),
-    "--noise": dict(choices=("gaussian", "uniform", "none"), help="degradation noise kind"),
+    "--noise": dict(choices=NOISE_KINDS, help="degradation noise kind"),
     "--scales": dict(metavar="HxW,...", help="comma-separated scales"),
     "--seed": dict(type=int, help="run seed"),
     "--out": dict(metavar="DIR", help="output directory"),

@@ -5,6 +5,8 @@ import tracemalloc
 
 import pytest
 
+from sgen import autodiff as ad
+
 _TITLES = {
     "01": "gradient suite matches finite differences",
     "02": "forced gates reproduce skip/residual reference nets",
@@ -34,6 +36,32 @@ def traced_peak():
             tracemalloc.stop()
         return out, peak
     return measure
+
+
+@pytest.fixture
+def band_kernels(monkeypatch):
+    """(band kernel, kernel given, gradient given) per autodiff._correlate call that runs one.
+
+    The kernel is "im2col" for a call that gathers patches, and "shifted"
+    for one that pads its band rows and gathers nothing, in call order.
+    """
+    ran, helpers = [], []
+    for name in ("_band_rows", "_im2col"):
+        real = getattr(ad, name)
+        monkeypatch.setattr(ad, name, lambda *a, real=real, name=name:
+                            helpers.append(name) or real(*a))
+    correlate = ad._correlate
+
+    def spy(a, kernel, g, *rest):
+        helpers.clear()
+        result = correlate(a, kernel, g, *rest)
+        if helpers:
+            ran.append(("im2col" if "_im2col" in helpers else "shifted",
+                        kernel is not None, g is not None))
+        return result
+
+    monkeypatch.setattr(ad, "_correlate", spy)
+    return ran
 
 
 def pytest_runtest_logreport(report):

@@ -67,6 +67,16 @@ def deconv2d_adjoint_naive(z, kernel, factor):
     return buf[:, :, ph:ph + oh, pw:pw + ow]
 
 
+def same_sums(got, want, terms, abs_sums):
+    """Whether got and want can be two summation orders of the same `terms` products.
+
+    Each order, with its own rounding, is within terms * u * sum(|product|) of
+    the exact sum (u = eps / 2), so the two differ by at most twice that;
+    abs_sums holds sum(|product|) per entry.
+    """
+    return bool(np.all(np.abs(got - want) <= terms * np.finfo(np.float64).eps * abs_sums))
+
+
 def numeric_grad(f, arrays, eps=1e-4):
     """Central finite differences of scalar f(*arrays) w.r.t. each array."""
     grads = []

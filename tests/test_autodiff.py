@@ -9,7 +9,7 @@ from sgen.autodiff import (AdamState, Graph, Tensor, adam_step, add, affine,
 from sgen.errors import ConfigError, NumericsError, UsageError
 
 from oracles import (conv2d_kernel_grad_naive, conv2d_naive, deconv2d_adjoint_naive, numeric_grad,
-                     nudge_off_kinks, rel_err)
+                     nudge_off_kinks, rel_err, same_sums)
 
 
 def t4(arr, requires_grad=False):
@@ -276,17 +276,8 @@ def _correlate(a, kernel, stride, pad, g=None):
     return ad._correlate(a, kernel, g, *kernel.shape[2:], stride, pad, pad)
 
 
-def _spy_walkers(monkeypatch):
-    # the names of the walkers _correlate runs, in call order
-    ran = []
-    for name in ("_shifted", "_banded"):
-        real = getattr(ad, name)
-        monkeypatch.setattr(ad, name, lambda *a, real=real, name=name: ran.append(name) or real(*a))
-    return ran
-
-
 @pytest.mark.parametrize("case", STRIDE1_CASES, ids=lambda c: "x".join(map(str, c)))
-def test_stride1_kernels_match_naive(case, monkeypatch):
+def test_stride1_kernels_match_naive(case, monkeypatch, band_kernels):
     n, ic, oc, h, w, k, pad = case
     rng = np.random.default_rng(sum(case))
     xd = rng.normal(size=(n, ic, h, w))
@@ -295,27 +286,26 @@ def test_stride1_kernels_match_naive(case, monkeypatch):
     gout = rng.normal(size=ref.shape)
     dk_ref = conv2d_kernel_grad_naive(xd, gout, k, k, 1, pad)
 
-    def check(walker):
-        # the correlation and its kernel gradient, together and each alone
-        out, dk = walker(xd, kd, gout, k, k, 1, pad, pad)
+    for _ in _band_budgets(monkeypatch):
+        # the correlation and its kernel gradient, together and each alone;
+        # the correlation alone of a narrowing layer runs the shifted GEMM
+        out, dk = _correlate(xd, kd, 1, pad, gout)
         assert np.abs(out - ref).max() < 1e-10
         assert np.abs(dk - dk_ref).max() < 1e-10
-        assert np.array_equal(walker(xd, kd, None, k, k, 1, pad, pad)[0], out)
-        assert np.array_equal(walker(xd, None, gout, k, k, 1, pad, pad)[1], dk)
-
-    # the shifted GEMM computes the correlation alone
-    assert np.abs(ad._shifted(xd, kd, k, k, pad, pad) - ref).max() < 1e-10
-    for _ in _band_budgets(monkeypatch):
-        check(ad._banded)
+        alone = _correlate(xd, kd, 1, pad)[0]
+        assert np.abs(alone - ref).max() < 1e-10
+        assert oc < ic or np.array_equal(alone, out)
+        assert np.array_equal(ad._correlate(xd, None, gout, k, k, 1, pad, pad)[1], dk)
     # the shape rule: the shifted GEMM exactly for a narrowing correlation
     # alone, im2col bands for every call with a kernel gradient, and with
-    # nothing asked no walker runs
-    ran = _spy_walkers(monkeypatch)
+    # nothing asked no band kernel runs
+    band_kernels.clear()
     _correlate(xd, kd, 1, pad, gout)
     _correlate(xd, kd, 1, pad)
     ad._correlate(xd, None, gout, k, k, 1, pad, pad)
     assert ad._correlate(xd, None, None, k, k, 1, pad, pad) == (None, None)
-    assert ran == ["_banded", "_shifted" if oc < ic else "_banded", "_banded"]
+    assert [kernel for kernel, *_ in band_kernels] == [
+        "im2col", "shifted" if oc < ic else "im2col", "im2col"]
 
 
 ONE_WALK_CASES = STRIDE1_CASES + [  # and the program's gate shapes: narrowing, widening, same
@@ -323,7 +313,7 @@ ONE_WALK_CASES = STRIDE1_CASES + [  # and the program's gate shapes: narrowing, 
 
 
 @pytest.mark.parametrize("case", ONE_WALK_CASES, ids=lambda c: "x".join(map(str, c)))
-def test_stride1_conv2d_backward_is_one_walk(case, monkeypatch):
+def test_stride1_conv2d_backward_is_one_walk(case, band_kernels):
     # with x and the kernel both tracked, padding <= k - 1 and oc <= ic, the
     # backward's one correlation gives both gradients: the input gradient
     # bitwise the transposed convolution's, the kernel gradient the naive
@@ -336,9 +326,9 @@ def test_stride1_conv2d_backward_is_one_walk(case, monkeypatch):
         out = conv2d(x, kernel, t4(np.zeros((1, oc, 1, 1))), stride=1, padding=pad)
         gout = rng.normal(size=out.shape)
         loss = sum_all(mul(out, t4(gout)))
-    ran = _spy_walkers(monkeypatch)
+    band_kernels.clear()
     grads = g.backward(loss, {"x": x, "k": kernel})
-    assert len(ran) == (1 if pad < k and oc <= ic else 2)
+    assert len(band_kernels) == (1 if pad < k and oc <= ic else 2)
     assert np.array_equal(grads["x"], ad._conv_transpose(gout, kd, 1, pad, pad, h, w))
     if 2 * pad == k - 1:
         assert np.abs(grads["x"] - deconv2d_adjoint_naive(gout, kd, 1)).max() < 1e-10
@@ -355,12 +345,6 @@ TRANSPOSE_CASES = [  # (k, stride, padding, h, w): the program's strided layers,
     (5, 2, 3, 9, 8),  # the padding spans a whole phase row
     (1, 1, 0, 4, 5),  # a 1x1 kernel, as in the concat combiner
 ]
-
-
-def _same_sums(got, want, terms, abs_sums):
-    # two summation orders of the same `terms` products, each with its own
-    # rounding, differ by at most 2 * terms * u * sum(|product|), u = eps / 2
-    return np.all(np.abs(got - want) <= terms * np.finfo(np.float64).eps * abs_sums)
 
 
 @pytest.mark.parametrize("case", TRANSPOSE_CASES, ids=lambda c: "k{}s{}p{}_{}x{}".format(*c))
@@ -382,7 +366,7 @@ def test_conv_transpose_is_correlate_adjoint(case, monkeypatch):
         lhs, rhs = float((y * gd).sum()), float((xd * dx).sum())
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
         whole = dx if whole is None else whole
-        assert _same_sums(dx, whole, 4 * dh * dh, abs_sums)
+        assert same_sums(dx, whole, 4 * dh * dh, abs_sums)
 
 
 def test_bands_split_images_then_rows(monkeypatch):
@@ -416,8 +400,8 @@ def test_bands_are_exact(case, monkeypatch):
     kd = rng.normal(size=(oc, c, k, k))
     oh, ow = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
     gd = rng.normal(size=(n, oc, oh, ow))
-    whole, dk_whole = ad._banded(xd, kd, gd, k, k, stride, pad, pad)
-    abs_sums = ad._banded(np.abs(xd), np.abs(kd), None, k, k, stride, pad, pad)[0]
+    whole, dk_whole = _correlate(xd, kd, stride, pad, gd)
+    abs_sums = _correlate(np.abs(xd), np.abs(kd), stride, pad)[0]
     dk_ref = conv2d_kernel_grad_naive(xd, gd, k, k, stride, pad)
     assert np.abs(dk_whole - dk_ref).max() < 1e-10
     row_bytes = 8 * c * k * k * ow
@@ -428,13 +412,13 @@ def test_bands_are_exact(case, monkeypatch):
         monkeypatch.setattr(ad, "BAND_BYTES", budget)
         bands = ad._bands(n, oh, c * k * k * ow)
         assert len(bands) > 1 or n == 1
-        out, dk = ad._banded(xd, kd, gd, k, k, stride, pad, pad)
+        out, dk = _correlate(xd, kd, stride, pad, gd)
         assert np.abs(dk - dk_ref).max() < 1e-10
         if all(r1 - r0 == oh for _, _, r0, r1 in bands):
             # the same per-image GEMMs, and the kernel gradient adds the images in order
             assert np.array_equal(out, whole) and np.array_equal(dk, dk_whole)
         else:  # a row band is a narrower GEMM, which BLAS may round differently
-            assert _same_sums(out, whole, c * k * k, abs_sums)
+            assert same_sums(out, whole, c * k * k, abs_sums)
 
 
 def test_strided_conv2d_gathers_in_bands(traced_peak):
@@ -496,7 +480,7 @@ def test_deconv2d_forward_builds_no_canvas(traced_peak):
     assert peak < 1.4 * out.data.nbytes, f"{peak / out.data.nbytes:.2f}x the output"
 
 
-PHASE_CASES = {  # the phase correlation's walker -> [(deconv2d kernel shape, factor)]
+PHASE_CASES = {  # the phase correlation's band kernel -> [(deconv2d kernel shape, factor)]
     # ic * s^2 phases from oc channels: narrowing only at factor 1 here
     "im2col": [((3, 2, 4, 4), 2), ((3, 2, 4, 2), 2), ((3, 2, 8, 8), 4), ((3, 2, 16, 16), 8),
                ((3, 2, 5, 3), 3)],
@@ -505,16 +489,15 @@ PHASE_CASES = {  # the phase correlation's walker -> [(deconv2d kernel shape, fa
 
 
 @pytest.mark.parametrize("kernel", list(PHASE_CASES))
-def test_deconv2d_phases_match_adjoint_reference(kernel, monkeypatch):
-    ran = _spy_walkers(monkeypatch)
+def test_deconv2d_phases_match_adjoint_reference(kernel, band_kernels):
     rng = np.random.default_rng(43)
     zd = rng.normal(size=(2, 3, 3, 4))
     for kshape, factor in PHASE_CASES[kernel]:
         kd = rng.normal(size=kshape)
         ph, pw = (kshape[2] - factor) // 2, (kshape[3] - factor) // 2
-        ran.clear()
+        band_kernels.clear()
         out = ad._conv_transpose(zd, kd, factor, ph, pw, 3 * factor, 4 * factor)
-        assert ran == ["_shifted" if kernel == "shifted" else "_banded"]
+        assert [kind for kind, *_ in band_kernels] == [kernel]
         assert np.abs(out - deconv2d_adjoint_naive(zd, kd, factor)).max() < 1e-10
 
 
@@ -552,16 +535,11 @@ def test_deconv2d_kernel_grad_reuses_the_input_gradients_patches(factor, monkeyp
         assert np.array_equal(reused, fresh)
 
 
-def test_grad_conv2d_shifted_kernel(monkeypatch):
+def test_grad_conv2d_shifted_kernel(band_kernels):
     # every narrowing stride-1 conv2d runs its forward on the shifted GEMM;
     # its backward takes both gradients from one walk over the output
     # gradient's im2col bands, a widening correlation
-    calls, cases = [], [(3, 2, 3), (4, 3, 3), (2, 1, 3), (3, 2, 1)]
-    shifted, banded = ad._shifted, ad._banded
-    monkeypatch.setattr(ad, "_shifted", lambda *a: calls.append(("_shifted",)) or shifted(*a))
-    monkeypatch.setattr(ad, "_banded", lambda a, k, g, *rest:
-                        calls.append(("_banded", k is not None, g is not None))
-                        or banded(a, k, g, *rest))
+    cases = [(3, 2, 3), (4, 3, 3), (2, 1, 3), (3, 2, 1)]
     rng = np.random.default_rng(47)
     for ic, oc, k in cases:
         x = rng.normal(size=(2, ic, 5, 4))
@@ -569,8 +547,8 @@ def test_grad_conv2d_shifted_kernel(monkeypatch):
         b = rng.normal(size=(1, oc, 1, 1))
         _gradcheck(lambda xs, ks, bs, p=k // 2: conv2d(xs, ks, bs, stride=1, padding=p),
                    [x, kd, b])
-    assert set(calls) == {("_shifted",), ("_banded", True, True)}
-    assert calls.count(("_banded", True, True)) == len(cases)
+    assert set(band_kernels) == {("shifted", True, False), ("im2col", True, True)}
+    assert band_kernels.count(("im2col", True, True)) == len(cases)
 
 
 def test_grad_conv_in_row_bands(monkeypatch):

@@ -4,7 +4,6 @@ import struct
 import numpy as np
 import pytest
 
-import sgen.autodiff as ad
 import sgen.model as model
 from sgen.autodiff import Graph, Tensor, mean_all, mul, sub, sum_all
 from sgen.errors import CheckpointError, ConfigError, NumericsError, UsageError
@@ -594,27 +593,23 @@ SHIFTED_LAYERS = {"gen.out.conv", "disc.fc"}
 
 
 @pytest.mark.parametrize("n,h,w", [(1, 48, 32), (8, 80, 64), (1, 384, 384)])
-def test_kernel_choice_per_layer(monkeypatch, n, h, w):
+def test_kernel_choice_per_layer(monkeypatch, band_kernels, n, h, w):
     params = init_params(DESK)
     names = {id(t): path[:-2] for path, t in params.items() if path.endswith(".w")}
-    current, seen, shifted = [None], set(), set()
+    seen, shifted = set(), set()
 
     def named(op):
         def run(x, kernel, *args, **kwargs):
-            current[0] = names[id(kernel)]
-            seen.add(current[0])
-            return op(x, kernel, *args, **kwargs)
+            seen.add(names[id(kernel)])
+            start = len(band_kernels)
+            out = op(x, kernel, *args, **kwargs)
+            if any(kind == "shifted" for kind, *_ in band_kernels[start:]):
+                shifted.add(names[id(kernel)])
+            return out
         return run
-
-    real_shifted = ad._shifted
-
-    def spy(*args):
-        shifted.add(current[0])
-        return real_shifted(*args)
 
     monkeypatch.setattr(model, "conv2d", named(model.conv2d))
     monkeypatch.setattr(model, "deconv2d", named(model.deconv2d))
-    monkeypatch.setattr(ad, "_shifted", spy)
     out = generator_forward(rand_input(DESK, h, w, n=n), params, DESK)
     discriminator_forward(out, params, DESK)
     assert seen == set(names.values())

@@ -16,6 +16,8 @@ of (8, 8) and (3, 5), whether `param_layout` matches item for item, and
 the largest |difference| in `init_params` and in one fixed-seed 64x32
 forward: the generator's output and every `acts` entry, and the
 discriminator's score of that output.
+Exits 1 when any printed difference is not zero or the trees' `param_layout`
+or `acts` keys differ, else 0; the step times are printed, not judged.
 It needs no network and changes nothing in either tree.
 """
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import itertools
+import math
 import statistics
 import subprocess
 import sys
@@ -73,7 +76,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"base": import_tree(export(rev, Path(tmp)), "sgen_base"),
                  "head": import_tree(ROOT / "src", "sgen_head")}
-        compare_forwards(trees)
+        diffs = compare_forwards(trees)
         states, times, loss_diff = run(trees, steps)
     for scale in SCALES[:steps]:  # the scales a step ran at
         for key in trees:
@@ -82,20 +85,27 @@ def main(argv: list[str]) -> int:
                   f"min {min(ms):.2f} ms over {len(ms)} steps")
     base, head = states["base"], states["head"]
     print(f"max |diff| losses: {loss_diff:.3g}")
-    print("max |diff| params: {:.3g}".format(
-        max_diff([p.data for p in base.params.values()],
-                 [head.params[k].data for k in base.params])))
+    diffs.append(loss_diff)
+    diffs.append(max_diff([p.data for p in base.params.values()],
+                          [head.params[k].data for k in base.params]))
+    print(f"max |diff| params: {diffs[-1]:.3g}")
     for moment in ("m", "v"):
-        diff = max(max_diff(getattr(a, moment).values(),
-                            [getattr(b, moment)[k] for k in getattr(a, moment)])
-                   for a, b in ((base.gen_adam, head.gen_adam), (base.disc_adam, head.disc_adam)))
-        print(f"max |diff| adam {moment}: {diff:.3g}")
+        diffs.append(max(max_diff(getattr(a, moment).values(),
+                                  [getattr(b, moment)[k] for k in getattr(a, moment)])
+                         for a, b in ((base.gen_adam, head.gen_adam),
+                                      (base.disc_adam, head.disc_adam))))
+        print(f"max |diff| adam {moment}: {diffs[-1]:.3g}")
+    if any(diffs):
+        print("the trees differ")
+        return 1
     return 0
 
 
-def compare_forwards(trees: dict) -> None:
+def compare_forwards(trees: dict) -> list[float]:
     """Print, per model config, the layout match and the largest differences in
-    init_params and one forward."""
+    init_params and one forward; returns those differences, inf for a config
+    whose layouts or acts keys differ."""
+    found = []
     s = np.random.default_rng(SEED).uniform(-1.0, 1.0, (2, 1, 64, 32))
     for combiner in trees["head"].model.COMBINERS:
         for levels, (base, disc) in itertools.product((2, 3, 4), ((8, 8), (3, 5))):
@@ -112,12 +122,15 @@ def compare_forwards(trees: dict) -> None:
                 scores[key] = tree.model.discriminator_forward(out, params[key], cfg)
             if list(acts["base"]) != list(acts["head"]) or layouts["base"] != layouts["head"]:
                 print(f"{name}: the trees' param_layout or acts keys differ")
+                found.append(math.inf)
                 continue
             diffs = [max_diff(*([t.data for t in d[key].values()] for key in ("base", "head")))
                      for d in (params, acts)]
             diffs.append(max_diff([scores["base"].data], [scores["head"].data]))
             print("{}: param_layout equal, max |diff| init_params {:.3g}, generator output and "
                   "acts {:.3g}, discriminator {:.3g}".format(name, *diffs))
+            found += diffs
+    return found
 
 
 def run(trees: dict, steps: int):
