@@ -1,7 +1,12 @@
 """Dense 4-D tensors with reverse-mode automatic differentiation.
 
-Every tensor is a float64 array of shape (batch, channels, height, width);
-scalars live in shape (1, 1, 1, 1). Operations executed while a Graph is
+Every tensor is an array of shape (batch, channels, height, width); scalars
+live in shape (1, 1, 1, 1).  It is float64 unless it is made from a float32
+array, and every op computes in its inputs' type: each buffer, scratch and
+padding takes its input's dtype, and a convolution refuses an input whose
+dtype differs from its kernel's.  Training, the gradient checks and the
+checkpoints are float64; inference over weights cast once to float32
+(model_restorer) runs wholly in float32.  Operations executed while a Graph is
 active are appended to that graph's tape in execution order, which makes the
 tape itself a topological order: one reversed sweep propagates gradients and
 visits each recorded node exactly once. `Graph.backward(loss, wrt)` returns
@@ -169,12 +174,17 @@ _K = TypeVar("_K")
 
 
 class Tensor:
-    """A float64 (batch, channels, height, width) array, optionally tracked for grad."""
+    """A (batch, channels, height, width) array, optionally tracked for grad.
+
+    A float32 array stays float32; anything else becomes float64.
+    """
 
     __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        if arr.dtype != np.float32:
+            arr = arr.astype(np.float64, copy=False)
         if arr.ndim != 4:
             raise ConfigError(f"tensors are 4-D (n, c, h, w); got shape {arr.shape}")
         self.data = np.ascontiguousarray(arr)
@@ -238,7 +248,7 @@ class Graph:
         recorded = [key for key, t in wrt.items() if id(t) in outputs]
         if recorded:
             raise UsageError(f"backward differentiates leaf tensors; {recorded} were recorded here")
-        grads = {id(loss): np.ones((1, 1, 1, 1))}
+        grads = {id(loss): np.ones_like(loss.data)}
         for node in reversed(self.nodes):
             gout = grads.pop(id(node.output), None)
             if gout is None:
@@ -279,12 +289,14 @@ def _padded(a: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.n
     """Zero-pad the last two axes of a 4-D array; `a` itself when nothing is added.
 
     The one zero-padding of this module: cheaper than np.pad on the small
-    arrays most layers see.
+    arrays most layers see.  A negative pad is refused, not read as a crop.
     """
     if not (top or bottom or left or right):
         return a
+    if min(top, bottom, left, right) < 0:
+        raise UsageError(f"_padded: negative pad {(top, bottom, left, right)}")
     n, c, h, w = a.shape
-    out = np.zeros((n, c, h + top + bottom, w + left + right))
+    out = np.zeros((n, c, h + top + bottom, w + left + right), a.dtype)
     out[:, :, top:top + h, left:left + w] = a
     return out
 
@@ -326,6 +338,12 @@ def _bands(n: int, oh: int, row: int) -> list[tuple[int, int, int, int]]:
     bands of at most BAND_BYTES, or of one output row of one image where a
     row alone is larger: whole images per band while an image fits,
     otherwise rows of one image.
+
+    An element counts 8 bytes in every dtype, so a float32 band holds half
+    the bytes.  Counting the array's own item size was slower: restore-cli
+    at seed 0 (10 s runs, one BLAS thread, 2-core Xeon VM) gave 43.1-51.2
+    images/s against 48.4-52.6 for 8 bytes, which won 6 of 7 alternating
+    pairs.
     """
     if 8 * n * oh * row < CACHE_BYTES:
         return [(0, n, 0, oh)]
@@ -401,16 +419,16 @@ def _correlate(a: np.ndarray, kernel: np.ndarray | None, g: np.ndarray | None,
     i0, i1, r0, r1 = bands[0]  # no band is larger than the first
     out = dk = ybuf = None
     if kernel is not None and place is None:
-        out = np.empty((n, oc, oh, ow))
+        out = np.empty((n, oc, oh, ow), a.dtype)
     if kernel is not None and (shifted or place is not None):
-        ybuf = np.empty((i1 - i0) * oc * (r1 - r0) * width)
+        ybuf = np.empty((i1 - i0) * oc * (r1 - r0) * width, a.dtype)
     if shifted:
         tmp = np.empty_like(ybuf)
     else:
-        buf = np.empty((i1 - i0) * (r1 - r0) * c * kh * kw * ow)
+        buf = np.empty((i1 - i0) * (r1 - r0) * c * kh * kw * ow, a.dtype)
     if g is not None:
         gmat = g.reshape(n, oc, oh * ow)
-        dk = np.zeros((oc, c * kh * kw))
+        dk = np.zeros((oc, c * kh * kw), a.dtype)
     for i0, i1, r0, r1 in bands:
         rows = _band_rows(a[i0:i1], r0 * stride - ph, (r1 - 1) * stride + kh - ph + shifted, pw)
         if ybuf is not None:
@@ -488,7 +506,7 @@ def _conv_transpose(g: np.ndarray, kernel: np.ndarray, stride: int, ph: int, pw:
     top, left = ph - s * th, pw - s * tw
     if s == 1 and top == left == 0:
         return _correlate(g, *args)[0]
-    out = np.empty((n, ic, h, w))
+    out = np.empty((n, ic, h, w), g.dtype)
 
     def place(i0, i1, r0, r1, y):
         # phase rows r0:r1 are canvas rows s*r0:s*r1, input rows s*r0 - top on
@@ -513,7 +531,7 @@ def _relu(a: np.ndarray, alpha: float) -> np.ndarray:
     return a
 
 
-def _pieces(arrays: tuple[np.ndarray, ...], *scratch: type):
+def _pieces(arrays: tuple[np.ndarray, ...], *scratch: np.dtype | type):
     """Matching pieces of equal-shaped arrays, then scratch arrays of the piece's shape.
 
     Past one chunk the pieces are CHUNK-element slices of the arrays' flat
@@ -535,7 +553,7 @@ def _pieces(arrays: tuple[np.ndarray, ...], *scratch: type):
 
 def _lrelu(a: np.ndarray, alpha: float) -> np.ndarray:
     # for alpha in [0, 1) this is where(x > 0, x, alpha * x)
-    for part, tmp in _pieces((a,), float):
+    for part, tmp in _pieces((a,), a.dtype):
         np.maximum(part, np.multiply(part, alpha, out=tmp), out=part)
     return a
 
@@ -543,7 +561,7 @@ def _lrelu(a: np.ndarray, alpha: float) -> np.ndarray:
 def _sigmoid(a: np.ndarray, alpha: float) -> np.ndarray:
     # evaluate via e = exp(-|x|) so neither branch can overflow: the numerator
     # is 1 where x >= 0 and e elsewhere (e <= 1; NaN stays NaN), over 1 + e
-    for part, e, nonneg in _pieces((a,), float, bool):
+    for part, e, nonneg in _pieces((a,), a.dtype, bool):
         np.abs(part, out=e)
         np.negative(e, out=e)
         np.exp(e, out=e)
@@ -631,6 +649,10 @@ def _conv_node(op: str, x: Tensor, kernel: Tensor, bias: Tensor, stride: int, ph
         raise ConfigError(f"{op}: input has {c} channels but kernel {kernel.shape} expects {ic}")
     if bias.shape != (1, oc, 1, 1):
         raise ConfigError(f"{op}: bias shape {bias.shape} != (1, {oc}, 1, 1)")
+    if not x.data.dtype == kernel.data.dtype == bias.data.dtype:
+        # matmul would compute in the wider type and cast into the narrower buffer
+        raise UsageError(f"{op}: input is {x.data.dtype} but kernel and bias are "
+                         f"{kernel.data.dtype} and {bias.data.dtype}")
     activate, act_grad = _activation(act)
     if transposed:
         out = _conv_transpose(x.data, kernel.data, stride, ph, pw,
@@ -744,8 +766,8 @@ def gate(ga: Tensor, a: Tensor, gp: Tensor, b: Tensor) -> Tensor:
     """
     for t in (a, gp, b):
         _check_same_shape("gate", ga, t)
-    out = np.multiply(ga.data, a.data, out=np.empty(ga.shape))
-    for part, gp_part, b_part, tmp in _pieces((out, gp.data, b.data), float):
+    out = np.multiply(ga.data, a.data, out=np.empty(ga.shape, ga.data.dtype))
+    for part, gp_part, b_part, tmp in _pieces((out, gp.data, b.data), out.dtype):
         part += np.multiply(gp_part, b_part, out=tmp)
     return _record("gate", (ga, a, gp, b), out,
                    lambda g: (g * a.data, g * ga.data, g * b.data, g * gp.data))

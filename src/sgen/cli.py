@@ -1,4 +1,9 @@
-"""Command-line entry point: train, eval, restore, degrade, gates, ablate."""
+"""Command-line entry point: train, eval, restore, degrade, gates, ablate.
+
+`restore` and `eval` run the generator in float32 over weights cast once
+(metrics.model_restorer, which falls back to float64 where float32 cannot
+hold the values); every other command runs float64 throughout.
+"""
 
 from __future__ import annotations
 
@@ -146,7 +151,8 @@ def cmd_eval(args) -> int:
     corpus = run.eval_corpus()
     out = Path(run.out)
     out.mkdir(parents=True, exist_ok=True)
-    report = eval_model(model_restorer(params, mcfg), corpus, scales, spec, seed=run.seed)
+    report = eval_model(model_restorer(params, mcfg, np.float32), corpus, scales, spec,
+                        seed=run.seed)
     csv_text = report.to_csv()
     with atomic_write(out / "metrics.csv") as fh:
         fh.write(csv_text.encode())
@@ -158,7 +164,7 @@ def cmd_eval(args) -> int:
 def cmd_restore(args) -> int:
     params, mcfg = load_checkpoint(args.checkpoint)
     img = load_image(args.input, mcfg.image_channels)
-    save_image(model_restorer(params, mcfg)(img[None])[0], args.output)
+    save_image(model_restorer(params, mcfg, np.float32)(img[None])[0], args.output)
     print(f"restored {args.input} -> {args.output}")
     return 0
 

@@ -358,8 +358,9 @@ def load_checkpoint(path) -> tuple[dict, SgenConfig]:
     Layout: 4-byte magic "SGEN", u32 version, u32 JSON length + config JSON,
     u32 tensor count, then per tensor a u16-length utf-8 path, u8 ndim,
     ndim u32 dims, and raw little-endian float64 values.  The tensor names
-    and shapes must be exactly those of param_layout(config); the params
-    come back in its order, each a writeable array of its own.
+    and shapes must be exactly those of param_layout(config), and every
+    value must be finite; the params come back in its order, each a
+    writeable array of its own.
     """
     raw = Path(path).read_bytes()
     r = _Reader(raw)
@@ -407,6 +408,9 @@ def load_checkpoint(path) -> tuple[dict, SgenConfig]:
     missing = sorted(expected.keys() - values.keys())
     if missing:
         raise CheckpointError(f"checkpoint lacks {len(missing)} tensors: {missing[:4]}")
+    for name, v in values.items():
+        if not np.isfinite(v).all():
+            raise CheckpointError(f"tensor {name!r} holds a non-finite value")
     return {name: Tensor(values[name].copy(), requires_grad=True) for name in expected}, config
 
 

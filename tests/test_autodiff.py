@@ -28,6 +28,52 @@ def test_tensor_requires_4d():
         Tensor(np.zeros((2, 3)))
 
 
+def test_tensor_keeps_float32_and_casts_the_rest():
+    for dtype, want in ((np.float32, np.float32), (np.float64, np.float64),
+                        (np.float16, np.float64), (np.int64, np.float64), (bool, np.float64)):
+        assert Tensor(np.ones((1, 1, 2, 2), dtype)).data.dtype == want
+    assert Tensor([[[[1, 2]]]]).data.dtype == np.float64
+
+
+def test_float32_ops_compute_in_float32():
+    # every op of a generator forward keeps float32 in, float32 out, its
+    # chunked activations and gate included, and stays near the float64 op
+    rng = np.random.default_rng(4)
+    x, k, b = rng.normal(size=(1, 2, 130, 140)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)
+    kt = rng.normal(size=(3, 2, 4, 4))
+    for act in ("lrelu", "sigmoid", "relu", "tanh"):
+        results = []
+        for dtype in (np.float64, np.float32):
+            xs, ks, kts = (Tensor(a.astype(dtype)) for a in (x, k, kt))
+            bs = Tensor(b.astype(dtype).reshape(1, 3, 1, 1))
+            y = conv2d(xs, ks, bs, padding=1, act=act)  # 3 x 130 x 140: past one chunk
+            z = deconv2d(y, kts, Tensor(np.zeros((1, 2, 1, 1), dtype)), 2, act=act)
+            g = gate(y, y, y, y)
+            results.append([y, z, g, affine(global_avg_pool(z), 0.5, 0.0),
+                            maximum(y, g), concat_channels(y, g), mean_all(z)])
+        for wide, narrow in zip(*results):
+            assert narrow.data.dtype == np.float32
+            np.testing.assert_allclose(narrow.data, wide.data, rtol=1e-4, atol=1e-4)
+
+
+def test_conv_refuses_mixed_dtypes():
+    x, k, b = np.ones((1, 1, 4, 4)), np.ones((1, 1, 3, 3)), np.zeros((1, 1, 1, 1))
+    for dtypes in ((np.float32, np.float64, np.float64), (np.float64, np.float32, np.float64),
+                   (np.float32, np.float32, np.float64)):
+        xs, ks, bs = (Tensor(a.astype(d)) for a, d in zip((x, k, b), dtypes))
+        with pytest.raises(UsageError, match="float"):
+            conv2d(xs, ks, bs)
+        with pytest.raises(UsageError, match="float"):
+            deconv2d(xs, ks, bs)
+
+
+def test_float32_backward_seed_is_float32():
+    x = Tensor(np.ones((1, 1, 2, 2), np.float32), requires_grad=True)
+    with Graph() as g:
+        loss = sum_all(mul(x, x))
+    assert g.backward(loss, {"x": x})["x"].dtype == np.float32
+
+
 def test_backward_on_ungraphed_tensor_rejected():
     g = Graph()
     with pytest.raises(UsageError):
@@ -367,6 +413,23 @@ def test_conv_transpose_is_correlate_adjoint(case, monkeypatch):
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
         whole = dx if whole is None else whole
         assert same_sums(dx, whole, 4 * dh * dh, abs_sums)
+
+
+def test_padded_refuses_a_negative_pad():
+    a = np.ones((1, 1, 2, 2))
+    for pads in ((-1, 0, 0, 0), (0, -1, 0, 0), (1, 0, -1, 0), (0, 0, 0, -2)):
+        with pytest.raises(UsageError, match="negative"):
+            ad._padded(a, *pads)
+
+
+def test_band_rows_of_a_band_wholly_in_the_top_padding():
+    # rows -3:-1 lie above the input: two zero rows, with no bottom pad;
+    # without the top clamp the bottom pad would be negative
+    a = np.arange(1.0, 13.0).reshape(1, 1, 3, 4)
+    assert np.array_equal(ad._band_rows(a, -3, -1, 1), np.zeros((1, 1, 2, 6)))
+    assert np.array_equal(ad._band_rows(a, -1, 1, 0), np.concatenate(
+        [np.zeros((1, 1, 1, 4)), a[:, :, :1]], axis=2))
+    assert np.array_equal(ad._band_rows(a, 4, 6, 0), np.zeros((1, 1, 2, 4)))
 
 
 def test_bands_split_images_then_rows(monkeypatch):

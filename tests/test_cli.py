@@ -10,8 +10,9 @@ import pytest
 from sgen import cli
 from sgen.cli import main
 from sgen.config import RunConfig, build_run_config, parse_config_file
-from sgen.data import DegradationSpec, read_netpbm, synth_face, write_netpbm
+from sgen.data import DegradationSpec, load_image, read_netpbm, synth_face, to_bytes, write_netpbm
 from sgen.errors import ConfigError
+from sgen.metrics import model_restorer
 from sgen.model import SgenConfig, init_params, load_checkpoint, save_checkpoint
 from sgen.train import TrainConfig
 
@@ -186,6 +187,15 @@ def test_eval_writes_metrics_and_is_deterministic(trained, capsys):
     assert lines[-1].startswith("all,")
 
 
+def test_eval_restores_in_float32(trained, monkeypatch):
+    dtypes = []
+    monkeypatch.setattr(cli, "model_restorer",
+                        lambda p, c, dtype: dtypes.append(dtype) or model_restorer(p, c, dtype))
+    assert main(["eval", "--config", trained["cfg"], "--checkpoint", str(trained["ckpt"]),
+                 "--out", str(trained["root"] / "eval32")]) == 0
+    assert dtypes == [np.float32]
+
+
 def test_eval_takes_levels_and_channels_from_checkpoint(tmp_path):
     # one model differs from the run-config defaults in levels, one in image_channels
     cfg = tmp_path / "run.cfg"
@@ -222,6 +232,53 @@ def test_restore_pads_odd_sizes(trained, tmp_path):
     assert main(["restore", "--checkpoint", str(trained["ckpt"]),
                  str(src), str(dst)]) == 0
     assert read_netpbm(dst).shape == (50, 34)
+
+
+def _float64_restore(ckpt, src):
+    # the library's float64 restorer, as bytes
+    params, mcfg = load_checkpoint(ckpt)
+    return to_bytes(model_restorer(params, mcfg)(load_image(src, mcfg.image_channels)[None])[0, 0])
+
+
+def test_restore_runs_float32_within_a_gray_level(tmp_path, capsys, monkeypatch):
+    mcfg = SgenConfig()
+    ckpt, src, dst = tmp_path / "m.ckpt", tmp_path / "in.pgm", tmp_path / "out.pgm"
+    save_checkpoint(init_params(mcfg), mcfg, ckpt)
+    write_netpbm(synth_face(0, 150, 94), src)
+    dtypes = []
+    monkeypatch.setattr(cli, "model_restorer",
+                        lambda p, c, dtype: dtypes.append(dtype) or model_restorer(p, c, dtype))
+    assert main(["restore", "--checkpoint", str(ckpt), str(src), str(dst)]) == 0
+    assert dtypes == [np.float32]
+    got = read_netpbm(dst).astype(int)
+    assert np.abs(got - _float64_restore(ckpt, src)).max() <= 1
+
+
+def test_restore_of_weights_float32_cannot_hold_is_the_float64_restore(tmp_path, capsys):
+    # 1e300 is finite in float64 and inf in float32: the float64 bytes, no warning
+    mcfg = SgenConfig(levels=2, base_channels=2)
+    params = init_params(mcfg)
+    params["gen.enc.stem1.w"].data[0, 0, 0, 0] = 1e300
+    ckpt, src, dst = tmp_path / "m.ckpt", tmp_path / "in.pgm", tmp_path / "out.pgm"
+    save_checkpoint(params, mcfg, ckpt)
+    write_netpbm(synth_face(0, 50, 34), src)
+    assert main(["restore", "--checkpoint", str(ckpt), str(src), str(dst)]) == 0
+    assert capsys.readouterr().err == ""
+    assert np.array_equal(read_netpbm(dst), _float64_restore(ckpt, src))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_restore_non_finite_checkpoint_exits_2(value, tmp_path, capsys):
+    mcfg = SgenConfig(levels=2, base_channels=2)
+    params = init_params(mcfg)
+    params["gen.dec.merge2.w"].data[1, 0, 2, 3] = value
+    ckpt, src = tmp_path / "m.ckpt", tmp_path / "in.pgm"
+    save_checkpoint(params, mcfg, ckpt)
+    write_netpbm(synth_face(0, 32, 32), src)
+    assert main(["restore", "--checkpoint", str(ckpt), str(src), str(tmp_path / "o.pgm")]) == 2
+    err = capsys.readouterr().err
+    assert "sgen: error:" in err and "'gen.dec.merge2.w'" in err and "non-finite" in err
+    assert not (tmp_path / "o.pgm").exists()
 
 
 def test_restore_missing_checkpoint_exits_2(tmp_path, capsys):

@@ -230,6 +230,46 @@ def test_correlation_walk_fuzz(case, asked, placed, cache, band, prebuilt, seed)
     assert same_sums(dx, ad._conv_transpose(g, k, s, p, p, h, w), oc * dh * dw, abs_dx)
 
 
+# float32 walks against the naive loops run in float64 over the same
+# float32-rounded values: a float32 sum of `terms` products, in any order, is
+# within terms * u32 * sum(|product|) of the exact sum, and the float64 one
+# far closer, so their difference is within terms * EPS32 * sum(|product|)
+EPS32 = np.finfo(np.float32).eps
+
+
+@settings(FUZZ, max_examples=500)
+@given(case=correlations(), asked=st.sampled_from(("kernel", "gradient", "both")),
+       cache=BUDGETS, band=BUDGETS, prebuilt=st.booleans(), seed=st.integers(0, 2**16))
+def test_correlation_walk_float32_fuzz(case, asked, cache, band, prebuilt, seed):
+    # the correlation, its kernel gradient and the transposed convolution of
+    # float32 arrays: float32 out, within the float32 tolerance, in any bands
+    n, c, oc, h, w, kh, kw, s, p = case
+    oh, ow = (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
+    x, k, g = (a.astype(np.float32).astype(np.float64)
+               for a in _randn(seed, (n, c, h, w), (oc, c, kh, kw), (n, oc, oh, ow)))
+    x32, k32, g32 = (a.astype(np.float32) for a in (x, k, g))
+    kernel, grad = (k32 if asked != "gradient" else None), (g32 if asked != "kernel" else None)
+    shifted = grad is None and s == 1 and oc < c
+    row = c * (w + 2 * p) if shifted else c * kh * kw * ow
+    with _budgets(cache, band, oh, row):
+        out, dk = ad._correlate(x32, kernel, grad, kh, kw, s, p, p)
+        phases = ad.phase_kernel(k32, s) if prebuilt else None
+        dx = ad._conv_transpose(g32, k32, s, p, p, h, w, phases)
+    abs_out, abs_dk = ad._correlate(np.abs(x), np.abs(k), np.abs(g), kh, kw, s, p, p)
+    if kernel is not None:
+        assert out.dtype == np.float32
+        assert same_sums(out, conv2d_naive(x, k, np.zeros(oc), s, p), c * kh * kw, abs_out,
+                         EPS32)
+    if grad is not None:
+        assert dk.dtype == np.float32
+        assert same_sums(dk, conv2d_kernel_grad_naive(x, g, kh, kw, s, p), n * oh * ow, abs_dk,
+                         EPS32)
+    dh, dw = -(-kh // s), -(-kw // s)  # phase taps per axis
+    assert dx.dtype == np.float32
+    assert same_sums(dx, ad._conv_transpose(g, k, s, p, p, h, w), oc * dh * dw,
+                     ad._conv_transpose(np.abs(g), np.abs(k), s, p, p, h, w), EPS32)
+
+
 @settings(FUZZ, max_examples=400)
 @given(n=st.integers(1, 2), ic=st.integers(1, 4), oc=st.integers(1, 4),
        qh=st.integers(1, 4), qw=st.integers(1, 4), factor=st.integers(1, 4),
@@ -248,3 +288,21 @@ def test_deconv_walk_fuzz(n, ic, oc, qh, qw, factor, extra, cache, band, prebuil
         out = ad._conv_transpose(z, k, factor, *extra, qh * factor, qw * factor, phases)
     abs_out = deconv2d_adjoint_naive(np.abs(z), np.abs(k), factor)
     assert same_sums(out, ref, ic * kh * kw, abs_out)
+
+
+@settings(FUZZ, max_examples=400)
+@given(n=st.integers(1, 2), ic=st.integers(1, 4), oc=st.integers(1, 4),
+       qh=st.integers(1, 4), qw=st.integers(1, 4), factor=st.integers(1, 4),
+       extra=st.tuples(st.integers(0, 2), st.integers(0, 2)), cache=BUDGETS, band=BUDGETS,
+       prebuilt=st.booleans(), seed=st.integers(0, 2**16))
+def test_deconv_walk_float32_fuzz(n, ic, oc, qh, qw, factor, extra, cache, band, prebuilt, seed):
+    # the float32 transposed convolution against the float64 adjoint loop
+    kh, kw = (factor + 2 * e for e in extra)
+    z, k = (a.astype(np.float32) for a in _randn(seed, (n, ic, qh, qw), (ic, oc, kh, kw)))
+    with _budgets(cache, band, qh, ic * kh * kw * (qw + kw)):
+        phases = ad.phase_kernel(k, factor) if prebuilt else None
+        out = ad._conv_transpose(z, k, factor, *extra, qh * factor, qw * factor, phases)
+    z, k = z.astype(np.float64), k.astype(np.float64)
+    assert out.dtype == np.float32
+    assert same_sums(out, deconv2d_adjoint_naive(z, k, factor), ic * kh * kw,
+                     deconv2d_adjoint_naive(np.abs(z), np.abs(k), factor), EPS32)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sgen.data import DegradationSpec, SyntheticCorpus, to_unit
-from sgen.errors import ConfigError
+from sgen.data import DegradationSpec, SyntheticCorpus, to_bytes, to_unit
+from sgen.errors import ConfigError, NumericsError
 import sgen.metrics as metrics
 from sgen.metrics import (MetricReport, ScaleRow, eval_batch, eval_model, model_restorer,
                           psnr, ssim)
@@ -223,6 +223,71 @@ def test_restorer_built_after_a_weight_change_uses_it():
     assert not np.array_equal(after, before)
     uncached = generator_forward(Tensor(s), params, cfg)
     assert np.array_equal(after, uncached.data)
+
+
+def test_float32_restorer_is_float32_within_a_gray_level():
+    cfg = SgenConfig()
+    params = init_params(cfg, seed=0)
+    wide, narrow = model_restorer(params, cfg), model_restorer(params, cfg, np.float32)
+    corpus = SyntheticCorpus(2)
+    for h, w in [(64, 48), (150, 94)]:
+        s = np.stack([to_unit(corpus.image(i, h, w)) for i in range(2)])
+        want, got = wide(s), narrow(s)
+        assert want.dtype == np.float64 and got.dtype == np.float32
+        assert np.abs(got - want).max() < 1e-4
+        assert np.abs(to_bytes(got).astype(int) - to_bytes(want)).max() <= 1
+
+
+def test_float32_restorer_keeps_float64_weights_float32_cannot_hold(monkeypatch):
+    # 1e300 casts to inf: the restorer is the float64 one for its whole life,
+    # one float64 forward per call
+    cfg = SgenConfig(levels=2, base_channels=2)
+    params = init_params(cfg, seed=0)
+    params["gen.enc.stem1.w"].data[0, 0, 0, 0] = 1e300
+    s = np.random.default_rng(1).uniform(-1.0, 1.0, (2, 1, 48, 32))
+    want = model_restorer(params, cfg)(s)
+    forwards = []
+    monkeypatch.setattr(metrics, "generator_forward", lambda x, *rest: (
+        forwards.append(x.data.dtype) or generator_forward(x, *rest)))
+    restore = model_restorer(params, cfg, np.float32)
+    for _ in range(2):
+        got = restore(s)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+    assert forwards == [np.float64] * 2
+
+
+def test_float32_restorer_reruns_an_overflowing_call_in_float64():
+    # finite in float32, but stem2's sums pass float32's range on a non-zero
+    # input: that call, and only that one, is the float64 restorer's
+    cfg = SgenConfig(levels=2, base_channels=2)
+    params = init_params(cfg, seed=0)
+    params["gen.enc.stem1.w"].data[0, 0, 0, 0] = 1e30
+    params["gen.enc.stem2.w"].data *= 1e10
+    restore = model_restorer(params, cfg, np.float32)
+    s = np.random.default_rng(1).uniform(-1.0, 1.0, (2, 1, 48, 32))
+    got = restore(s)
+    assert got.dtype == np.float64 and np.array_equal(got, model_restorer(params, cfg)(s))
+    assert restore(np.zeros_like(s)).dtype == np.float32
+
+
+@pytest.mark.parametrize("where", ["weight", "input"])
+def test_float32_restorer_fails_as_the_float64_one_does(where):
+    # a NaN weight keeps the float64 weights; a NaN pixel fails the float32
+    # call, whose float64 rerun raises the float64 restorer's error
+    cfg = SgenConfig(levels=2, base_channels=2)
+    params = init_params(cfg, seed=0)
+    s = np.random.default_rng(1).uniform(-1.0, 1.0, (1, 1, 48, 32))
+    if where == "weight":
+        params["gen.enc.trunk2.w"].data[0, 0, 0, 0] = np.nan
+    else:
+        s[0, 0, 5, 5] = np.nan
+    messages = []
+    for dtype in (np.float64, np.float32):
+        with pytest.raises(NumericsError) as info:
+            model_restorer(params, cfg, dtype)(s)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert ("'gen.enc.trunk2'" if where == "weight" else "'gen.enc.stem1'") in messages[0]
 
 
 def test_batch_restore_matches_single_restores():
