@@ -1,6 +1,6 @@
 """Command-line entry point: train, eval, restore, degrade, gates, ablate.
 
-`restore` and `eval` run the generator in float32 over weights cast once
+`restore` runs the generator in float32 over weights cast once
 (metrics.model_restorer, which falls back to float64 where float32 cannot
 hold the values); every other command runs float64 throughout.
 """
@@ -151,8 +151,7 @@ def cmd_eval(args) -> int:
     corpus = run.eval_corpus()
     out = Path(run.out)
     out.mkdir(parents=True, exist_ok=True)
-    report = eval_model(model_restorer(params, mcfg, np.float32), corpus, scales, spec,
-                        seed=run.seed)
+    report = eval_model(model_restorer(params, mcfg), corpus, scales, spec, seed=run.seed)
     csv_text = report.to_csv()
     with atomic_write(out / "metrics.csv") as fh:
         fh.write(csv_text.encode())

@@ -183,20 +183,18 @@ def model_restorer(params: dict, config, dtype=np.float64) -> Callable[[np.ndarr
     each batch is restored in float32 and returned as float32: half the
     bytes per map and twice the arithmetic per SIMD instruction.  Over the
     96 images of perfbench's two restore pools, 65 of 5.07 M output bytes
-    differ from the float64 restorer's, each by one gray level.  Where float32
-    cannot hold the values, the result is the float64 one: if a cast
-    weight is not finite the restorer keeps the float64 weights for its
-    whole life, and a float32 call that ends in NumericsError (an overflow
-    the float64 forward may not meet) is run again in float64, which
-    returns or raises exactly as the float64 restorer does.
+    differ from the float64 restorer's, each by one gray level
+    (tools/float32_restore_bytes.py).  Where float32 cannot hold the
+    values, the result is the float64 one: a float32 call that ends in
+    NumericsError (a weight that casts to inf, or an overflow the float64
+    forward may not meet) is run again in float64, which returns or raises
+    exactly as the float64 restorer does.
     """
     weights, phases, wide_phases = params, {}, {}
     if dtype != np.float64:
         with np.errstate(over="ignore"):  # a weight past float32's range casts to inf
-            cast = {name: Tensor(p.data.astype(dtype)) for name, p in params.items()
-                    if name.startswith("gen.")}
-        if all(np.isfinite(t.data).all() for t in cast.values()):
-            weights = cast
+            weights = {name: Tensor(p.data.astype(dtype)) for name, p in params.items()
+                       if name.startswith("gen.")}
 
     def restore(s):
         arr = np.asarray(s, dtype=np.float64)

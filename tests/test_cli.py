@@ -187,15 +187,6 @@ def test_eval_writes_metrics_and_is_deterministic(trained, capsys):
     assert lines[-1].startswith("all,")
 
 
-def test_eval_restores_in_float32(trained, monkeypatch):
-    dtypes = []
-    monkeypatch.setattr(cli, "model_restorer",
-                        lambda p, c, dtype: dtypes.append(dtype) or model_restorer(p, c, dtype))
-    assert main(["eval", "--config", trained["cfg"], "--checkpoint", str(trained["ckpt"]),
-                 "--out", str(trained["root"] / "eval32")]) == 0
-    assert dtypes == [np.float32]
-
-
 def test_eval_takes_levels_and_channels_from_checkpoint(tmp_path):
     # one model differs from the run-config defaults in levels, one in image_channels
     cfg = tmp_path / "run.cfg"
@@ -252,6 +243,18 @@ def test_restore_runs_float32_within_a_gray_level(tmp_path, capsys, monkeypatch)
     assert dtypes == [np.float32]
     got = read_netpbm(dst).astype(int)
     assert np.abs(got - _float64_restore(ckpt, src)).max() <= 1
+
+
+def test_float32_restore_bytes_tool_on_part_of_a_pool():
+    # the tool that measures the one-gray-level bound over perfbench's
+    # restore pools, on their first four requests of each seed
+    tool = os.path.join(os.path.dirname(__file__), "..", "tools", "float32_restore_bytes.py")
+    proc = subprocess.run([sys.executable, tool, "--count", "4"], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    total, worst = re.fullmatch(r"bytes (\d+), differing \d+ \(\S+%\), largest difference (\d)\n",
+                                proc.stdout).groups()
+    assert int(total) > 8 * 48 * 48 and int(worst) <= 1
 
 
 def test_restore_of_weights_float32_cannot_hold_is_the_float64_restore(tmp_path, capsys):
