@@ -1,15 +1,15 @@
 """Byte differences of float32 `sgen restore` from the float64 library restorer.
 
-    OPENBLAS_NUM_THREADS=1 python3 tools/float32_restore_bytes.py [--seeds 0 1] [--count N] [--bound 1]
+    OPENBLAS_NUM_THREADS=1 python3 tools/float32_restore_bytes.py [--count N]
 
-Walks perfbench's restore-cli request pools: for each seed, the workload's
-checkpoint, request sizes and degraded inputs (the first N requests, or the
-whole pool of 48).  Each request runs through `sgen restore` in process,
-which restores in float32, and the same input is restored by
-`metrics.model_restorer` with its float64 default and quantized as
-`save_image` does.  Prints the bytes compared, how many differ and the
+Walks perfbench's restore-cli request pools: for seeds 0 and 1, the
+workload's checkpoint, request sizes and degraded inputs (the first N
+requests, or the whole pool of 48).  Each request runs through `sgen
+restore` in process, which restores in float32, and the same input is
+restored by `metrics.model_restorer` with its float64 default and
+quantized as `save_image` does.  Prints the bytes compared, how many differ and the
 largest difference in gray levels.  Exits 1 when the largest difference is
-above --bound, else 0.  It writes only to a temporary directory.
+above one gray level, else 0.  It writes only to a temporary directory.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (0, 1)
+BOUND = 1  # gray levels
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import numpy as np  # noqa: E402
@@ -54,14 +56,12 @@ def pool_differences(seeds, count=None) -> tuple[int, int, int]:
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
     parser.add_argument("--count", type=int, default=None, help="requests per seed")
-    parser.add_argument("--bound", type=int, default=1, help="largest allowed difference")
     args = parser.parse_args(argv)
-    total, differ, worst = pool_differences(args.seeds, args.count)
+    total, differ, worst = pool_differences(SEEDS, args.count)
     print(f"bytes {total}, differing {differ} ({100 * differ / total:.4f}%), "
           f"largest difference {worst}")
-    return 1 if worst > args.bound else 0
+    return 1 if worst > BOUND else 0
 
 
 if __name__ == "__main__":
