@@ -1,8 +1,9 @@
 """Command-line entry point: train, eval, restore, degrade, gates, ablate.
 
-`restore` runs the generator in float32 over weights cast once
-(metrics.model_restorer, which falls back to float64 where float32 cannot
-hold the values); every other command runs float64 throughout.
+`restore`, `eval`, `ablate` and training's validation all restore through
+metrics.model_restorer, which runs the generator in float32 over weights
+cast once and falls back to float64 where float32 cannot hold the values.
+Training, `gates` and the checkpoint stay float64.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def cmd_eval(args) -> int:
 def cmd_restore(args) -> int:
     params, mcfg = load_checkpoint(args.checkpoint)
     img = load_image(args.input, mcfg.image_channels)
-    save_image(model_restorer(params, mcfg, np.float32)(img[None])[0], args.output)
+    save_image(model_restorer(params, mcfg)(img[None])[0], args.output)
     print(f"restored {args.input} -> {args.output}")
     return 0
 

@@ -169,32 +169,30 @@ def pad_to_divisor(img: np.ndarray, divisor: int) -> np.ndarray:
     return img
 
 
-def model_restorer(params: dict, config, dtype=np.float64) -> Callable[[np.ndarray], np.ndarray]:
-    """Wrap generator parameters as a restore function over image batches.
+def model_restorer(params: dict, config) -> Callable[[np.ndarray], np.ndarray]:
+    """Wrap generator parameters as a float32 restore function over image batches.
 
     The returned callable maps a [-1, 1] float batch (n, c, h, w) to its
     restored version of the same shape, edge-padding to the generator
     divisor and cropping back, so any size at or above the divisor works.
-    It builds each deconv layer's phase kernel on its first call and keeps
-    it (see generator_forward), so it reads the weights once: build a new
-    restorer after changing them.
+    It casts the generator's weights to float32 once, here, and builds each
+    deconv layer's phase kernel on its first call and keeps it (see
+    generator_forward): build a new restorer after changing the weights.
 
-    With dtype float32 the generator's weights are cast once, here, and
-    each batch is restored in float32 and returned as float32: half the
-    bytes per map and twice the arithmetic per SIMD instruction.  Over the
-    96 images of perfbench's two restore pools, 65 of 5.07 M output bytes
-    differ from the float64 restorer's, each by one gray level
-    (tools/float32_restore_bytes.py).  Where float32 cannot hold the
-    values, the result is the float64 one: a float32 call that ends in
-    NumericsError (a weight that casts to inf, or an overflow the float64
+    Each batch is restored in float32 and returned as float32: half the
+    bytes per map and twice the arithmetic per SIMD instruction of the
+    float64 forward that training runs.  Over the 96 images of perfbench's
+    two restore pools, 65 of 5.07 M output bytes differ from that forward's,
+    each by one gray level (tools/float32_restore_bytes.py).  Where float32
+    cannot hold the values, the result is the float64 one: a call that ends
+    in NumericsError (a weight that casts to inf, or an overflow the float64
     forward may not meet) is run again in float64, which returns or raises
-    exactly as the float64 restorer does.
+    exactly as generator_forward over the float64 weights does.
     """
-    weights, phases, wide_phases = params, {}, {}
-    if dtype != np.float64:
-        with np.errstate(over="ignore"):  # a weight past float32's range casts to inf
-            weights = {name: Tensor(p.data.astype(dtype)) for name, p in params.items()
-                       if name.startswith("gen.")}
+    phases = {}
+    with np.errstate(over="ignore"):  # a weight past float32's range casts to inf
+        weights = {name: Tensor(p.data.astype(np.float32)) for name, p in params.items()
+                   if name.startswith("gen.")}
 
     def restore(s):
         arr = np.asarray(s, dtype=np.float64)
@@ -202,15 +200,12 @@ def model_restorer(params: dict, config, dtype=np.float64) -> Callable[[np.ndarr
             raise ConfigError(f"restore expects an (n, c, h, w) batch, got shape {arr.shape}")
         h, w = arr.shape[-2:]
         padded = pad_to_divisor(arr, config.divisor)
-        if weights is params:
-            out = generator_forward(Tensor(padded), params, config, phases)
-        else:
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    out = generator_forward(Tensor(padded.astype(dtype)), weights, config,
-                                            phases)
-            except NumericsError:
-                out = generator_forward(Tensor(padded), params, config, wide_phases)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = generator_forward(Tensor(padded.astype(np.float32)), weights, config,
+                                        phases)
+        except NumericsError:
+            out = generator_forward(Tensor(padded), params, config)
         return out.data[:, :, :h, :w]
 
     return restore

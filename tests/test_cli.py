@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from sgen import cli
+from sgen.autodiff import Tensor
 from sgen.cli import main
 from sgen.config import RunConfig, build_run_config, parse_config_file
 from sgen.data import DegradationSpec, load_image, read_netpbm, synth_face, to_bytes, write_netpbm
 from sgen.errors import ConfigError
-from sgen.metrics import model_restorer
-from sgen.model import SgenConfig, init_params, load_checkpoint, save_checkpoint
-from sgen.train import TrainConfig
+from sgen.metrics import eval_model, model_restorer, pad_to_divisor
+from sgen.model import SgenConfig, generator_forward, init_params, load_checkpoint, save_checkpoint
+from sgen.train import TrainConfig, train
 
 TINY_KEYS = {"levels": 2, "base_channels": 2, "steps": 2, "batch_size": 2,
              "mse_only": True, "scales": "32x32", "synthetic": 4,
@@ -187,6 +188,24 @@ def test_eval_writes_metrics_and_is_deterministic(trained, capsys):
     assert lines[-1].startswith("all,")
 
 
+def test_val_psnr_and_metrics_csv_score_through_one_forward(tmp_path, capsys):
+    # training's last val_psnr and `sgen eval`'s metrics.csv are both the
+    # library report over the trained weights, through one restorer
+    cfg = write_config(tmp_path / "run.cfg", val_every=2)
+    run = build_run_config(cfg)
+    mcfg, tcfg, spec, scales = (run.sgen_config(), run.train_config(), run.degradation_spec(),
+                                run.scale_list())
+    corpus, val = run.corpora()
+    assert tcfg.val_count >= len(val)  # so validation's limit keeps every image eval scores
+    state = train(tcfg, mcfg, corpus, scales, spec, tmp_path / "o", val_corpus=val)
+    report = eval_model(model_restorer(state.params, mcfg), val, scales, spec,
+                        seed=tcfg.seed, limit=tcfg.val_count)
+    assert state.history[-1]["val_psnr"] == report.mean_psnr
+    assert main(["eval", "--config", cfg, "--checkpoint", str(tmp_path / "o" / "sgen.ckpt"),
+                 "--out", str(tmp_path / "e")]) == 0
+    assert (tmp_path / "e" / "metrics.csv").read_text() == report.to_csv()
+
+
 def test_eval_takes_levels_and_channels_from_checkpoint(tmp_path):
     # one model differs from the run-config defaults in levels, one in image_channels
     cfg = tmp_path / "run.cfg"
@@ -226,9 +245,11 @@ def test_restore_pads_odd_sizes(trained, tmp_path):
 
 
 def _float64_restore(ckpt, src):
-    # the library's float64 restorer, as bytes
+    # the float64 generator_forward over the padded image, cropped back, as bytes
     params, mcfg = load_checkpoint(ckpt)
-    return to_bytes(model_restorer(params, mcfg)(load_image(src, mcfg.image_channels)[None])[0, 0])
+    img = load_image(src, mcfg.image_channels)[None]
+    out = generator_forward(Tensor(pad_to_divisor(img, mcfg.divisor)), params, mcfg)
+    return to_bytes(out.data[0, 0, :img.shape[2], :img.shape[3]])
 
 
 def test_restore_runs_float32_within_a_gray_level(tmp_path, capsys, monkeypatch):
@@ -237,8 +258,12 @@ def test_restore_runs_float32_within_a_gray_level(tmp_path, capsys, monkeypatch)
     save_checkpoint(init_params(mcfg), mcfg, ckpt)
     write_netpbm(synth_face(0, 150, 94), src)
     dtypes = []
-    monkeypatch.setattr(cli, "model_restorer",
-                        lambda p, c, dtype: dtypes.append(dtype) or model_restorer(p, c, dtype))
+
+    def spy(p, c):
+        restore = model_restorer(p, c)
+        return lambda s: (lambda out: dtypes.append(out.dtype) or out)(restore(s))
+
+    monkeypatch.setattr(cli, "model_restorer", spy)
     assert main(["restore", "--checkpoint", str(ckpt), str(src), str(dst)]) == 0
     assert dtypes == [np.float32]
     got = read_netpbm(dst).astype(int)

@@ -5,7 +5,7 @@ from sgen.data import DegradationSpec, SyntheticCorpus, to_bytes, to_unit
 from sgen.errors import ConfigError, NumericsError
 import sgen.metrics as metrics
 from sgen.metrics import (MetricReport, ScaleRow, eval_batch, eval_model, model_restorer,
-                          psnr, ssim)
+                          pad_to_divisor, psnr, ssim)
 import sgen.model as model
 from sgen.autodiff import Tensor, phase_kernel
 from sgen.model import SgenConfig, generator_forward, init_params
@@ -209,9 +209,18 @@ def test_restorer_reuses_its_phase_kernels_bitwise(levels, monkeypatch):
     assert len(builds) == 2 * levels * (1 + len(cases))
 
 
+def _float64_forward(params, cfg, s):
+    # the float64 generator_forward over the padded batch, cropped back:
+    # the forward training runs, which every restorer is held to
+    h, w = s.shape[-2:]
+    return generator_forward(Tensor(pad_to_divisor(s, cfg.divisor)), params, cfg).data[:, :, :h, :w]
+
+
 def test_restorer_built_after_a_weight_change_uses_it():
     # training changes the weights in place between validations and builds
-    # a new restorer for each; the phase kernels must come from the new weights
+    # a new restorer for each; the cast weights and phase kernels must come
+    # from the new weights: bitwise the uncached float32 forward over them,
+    # and within 1e-4 of the float64 forward
     cfg = SgenConfig(levels=2, base_channels=2)
     params = init_params(cfg, seed=0)
     s = np.random.default_rng(1).uniform(-1.0, 1.0, (2, 1, 48, 32))
@@ -221,31 +230,33 @@ def test_restorer_built_after_a_weight_change_uses_it():
             p.data *= -1.5
     after = model_restorer(params, cfg)(s)
     assert not np.array_equal(after, before)
-    uncached = generator_forward(Tensor(s), params, cfg)
+    narrow = {name: Tensor(p.data.astype(np.float32)) for name, p in params.items()}
+    uncached = generator_forward(Tensor(s.astype(np.float32)), narrow, cfg)
     assert np.array_equal(after, uncached.data)
+    assert np.abs(after - _float64_forward(params, cfg, s)).max() < 1e-4
 
 
 def test_float32_restorer_is_float32_within_a_gray_level():
     cfg = SgenConfig()
     params = init_params(cfg, seed=0)
-    wide, narrow = model_restorer(params, cfg), model_restorer(params, cfg, np.float32)
+    restore = model_restorer(params, cfg)
     corpus = SyntheticCorpus(2)
     for h, w in [(64, 48), (150, 94)]:
         s = np.stack([to_unit(corpus.image(i, h, w)) for i in range(2)])
-        want, got = wide(s), narrow(s)
+        want, got = _float64_forward(params, cfg, s), restore(s)
         assert want.dtype == np.float64 and got.dtype == np.float32
         assert np.abs(got - want).max() < 1e-4
         assert np.abs(to_bytes(got).astype(int) - to_bytes(want)).max() <= 1
 
 
 def test_float32_restorer_of_weights_float32_cannot_hold_is_the_float64_one(recwarn):
-    # 1e300 casts to inf: every call is the float64 restorer's, with no warning
+    # 1e300 casts to inf: every call is the float64 forward's, with no warning
     cfg = SgenConfig(levels=2, base_channels=2)
     params = init_params(cfg, seed=0)
     params["gen.enc.stem1.w"].data[0, 0, 0, 0] = 1e300
     s = np.random.default_rng(1).uniform(-1.0, 1.0, (2, 1, 48, 32))
-    want = model_restorer(params, cfg)(s)
-    restore = model_restorer(params, cfg, np.float32)
+    want = _float64_forward(params, cfg, s)
+    restore = model_restorer(params, cfg)
     for _ in range(2):
         got = restore(s)
         assert got.dtype == np.float64 and np.array_equal(got, want)
@@ -254,22 +265,22 @@ def test_float32_restorer_of_weights_float32_cannot_hold_is_the_float64_one(recw
 
 def test_float32_restorer_reruns_an_overflowing_call_in_float64():
     # finite in float32, but stem2's sums pass float32's range on a non-zero
-    # input: that call, and only that one, is the float64 restorer's
+    # input: that call, and only that one, is the float64 forward's
     cfg = SgenConfig(levels=2, base_channels=2)
     params = init_params(cfg, seed=0)
     params["gen.enc.stem1.w"].data[0, 0, 0, 0] = 1e30
     params["gen.enc.stem2.w"].data *= 1e10
-    restore = model_restorer(params, cfg, np.float32)
+    restore = model_restorer(params, cfg)
     s = np.random.default_rng(1).uniform(-1.0, 1.0, (2, 1, 48, 32))
     got = restore(s)
-    assert got.dtype == np.float64 and np.array_equal(got, model_restorer(params, cfg)(s))
+    assert got.dtype == np.float64 and np.array_equal(got, _float64_forward(params, cfg, s))
     assert restore(np.zeros_like(s)).dtype == np.float32
 
 
 @pytest.mark.parametrize("where", ["weight", "input"])
 def test_float32_restorer_fails_as_the_float64_one_does(where):
     # a NaN weight or pixel fails the float32 call, whose float64 rerun
-    # raises the float64 restorer's error
+    # raises the float64 forward's error
     cfg = SgenConfig(levels=2, base_channels=2)
     params = init_params(cfg, seed=0)
     s = np.random.default_rng(1).uniform(-1.0, 1.0, (1, 1, 48, 32))
@@ -278,9 +289,9 @@ def test_float32_restorer_fails_as_the_float64_one_does(where):
     else:
         s[0, 0, 5, 5] = np.nan
     messages = []
-    for dtype in (np.float64, np.float32):
+    for run in (lambda: _float64_forward(params, cfg, s), lambda: model_restorer(params, cfg)(s)):
         with pytest.raises(NumericsError) as info:
-            model_restorer(params, cfg, dtype)(s)
+            run()
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert ("'gen.enc.trunk2'" if where == "weight" else "'gen.enc.stem1'") in messages[0]

@@ -1,14 +1,15 @@
-"""Byte differences of float32 `sgen restore` from the float64 library restorer.
+"""Byte differences of float32 `sgen restore` from the float64 generator forward.
 
     OPENBLAS_NUM_THREADS=1 python3 tools/float32_restore_bytes.py [--count N]
 
 Walks perfbench's restore-cli request pools: for seeds 0 and 1, the
 workload's checkpoint, request sizes and degraded inputs (the first N
 requests, or the whole pool of 48).  Each request runs through `sgen
-restore` in process, which restores in float32, and the same input is
-restored by `metrics.model_restorer` with its float64 default and
-quantized as `save_image` does.  Prints the bytes compared, how many differ and the
-largest difference in gray levels.  Exits 1 when the largest difference is
+restore` in process, which restores in float32 as every
+`metrics.model_restorer` does.  The same input is edge-padded, run through
+`model.generator_forward` over the checkpoint's float64 weights, cropped
+back and quantized as `save_image` does.  Prints the bytes compared, how
+many differ and the largest difference in gray levels.  Exits 1 when the largest difference is
 above one gray level, else 0.  It writes only to a temporary directory.
 """
 
@@ -27,9 +28,10 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import numpy as np  # noqa: E402
 
 import workloads as wl  # noqa: E402  (puts this checkout's src on the path)
+from sgen.autodiff import Tensor  # noqa: E402
 from sgen.data import load_image, read_netpbm, save_image, to_bytes  # noqa: E402
-from sgen.metrics import model_restorer  # noqa: E402
-from sgen.model import load_checkpoint  # noqa: E402
+from sgen.metrics import pad_to_divisor  # noqa: E402
+from sgen.model import generator_forward, load_checkpoint  # noqa: E402
 
 
 def pool_differences(seeds, count=None) -> tuple[int, int, int]:
@@ -39,7 +41,6 @@ def pool_differences(seeds, count=None) -> tuple[int, int, int]:
         ck, src, dst = Path(tmp, "model.ckpt"), Path(tmp, "in.pgm"), Path(tmp, "out.pgm")
         wl.write_checkpoint(ck)
         params, mcfg = load_checkpoint(ck)
-        wide = model_restorer(params, mcfg)
         for seed in seeds:
             for i, (h, w) in enumerate(wl.restore_sizes(seed)[:count]):
                 save_image(wl.restore_input(seed, i, h, w), src)
@@ -47,7 +48,8 @@ def pool_differences(seeds, count=None) -> tuple[int, int, int]:
                 if code != 0:
                     raise RuntimeError(f"sgen restore exited {code}: {out}")
                 got = read_netpbm(dst).astype(int)
-                want = to_bytes(wide(load_image(src, mcfg.image_channels)[None])[0, 0])
+                img = pad_to_divisor(load_image(src, mcfg.image_channels)[None], mcfg.divisor)
+                want = to_bytes(generator_forward(Tensor(img), params, mcfg).data[0, 0, :h, :w])
                 d = np.abs(got - want)
                 total, differ = total + d.size, differ + int(np.count_nonzero(d))
                 worst = max(worst, int(d.max()))
