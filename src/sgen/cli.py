@@ -1,9 +1,7 @@
 """Command-line entry point: train, eval, restore, degrade, gates, ablate.
 
-`restore`, `eval`, `ablate` and training's validation all restore through
-metrics.model_restorer, which runs the generator in float32 over weights
-cast once and falls back to float64 where float32 cannot hold the values.
-Training, `gates` and the checkpoint stay float64.
+Every command that restores images runs metrics.model_restorer's float32
+forward; training, `gates` and the checkpoint stay float64.
 """
 
 from __future__ import annotations

@@ -190,8 +190,11 @@ def test_eval_writes_metrics_and_is_deterministic(trained, capsys):
 
 def test_val_psnr_and_metrics_csv_score_through_one_forward(tmp_path, capsys):
     # training's last val_psnr and `sgen eval`'s metrics.csv are both the
-    # library report over the trained weights, through one restorer
-    cfg = write_config(tmp_path / "run.cfg", val_every=2)
+    # library report over the trained weights, through one restorer; at
+    # these sizes a float64 forward rounds some bytes differently, so the
+    # exact val_psnr tells the two forwards apart
+    cfg = write_config(tmp_path / "run.cfg", val_every=2, val_images=8, val_count=8,
+                       scales="96x96,64x64")
     run = build_run_config(cfg)
     mcfg, tcfg, spec, scales = (run.sgen_config(), run.train_config(), run.degradation_spec(),
                                 run.scale_list())
@@ -261,7 +264,12 @@ def test_restore_runs_float32_within_a_gray_level(tmp_path, capsys, monkeypatch)
 
     def spy(p, c):
         restore = model_restorer(p, c)
-        return lambda s: (lambda out: dtypes.append(out.dtype) or out)(restore(s))
+
+        def recorded(s):
+            out = restore(s)
+            dtypes.append(out.dtype)
+            return out
+        return recorded
 
     monkeypatch.setattr(cli, "model_restorer", spy)
     assert main(["restore", "--checkpoint", str(ckpt), str(src), str(dst)]) == 0
