@@ -313,15 +313,16 @@ def test_restore_holds_only_live_tensors(traced_peak):
     # reader has run, every convolution pads, gathers and places in bands,
     # and an sgu junction is one gate node, which holds its four inputs, its
     # output and one chunk of scratch.  So the traced peak is gen.dec.merge3,
-    # the transposed convolution into the largest activation: 1.48x its
-    # output.  The junction's two products and their sum took 1.75x, gate
-    # maps kept past their junction 2.00x, keeping every activation and
-    # whole-array scratch 4.9x.
+    # the transposed convolution into the largest activation, plus the
+    # restorer's float32 copy of the input: 1.60x merge3's output, in the
+    # dtype the restorer runs.  The junction as add(mul, mul) took 1.88x,
+    # gate maps kept past their junction 2.42x, keeping every activation
+    # 4.98x.
     cfg = SgenConfig()
     restore = model_restorer(init_params(cfg, seed=0), cfg)
     s = np.random.default_rng(2).uniform(-1.0, 1.0, (1, 1, 384, 352))
     restore(s)  # builds the phase kernels, which the restorer keeps
     out, peak = traced_peak(restore, s)
-    merge3 = cfg.base_channels * 384 * 352 * 8
+    merge3 = cfg.base_channels * 384 * 352 * out.itemsize
     assert out.shape == s.shape
-    assert peak < 1.6 * merge3, f"{peak / merge3:.2f}x gen.dec.merge3's output"
+    assert peak < 1.7 * merge3, f"{peak / merge3:.2f}x gen.dec.merge3's output"
